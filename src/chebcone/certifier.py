@@ -48,6 +48,8 @@ class PositivityCertificate:
     `coefficients` holds (index, decimal string) pairs sorted by index;
     `mass` is the decimal coefficient sum; `cone_bound` records the cone
     center that explains why the verdict had to come out non-negative.
+    from_document rejects a document whose verdict, mass or max_index
+    disagrees with its own listing.
     """
 
     n: int
@@ -74,21 +76,28 @@ class PositivityCertificate:
         }
 
     @classmethod
+    def from_listing(
+        cls, n: int, i: int, j: int, coefficients: tuple[tuple[int, str], ...], cone_bound: int
+    ) -> "PositivityCertificate":
+        """Certificate whose verdict, mass and max index are read off the listing."""
+        values = [int(c) for _, c in coefficients]
+        return cls(n=n, i=i, j=j, coefficients=coefficients,
+                   all_nonnegative=all(v >= 0 for v in values),
+                   max_index=max((idx for idx, _ in coefficients), default=None),
+                   mass=str(sum(values)), cone_bound=cone_bound)
+
+    @classmethod
     def from_document(cls, doc: dict) -> "PositivityCertificate":
         if doc.get("kind") != "positivity":
             raise ValueError(f"not a positivity document: kind={doc.get('kind')!r}")
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
-        return cls(
-            n=doc["n"],
-            i=doc["i"],
-            j=doc["j"],
-            coefficients=tuple((idx, c) for idx, c in doc["coefficients"]),
-            all_nonnegative=doc["all_nonnegative"],
-            max_index=doc["max_index"],
-            mass=doc["mass"],
-            cone_bound=doc["cone_bound"],
-        )
+        coefficients = tuple((idx, c) for idx, c in doc["coefficients"])
+        cert = cls.from_listing(doc["n"], doc["i"], doc["j"], coefficients, doc["cone_bound"])
+        for key in ("all_nonnegative", "max_index", "mass"):
+            if doc[key] != getattr(cert, key):
+                raise ValueError(f"{key} {doc[key]!r} disagrees with the coefficient listing")
+        return cert
 
 
 def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
@@ -99,16 +108,7 @@ def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
         raise ValueError(f"invalid slot/order pair ({i}, {j})")
     folded = fold_L(raw_element(n, i, j))
     coeffs = tuple((idx, str(c)) for idx, c in folded.terms())
-    return PositivityCertificate(
-        n=n,
-        i=i,
-        j=j,
-        coefficients=coeffs,
-        all_nonnegative=folded.all_nonnegative(),
-        max_index=folded.max_index(),
-        mass=str(sum(c for _, c in folded.terms())),
-        cone_bound=positivity_cone_bound(n, i, j),
-    )
+    return PositivityCertificate.from_listing(n, i, j, coeffs, positivity_cone_bound(n, i, j))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .tilde_ring import TildeElement
+from .tilde_ring import TildeElement, _sparse_product
 
 
 class IntegerMultiset:
@@ -120,11 +120,7 @@ def interval(a: int, b: int) -> IntegerMultiset:
 
 def msum(m1: IntegerMultiset, m2: IntegerMultiset) -> IntegerMultiset:
     """Multiset sum: all pairwise element sums, multiplicities convolved."""
-    acc: dict[int, int] = {}
-    for a, ca in m1.items():
-        for b, cb in m2.items():
-            acc[a + b] = acc.get(a + b, 0) + ca * cb
-    return IntegerMultiset.from_counts(acc)
+    return IntegerMultiset.from_counts(_sparse_product(m1._mult.items(), m2._mult.items()))
 
 
 def munion(m1: IntegerMultiset, m2: IntegerMultiset) -> IntegerMultiset:
@@ -222,12 +218,6 @@ class ConeDecomposition:
                 raise ValueError(f"interval radius must be >= 1, got {r}")
             if cnt <= 0:
                 raise ValueError(f"non-positive radius count {cnt}")
-
-    def num_singletons(self) -> int:
-        return sum(cnt for _, cnt in self.singletons)
-
-    def num_intervals(self) -> int:
-        return sum(cnt for _, cnt in self.radii)
 
     def recompose(self) -> IntegerMultiset:
         acc: dict[int, int] = {}

@@ -24,12 +24,11 @@ from .multiset_cone import (
     IntegerMultiset,
     decompose_cone,
     in_cone,
-    interval,
     msum,
     munion,
     to_tilde,
 )
-from .tilde_ring import TildeElement, basis, fold_L, mul, w0, w1
+from .tilde_ring import TildeElement, _left_action, basis, fold_L, mul, w0, w1
 
 VALID_I = (-1, 0, 1)
 VALID_J = (0, 1)
@@ -149,18 +148,16 @@ def _left_expand(weights: IntegerMultiset, addend: IntegerMultiset) -> IntegerMu
     """Multiset of fold_L(to_tilde(weights)) acting on to_tilde(addend).
 
     Each folded coefficient d at index i contributes d copies of the
-    sumset [-i, i] + addend.  Folded coefficients must be non-negative
+    sumset [-i, i] + addend: in all, sum d * (x^(i+2) - x^-i) times addend,
+    divided exactly by x^2 - 1.  Folded coefficients must be non-negative
     for the result to be a multiset; a negative one would contradict the
     positivity lemma and is reported loudly.
     """
-    acc: dict[int, int] = {}
-    for i, d in fold_L(to_tilde(weights)).items():
+    folded = fold_L(to_tilde(weights))
+    for i, d in folded.items():
         if d < 0:
             raise ValueError(f"negative folded weight {d} at h[{i}]: not a multiset")
-        block = msum(interval(-i, i), addend)
-        for x, m in block.items():
-            acc[x] = acc.get(x, 0) + d * m
-    return IntegerMultiset.from_counts(acc)
+    return IntegerMultiset.from_counts(_left_action(folded.items(), addend.items()))
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,10 @@ factor and letting each h[i] act as the operator sum of the index
 shifts by -i, -i+2, ..., i; it is linear in both slots and, although
 nothing here relies on it, empirically associative.
 
+Reading h~[j] as x^j, the shifts of h[i] sum to the Chebyshev-U kernel
+(x^(i+2) - x^-i) / (x^2 - 1), so every left action is one sparse
+product followed by an exact division by x^2 - 1 (see _left_action).
+
 All coefficients are plain Python ints, so arithmetic is exact at any
 magnitude.
 """
@@ -16,7 +20,16 @@ magnitude.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
+
+Terms = Iterable[tuple[int, int]]  # (index, coefficient) pairs
+
+
+def _wrap(cls, data: dict[int, int]):
+    """Instance of cls over data, which must hold no zero coefficient."""
+    obj = object.__new__(cls)
+    obj._coeffs = data
+    return obj
 
 
 def _render(coeffs: Mapping[int, int], symbol: str) -> str:
@@ -260,25 +273,59 @@ def fold_L(g: TildeElement) -> ChElement:
     return ChElement(acc)
 
 
+def _sparse_product(a: Terms, b: Collection[tuple[int, int]]) -> dict[int, int]:
+    """Product of two sparse polynomials given as (exponent, coefficient) pairs."""
+    acc: dict[int, int] = {}
+    for i, c in a:
+        for j, d in b:
+            k = i + j
+            acc[k] = acc.get(k, 0) + c * d
+    return acc
+
+
+def _left_action(weights: Terms, g: Terms) -> dict[int, int]:
+    """Coefficients of sum c * h[i], over the pairs (i >= 0, c) of weights, acting on g.
+
+    The shift kernel K = sum c * (x^-i + x^(-i+2) + ... + x^i) telescopes to
+    (x^2 - 1) * K = sum c * (x^(i+2) - x^-i), so K * g is the sparse product P
+    of g with that numerator, divided exactly by x^2 - 1: R[k] = R[k-2] - P[k]
+    from the lowest index up.  R is constant between indices of P of its
+    parity, so it is written one run at a time, and only where nonzero.
+    """
+    numerator = []
+    for i, c in weights:
+        numerator += ((i + 2, c), (-i, -c))
+    p = _sparse_product(g, numerator)
+    out: dict[int, int] = {}
+    r0 = r1 = k0 = k1 = 0  # R and the index where its run began: even, odd
+    for k in sorted(p):
+        if k & 1:
+            if r1:
+                for x in range(k1, k, 2):
+                    out[x] = r1
+            r1 -= p[k]
+            k1 = k
+        else:
+            if r0:
+                for x in range(k0, k, 2):
+                    out[x] = r0
+            r0 -= p[k]
+            k0 = k
+    return out
+
+
 def left_mul_h(i: int, g: TildeElement) -> TildeElement:
-    """Act by h[i] on the left: the sum of shifts of g by -i, -i+2, ..., i."""
+    """Act by h[i] on the left: the sum of shifts of g by -i, -i+2, ..., i,
+    that is (x^(i+2) - x^-i) * g divided exactly by x^2 - 1."""
     if i < 0:
         raise ValueError(f"left multiplier index must be >= 0, got {i}")
-    acc: dict[int, int] = {}
-    for k in range(-i, i + 1, 2):
-        for j, c in g.items():
-            acc[j + k] = acc.get(j + k, 0) + c
-    return TildeElement(acc)
+    return _wrap(TildeElement, _left_action(((i, 1),), g._coeffs.items()))
 
 
 def mul(g1: TildeElement, g2: TildeElement) -> TildeElement:
-    """Module product: fold the left factor, then act termwise on the right."""
-    acc: dict[int, int] = {}
-    for i, c in fold_L(g1).items():
-        for k in range(-i, i + 1, 2):
-            for j, d in g2.items():
-                acc[j + k] = acc.get(j + k, 0) + c * d
-    return TildeElement(acc)
+    """Module product: fold the left factor, then act termwise on the right,
+    as (sum c * (x^(i+2) - x^-i)) * g2 divided exactly by x^2 - 1."""
+    return _wrap(TildeElement, _left_action(fold_L(g1)._coeffs.items(), g2._coeffs.items()))
 
 
 def ch_left_mul(i: int, x: ChElement) -> ChElement:

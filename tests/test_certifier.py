@@ -161,3 +161,39 @@ def test_document_key_order_is_stable():
         "mass",
     ]
     assert document_json(doc) == document_json(certify_positivity(1, 0, 0).to_document())
+
+
+def _positivity_doc():
+    doc = certify_positivity(1, 0, 0).to_document()
+    assert doc["coefficients"] == [[2, "1"], [4, "1"], [6, "1"]]
+    return doc
+
+
+def test_from_document_rejects_verdict_disagreeing_with_listing():
+    doc = _positivity_doc()
+    doc["coefficients"] = [[2, "-1"], [4, "1"], [6, "1"]]
+    doc["mass"] = "1"
+    with pytest.raises(ValueError, match="all_nonnegative"):
+        PositivityCertificate.from_document(doc)
+    doc = _positivity_doc()
+    doc["all_nonnegative"] = False
+    with pytest.raises(ValueError, match="all_nonnegative"):
+        PositivityCertificate.from_document(doc)
+
+
+def test_from_document_rejects_mass_disagreeing_with_listing():
+    doc = _positivity_doc()
+    doc["mass"] = "4"
+    with pytest.raises(ValueError, match="mass"):
+        PositivityCertificate.from_document(doc)
+
+
+def test_from_document_rejects_max_index_disagreeing_with_listing():
+    doc = _positivity_doc()
+    doc["max_index"] = 4
+    with pytest.raises(ValueError, match="max_index"):
+        PositivityCertificate.from_document(doc)
+    vacuous = certify_positivity(0, 0, 1).to_document()
+    vacuous["max_index"] = 0
+    with pytest.raises(ValueError, match="max_index"):
+        PositivityCertificate.from_document(vacuous)

@@ -1,7 +1,9 @@
 """Unit tests for the commutative Laurent evaluation oracle."""
 
+import inspect
 import random
 
+from chebcone import laurent_oracle, tilde_ring
 from chebcone.laurent_oracle import (
     LaurentPoly,
     cross_check,
@@ -112,3 +114,14 @@ def test_poly_arithmetic():
     assert 3 * q == LaurentPoly({0: 3})
     assert p.mirror() == LaurentPoly({-2: 1, 0: -1})
     assert LaurentPoly.monomial(-4, 7).terms() == [(-4, 7)]
+
+
+def test_oracle_shares_no_product_primitive_with_the_kernel():
+    # lmul is a plain convolution of its own; it must not reuse the
+    # kernel's sparse product or telescoped left action
+    source = inspect.getsource(laurent_oracle)
+    for primitive in (tilde_ring._sparse_product, tilde_ring._left_action):
+        assert primitive.__name__ not in source
+        assert all(obj is not primitive for obj in vars(laurent_oracle).values())
+    for fn in (lmul, evaluate, eval_basis):
+        assert not {"_sparse_product", "_left_action"} & set(fn.__code__.co_names)

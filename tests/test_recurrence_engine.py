@@ -85,13 +85,13 @@ def test_closed_witness_depth_two():
     assert to_tilde(w1_.M) == e1_raw(2, 0)
 
 
-@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("n", range(6))
 def test_raw_equals_closed(n):
     assert e0_raw(n, 0) == to_tilde(e0_closed(n).M)
     assert e1_raw(n, 0) == to_tilde(e1_closed(n).M)
 
 
-@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("n", range(6))
 def test_shift_ladder(n):
     assert e0_raw(n, 1) == shift(e0_raw(n, 0), -1)
     assert e0_raw(n, -1) == e0_raw(n, 1)
@@ -99,12 +99,12 @@ def test_shift_ladder(n):
     assert e1_raw(n, -1) == shift(e1_raw(n, 0), -1) + shift(e0_raw(n, 0), -2)
 
 
-@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("n", range(6))
 def test_extra_term_vanishes(n):
     assert leading_extra_term(n) == TildeElement.zero()
 
 
-@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("n", range(5))
 def test_leading_recurrence_matches_trilinear_forms(n):
     # substituting the proven slot identities into the raw recurrence
     # collapses it to the two trilinear forms on equal arguments
@@ -160,7 +160,7 @@ def test_growth_stats():
     assert s0.rows[1].max_index is None
 
 
-@pytest.mark.parametrize("n", range(1, 4))
+@pytest.mark.parametrize("n", range(1, 6))
 def test_max_index_law(n):
     assert e0_closed(n).M.max_element() == 2 * 3**n
 
