@@ -125,20 +125,18 @@ def lmul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
 def eval_basis(i: int) -> LaurentPoly:
     """Image of the basis symbol with index i."""
-    if i >= 0:
-        return LaurentPoly({i - 2 * k: 1 for k in range(i + 1)})
-    if i == -1:
-        return LaurentPoly.zero()
-    m = -i - 2
-    return LaurentPoly({m - 2 * k: -1 for k in range(m + 1)})
+    return evaluate(TildeElement({i: 1}))
 
 
 def evaluate(g: TildeElement) -> LaurentPoly:
-    """Linear extension of eval_basis to whole elements."""
-    acc = LaurentPoly.zero()
+    """Linear extension of the basis images U(i) to whole elements."""
+    acc: dict[int, int] = {}
     for j, c in g.items():
-        acc = acc + c * eval_basis(j)
-    return acc
+        if j < -1:  # U(j) = -U(-j-2)
+            j, c = -j - 2, -c
+        for e in range(j, -j - 1, -2):
+            acc[e] = acc.get(e, 0) + c
+    return LaurentPoly(acc)
 
 
 def weighted_mass(g: TildeElement) -> int:

@@ -89,20 +89,19 @@ def e0_raw(n: int, i: int = 0) -> TildeElement:
     _check_args(n, i)
     if n == 0:
         return basis(2) if i == 0 else basis(1)
+    if i == -1:
+        # slot -1 repeats the slot-1 lines plus an extra cubic term that
+        # must come out as zero; it is kept literal rather than dropped
+        return e0_raw(n, 1) + leading_extra_term(n - 1)
     e0 = e0_raw(n - 1, 0)
     e1 = e0_raw(n - 1, 1)
     if i == 0:
         return mul(e0, mul(e0, e0) - mul(e1, e1))
-    three_terms = (
+    return (
         mul(e1, mul(e0, e0))
         + mul(e0, mul(e0, e1))
         - mul(e1, mul(basis(1), mul(e0, e1)))
     )
-    if i == 1:
-        return three_terms
-    # slot -1 repeats the slot-1 lines plus an extra cubic term that must
-    # come out as zero; it is kept literal rather than dropped
-    return three_terms + leading_extra_term(n - 1)
 
 
 def leading_extra_term(n: int) -> TildeElement:
@@ -121,27 +120,31 @@ def e1_raw(n: int, i: int = 0) -> TildeElement:
     e0 = e0_raw(n - 1, 0)
     s0 = e0.shift(-1)
     p0 = e1_raw(n - 1, 0)
-    form = w0 if i == 0 else w1
-    head = (
-        form(e0, e0, p0 + s0)
-        + form(e0, p0, e0)
-        + form(p0, e0, e0)
-    )
-    if i in (0, 1):
-        return head
+    if i == 0:
+        return w0(e0, e0, p0 + s0) + w0(e0, p0, e0) + w0(p0, e0, e0)
+    out = _penultimate_first_lines(n)
+    if i == 1:
+        return out + w1(p0, e0, e0)
     # slot -1: the first two lines of the slot-1 sum plus five further
     # summands written out term by term; two connectives restored as "+"
     pm1 = e1_raw(n - 1, -1)
     p1 = e1_raw(n - 1, 1)
     h1 = basis(1)
-    out = w1(e0, e0, p0 + s0)
-    out = out + w1(e0, p0, e0)
     out = out + mul(pm1, mul(e0, e0)) + mul(p0, mul(e0, s0))
     out = out - mul(pm1, mul(h1, mul(e0, s0)))
     out = out + 2 * mul(s0, mul(e0, s0))
     out = out - mul(s0, mul(h1, mul(s0, s0)))
     out = out + mul(s0, mul(pm1 - p1, s0))
     return out
+
+
+@lru_cache(maxsize=None)
+def _penultimate_first_lines(n: int) -> TildeElement:
+    """The first two lines of the slot-1 penultimate sum at depth n >= 1,
+    which the slot -1 sum repeats."""
+    e0 = e0_raw(n - 1, 0)
+    p0 = e1_raw(n - 1, 0)
+    return w1(e0, e0, p0 + e0.shift(-1)) + w1(e0, p0, e0)
 
 
 def _left_expand(weights: IntegerMultiset, addend: IntegerMultiset) -> IntegerMultiset:

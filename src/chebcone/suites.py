@@ -9,12 +9,13 @@ label, which makes reports byte-reproducible.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from . import laurent_oracle as oracle
 from . import multiset_cone as mc
 from . import recurrence_engine as engine
 from .certifier import certify_pair
-from .recurrence_engine import CheckResult
+from .recurrence_engine import CheckResult, StructureReport
 from .tilde_ring import TildeElement, basis, left_mul_h, mul, random_element, w0, w1
 
 SUITE_NAMES = (
@@ -45,49 +46,72 @@ def _exhaustive(name: str, failures: list, total: int, scope: str) -> CheckResul
     return CheckResult(name, True, f"{scope}, {total} cases")
 
 
-def suite_lemmas(pair_bound: int = DEFAULT_PAIR_BOUND,
-                 triple_bound: int = DEFAULT_TRIPLE_BOUND) -> list[CheckResult]:
-    """Exhaustive two- and three-factor product identities on basis symbols."""
-    results = []
+def _product_identities(prefix: str, basis_of, product, pair_bound: int,
+                        triple_bound: int) -> list[CheckResult]:
+    """Exhaustive two- and three-factor product identities on basis images.
 
+    The same sweep checks the module (basis, mul) and the oracle
+    (eval_basis, lmul).  Products stay grouped left to right, as
+    displayed, since mul is not commutative.  Products the identities
+    share are computed once: per outer b, right[a] = B(b)*B(a) gives both
+    right-hand sides, and the rows T[a2] = right[a1]*B(a2) and
+    S[a2] = (B(a1)*B(b))*B(a2), kept for a1 and a1 - 1 only, give all
+    other terms but one, so memory stays flat.
+    """
+    B = lru_cache(maxsize=None)(basis_of)
     span = range(-pair_bound, pair_bound + 1)
     bad_sum, bad_diff = [], []
     for a in span:
         for b in span:
-            if mul(basis(a), basis(b)) - mul(basis(a - 1), basis(b - 1)) != basis(a + b):
+            ab = product(B(a), B(b))
+            if ab - product(B(a - 1), B(b - 1)) != B(a + b):
                 bad_sum.append((a, b))
-            if mul(basis(a), basis(b)) - mul(basis(a - 1), basis(b + 1)) != basis(b - a):
+            if ab - product(B(a - 1), B(b + 1)) != B(b - a):
                 bad_diff.append((a, b))
     total = len(span) ** 2
     scope = f"A,B in [{-pair_bound},{pair_bound}]"
-    results.append(_exhaustive("lemmas/pair-sum", bad_sum, total, scope))
-    results.append(_exhaustive("lemmas/pair-diff", bad_diff, total, scope))
+    results = [
+        _exhaustive(f"{prefix}/pair-sum", bad_sum, total, scope),
+        _exhaustive(f"{prefix}/pair-diff", bad_diff, total, scope),
+    ]
 
     span3 = range(-triple_bound, triple_bound + 1)
+    wide = range(-triple_bound - 1, triple_bound + 1)
+    sums = range(-2 * triple_bound - 1, 2 * triple_bound + 1)
+    below_h1 = {a: product(B(a - 1), B(1)) for a in span3}
     bad_t_sum, bad_t_mixed = [], []
-    h1 = basis(1)
     for b in span3:
-        hb = basis(b)
+        hb = B(b)
+        right = {a: product(hb, B(a)) for a in sums}
+
+        def rows(a1):
+            left = product(B(a1), hb)
+            return ({a2: product(right[a1], B(a2)) for a2 in wide},
+                    {a2: product(left, B(a2)) for a2 in wide})
+
+        T_prev, S_prev = rows(-triple_bound - 1)
         for a1 in span3:
+            T, S = rows(a1)
+            below_h1_b = product(below_h1[a1], hb)
             for a2 in span3:
-                # products grouped left to right, as displayed
-                lhs = mul(mul(hb, basis(a1)), basis(a2)) - mul(
-                    mul(hb, basis(a1 - 1)), basis(a2 - 1)
-                )
-                if lhs != mul(hb, basis(a1 + a2)):
+                if T[a2] - T_prev[a2 - 1] != right[a1 + a2]:
                     bad_t_sum.append((a1, a2, b))
-                lhs2 = (
-                    mul(mul(basis(a1), hb), basis(a2 - 1))
-                    + mul(mul(basis(a1 - 1), hb), basis(a2))
-                    - mul(mul(mul(basis(a1 - 1), h1), hb), basis(a2 - 1))
-                )
-                if lhs2 != mul(hb, basis(a1 + a2 - 1)):
+                mixed = S[a2 - 1] + S_prev[a2] - product(below_h1_b, B(a2 - 1))
+                if mixed != right[a1 + a2 - 1]:
                     bad_t_mixed.append((a1, a2, b))
+            T_prev, S_prev = T, S
     total3 = len(span3) ** 3
     scope3 = f"A1,A2,B in [{-triple_bound},{triple_bound}]"
-    results.append(_exhaustive("lemmas/triple-sum", bad_t_sum, total3, scope3))
-    results.append(_exhaustive("lemmas/triple-mixed", bad_t_mixed, total3, scope3))
-    return results
+    return results + [
+        _exhaustive(f"{prefix}/triple-sum", bad_t_sum, total3, scope3),
+        _exhaustive(f"{prefix}/triple-mixed", bad_t_mixed, total3, scope3),
+    ]
+
+
+def suite_lemmas(pair_bound: int = DEFAULT_PAIR_BOUND,
+                 triple_bound: int = DEFAULT_TRIPLE_BOUND) -> list[CheckResult]:
+    """Exhaustive two- and three-factor product identities on basis symbols."""
+    return _product_identities("lemmas", basis, mul, pair_bound, triple_bound)
 
 
 def suite_w_theorem(trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[CheckResult]:
@@ -108,10 +132,11 @@ def suite_w_theorem(trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[CheckRe
     ]
 
 
-def suite_multiset(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
+def suite_multiset(report: StructureReport, trials: int = DEFAULT_TRIALS,
                    seed: int = 0) -> list[CheckResult]:
     """Multiset-calculus lemmas on seeded random instances, plus the
-    raw-versus-closed agreement of the recurrence families."""
+    raw-versus-closed agreement of the recurrence families, read from a
+    check_structure report."""
     results = []
     rng = _rng(seed, "multiset")
 
@@ -179,20 +204,19 @@ def suite_multiset(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
             bad.append((t, c))
     results.append(_exhaustive("multiset/decompose-roundtrip", bad, trials, "random members"))
 
-    report = engine.check_structure(depth)
     results.extend(r for r in report.results if r.name.startswith("closed/"))
     return results
 
 
-def suite_cone(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
-    """Cone membership of both witness families, with recomposing certificates."""
-    report = engine.check_structure(depth)
+def suite_cone(report: StructureReport) -> list[CheckResult]:
+    """Cone membership of both witness families, with recomposing
+    certificates, read from a check_structure report."""
     return [r for r in report.results if r.name.startswith("cone/")]
 
 
-def suite_shift(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
-    """Shift-ladder identities between slots, plus the vanishing extra term."""
-    report = engine.check_structure(depth)
+def suite_shift(report: StructureReport) -> list[CheckResult]:
+    """Shift-ladder identities between slots, plus the vanishing extra
+    term, read from a check_structure report."""
     return [r for r in report.results if r.name.startswith("shift/")]
 
 
@@ -235,42 +259,8 @@ def suite_oracle(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
     """Re-verification of the product identities inside the commutative
     oracle algebra, plus palindromicity, the t = 1 mass identity and the
     max-index growth law."""
-    results = []
-    U = oracle.eval_basis
-    lm = oracle.lmul
-
-    span = range(-pair_bound, pair_bound + 1)
-    bad_sum, bad_diff = [], []
-    for a in span:
-        for b in span:
-            if lm(U(a), U(b)) - lm(U(a - 1), U(b - 1)) != U(a + b):
-                bad_sum.append((a, b))
-            if lm(U(a), U(b)) - lm(U(a - 1), U(b + 1)) != U(b - a):
-                bad_diff.append((a, b))
-    total = len(span) ** 2
-    scope = f"A,B in [{-pair_bound},{pair_bound}]"
-    results.append(_exhaustive("oracle/pair-sum", bad_sum, total, scope))
-    results.append(_exhaustive("oracle/pair-diff", bad_diff, total, scope))
-
-    span3 = range(-triple_bound, triple_bound + 1)
-    bad_t_sum, bad_t_mixed = [], []
-    for b in span3:
-        for a1 in span3:
-            for a2 in span3:
-                ub = U(b)
-                if lm(lm(ub, U(a1)), U(a2)) - lm(lm(ub, U(a1 - 1)), U(a2 - 1)) != lm(ub, U(a1 + a2)):
-                    bad_t_sum.append((a1, a2, b))
-                lhs = (
-                    lm(lm(U(a1), ub), U(a2 - 1))
-                    + lm(lm(U(a1 - 1), ub), U(a2))
-                    - lm(lm(lm(U(a1 - 1), U(1)), ub), U(a2 - 1))
-                )
-                if lhs != lm(ub, U(a1 + a2 - 1)):
-                    bad_t_mixed.append((a1, a2, b))
-    total3 = len(span3) ** 3
-    scope3 = f"A1,A2,B in [{-triple_bound},{triple_bound}]"
-    results.append(_exhaustive("oracle/triple-sum", bad_t_sum, total3, scope3))
-    results.append(_exhaustive("oracle/triple-mixed", bad_t_mixed, total3, scope3))
+    results = _product_identities("oracle", oracle.eval_basis, oracle.lmul,
+                                  pair_bound, triple_bound)
 
     rng = _rng(seed, "oracle")
     bad_w, bad_pal = [], []
@@ -293,12 +283,12 @@ def suite_oracle(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
     )
 
     bad_mass = []
-    for n in range(min(depth, 3) + 1):
+    for n in range(depth + 1):
         g = engine.e0_raw(n, 0)
         if oracle.evaluate(g).at_one() != oracle.weighted_mass(g):
             bad_mass.append(n)
     results.append(
-        _exhaustive("oracle/weighted-mass-at-one", bad_mass, min(depth, 3) + 1, "leading family")
+        _exhaustive("oracle/weighted-mass-at-one", bad_mass, depth + 1, "leading family")
     )
 
     bad_max = []
@@ -313,8 +303,11 @@ def suite_oracle(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
 
 def run_suites(names: list[str], depth: int | None, trials: int | None,
                seed: int = 0) -> list[tuple[str, list[CheckResult]]]:
-    """Run the named suites with shared defaults and return (name, results) pairs."""
+    """Run the named suites with shared defaults and return (name, results)
+    pairs.  The multiset, cone and shift suites share one structure report."""
     d = DEFAULT_DEPTH if depth is None else depth
+    structural = {"multiset", "cone", "shift"} & set(names)
+    report = engine.check_structure(d) if structural else None
     out: list[tuple[str, list[CheckResult]]] = []
     for name in names:
         if name == "lemmas":
@@ -324,11 +317,11 @@ def run_suites(names: list[str], depth: int | None, trials: int | None,
         elif name == "w-theorem":
             res = suite_w_theorem(DEFAULT_TRIALS if trials is None else trials, seed)
         elif name == "multiset":
-            res = suite_multiset(d, DEFAULT_TRIALS if trials is None else trials, seed)
+            res = suite_multiset(report, DEFAULT_TRIALS if trials is None else trials, seed)
         elif name == "cone":
-            res = suite_cone(d)
+            res = suite_cone(report)
         elif name == "shift":
-            res = suite_shift(d)
+            res = suite_shift(report)
         elif name == "positivity":
             res = suite_positivity(d)
         elif name == "cross":

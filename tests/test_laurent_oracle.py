@@ -3,6 +3,9 @@
 import inspect
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chebcone import laurent_oracle, tilde_ring
 from chebcone.laurent_oracle import (
     LaurentPoly,
@@ -125,3 +128,41 @@ def test_oracle_shares_no_product_primitive_with_the_kernel():
         assert all(obj is not primitive for obj in vars(laurent_oracle).values())
     for fn in (lmul, evaluate, eval_basis):
         assert not {"_sparse_product", "_left_action"} & set(fn.__code__.co_names)
+
+
+def ref_eval_basis(i):
+    if i >= 0:
+        return LaurentPoly({i - 2 * k: 1 for k in range(i + 1)})
+    if i == -1:
+        return LaurentPoly.zero()
+    m = -i - 2
+    return LaurentPoly({m - 2 * k: -1 for k in range(m + 1)})
+
+
+def ref_evaluate(g):
+    """evaluate as it used to be: one fresh image added per term."""
+    acc = LaurentPoly.zero()
+    for j, c in g.items():
+        acc = acc + c * ref_eval_basis(j)
+    return acc
+
+
+def test_eval_basis_matches_piecewise_definition():
+    for i in range(-40, 41):
+        assert eval_basis(i) == ref_eval_basis(i)
+
+
+coefficients = st.integers(-(2**70), 2**70).filter(bool)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    st.dictionaries(st.integers(-30, 30), coefficients, max_size=12),
+    coefficients,
+    st.integers(-30, -2),
+    coefficients,
+)
+def test_evaluate_matches_repeated_addition(coeffs, c_minus_one, low, c_low):
+    # every element carries index -1 and an index below -1
+    g = TildeElement({**coeffs, -1: c_minus_one, low: c_low})
+    assert evaluate(g) == ref_evaluate(g)

@@ -1,0 +1,120 @@
+"""The shared product-identity sweep against the nested loops it replaced,
+and the single structure report behind the verify command."""
+
+import pytest
+
+from chebcone import recurrence_engine, suites
+from chebcone.cli import main
+from chebcone.laurent_oracle import eval_basis, lmul
+from chebcone.suites import _product_identities
+from chebcone.tilde_ring import basis, mul
+
+
+def ref_product_identities(prefix, B, product, pair_bound, triple_bound):
+    """The nested loops suite_lemmas and suite_oracle each used to run:
+    every product recomputed for every identity that reads it."""
+    results = []
+
+    span = range(-pair_bound, pair_bound + 1)
+    bad_sum, bad_diff = [], []
+    for a in span:
+        for b in span:
+            if product(B(a), B(b)) - product(B(a - 1), B(b - 1)) != B(a + b):
+                bad_sum.append((a, b))
+            if product(B(a), B(b)) - product(B(a - 1), B(b + 1)) != B(b - a):
+                bad_diff.append((a, b))
+    total = len(span) ** 2
+    scope = f"A,B in [{-pair_bound},{pair_bound}]"
+    results.append(suites._exhaustive(f"{prefix}/pair-sum", bad_sum, total, scope))
+    results.append(suites._exhaustive(f"{prefix}/pair-diff", bad_diff, total, scope))
+
+    span3 = range(-triple_bound, triple_bound + 1)
+    bad_t_sum, bad_t_mixed = [], []
+    h1 = B(1)
+    for b in span3:
+        hb = B(b)
+        for a1 in span3:
+            for a2 in span3:
+                lhs = product(product(hb, B(a1)), B(a2)) - product(
+                    product(hb, B(a1 - 1)), B(a2 - 1)
+                )
+                if lhs != product(hb, B(a1 + a2)):
+                    bad_t_sum.append((a1, a2, b))
+                lhs2 = (
+                    product(product(B(a1), hb), B(a2 - 1))
+                    + product(product(B(a1 - 1), hb), B(a2))
+                    - product(product(product(B(a1 - 1), h1), hb), B(a2 - 1))
+                )
+                if lhs2 != product(hb, B(a1 + a2 - 1)):
+                    bad_t_mixed.append((a1, a2, b))
+    total3 = len(span3) ** 3
+    scope3 = f"A1,A2,B in [{-triple_bound},{triple_bound}]"
+    results.append(suites._exhaustive(f"{prefix}/triple-sum", bad_t_sum, total3, scope3))
+    results.append(suites._exhaustive(f"{prefix}/triple-mixed", bad_t_mixed, total3, scope3))
+    return results
+
+
+def drops_top_term_at(index, product):
+    """product, made wrong: it drops the top term of the result whenever
+    an operand has a nonzero coefficient at index."""
+
+    def wrong(p, q):
+        out = product(p, q)
+        if (p.coeff(index) or q.coeff(index)) and out:
+            top, c = out.terms()[-1]
+            out = out - type(out)({top: c})
+        return out
+
+    return wrong
+
+
+ALGEBRAS = {
+    "lemmas": (basis, mul, 2),
+    "oracle": (eval_basis, lmul, 0),
+}
+
+
+@pytest.mark.parametrize("prefix", sorted(ALGEBRAS))
+@pytest.mark.parametrize("bounds", [(3, 2), (5, 4)])
+def test_sweep_matches_nested_loops(prefix, bounds):
+    B, product, _ = ALGEBRAS[prefix]
+    got = _product_identities(prefix, B, product, *bounds)
+    assert got == ref_product_identities(prefix, B, product, *bounds)
+    assert all(r.passed for r in got)
+
+
+@pytest.mark.parametrize("prefix", sorted(ALGEBRAS))
+@pytest.mark.parametrize("bounds", [(3, 2), (5, 4)])
+def test_sweep_reports_the_same_failures_for_a_wrong_product(prefix, bounds, monkeypatch):
+    # record whole failure lists, not only the count and first witness
+    monkeypatch.setattr(
+        suites, "_exhaustive", lambda name, failures, total, scope: (name, failures, total)
+    )
+    B, product, index = ALGEBRAS[prefix]
+    wrong = drops_top_term_at(index, product)
+    got = _product_identities(prefix, B, wrong, *bounds)
+    assert got == ref_product_identities(prefix, B, wrong, *bounds)
+    # every identity family fails somewhere, but not everywhere
+    assert all(0 < len(failures) < total for _, failures, total in got)
+
+
+def test_verify_builds_one_structure_report(capsys, monkeypatch):
+    calls = []
+    real = recurrence_engine.check_structure
+
+    def counted(n_max):
+        calls.append(n_max)
+        return real(n_max)
+
+    monkeypatch.setattr(recurrence_engine, "check_structure", counted)
+    assert main(["verify"]) == 0
+    assert "88 checks, 88 passed" in capsys.readouterr().out
+    assert calls == [3]
+
+
+def test_verify_without_structure_suites_builds_no_report(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(recurrence_engine, "check_structure", calls.append)
+    assert main(["verify", "--suite", "lemmas,cross", "--n", "2"]) == 0
+    capsys.readouterr()
+    assert calls == []
