@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, ItemsView, Mapping
 
 from .tilde_ring import TildeElement, _sparse_product
 
@@ -50,8 +50,9 @@ class IntegerMultiset:
     def mult(self, i: int) -> int:
         return self._mult.get(i, 0)
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._mult.items())
+    def items(self) -> ItemsView[int, int]:
+        """Read-only (value, multiplicity) view; sized and re-iterable."""
+        return self._mult.items()
 
     def counts(self) -> list[tuple[int, int]]:
         """Sorted (value, multiplicity) pairs."""
@@ -220,12 +221,24 @@ class ConeDecomposition:
                 raise ValueError(f"non-positive radius count {cnt}")
 
     def recompose(self) -> IntegerMultiset:
+        """Union of the parts.  The intervals of radius >= k cover c - k and
+        c + k once each, so coverage is one suffix sum of the radius counts
+        per parity, taken from the largest radius down."""
+        c = self.center
         acc: dict[int, int] = {}
         for v, cnt in self.singletons:
             acc[v] = acc.get(v, 0) + cnt
+        per_radius: dict[int, int] = {}
         for r, cnt in self.radii:
-            for x in range(self.center - r, self.center + r + 1, 2):
-                acc[x] = acc.get(x, 0) + cnt
+            per_radius[r] = per_radius.get(r, 0) + cnt
+        covered = [0, 0]  # intervals of radius >= k with the parity of k
+        for k in range(max(per_radius, default=0), -1, -1):
+            covered[k & 1] += per_radius.get(k, 0)
+            cnt = covered[k & 1]
+            if cnt:
+                acc[c - k] = acc.get(c - k, 0) + cnt
+                if k:
+                    acc[c + k] = acc.get(c + k, 0) + cnt
         return IntegerMultiset.from_counts(acc)
 
 
@@ -237,14 +250,15 @@ def decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
     mult(c-k) - mult(c-k-2).  Intervals are the only parts reaching
     below c, which makes this decomposition unique; whatever remains
     after removing them sits at or above c and becomes the singleton
-    list.  Raises ConeMembershipError with a witness offset if m is not
-    a member.
+    list.  Once the profile check has passed, the intervals cover c + k
+    exactly mult(c-k) times for k >= 1 and c exactly mult(c-2) times, so
+    the singletons come from one pass over the support.  Raises
+    ConeMembershipError with a witness offset if m is not a member.
     """
     violation = _cone_violation(m, c)
     if violation is not None:
         raise ConeMembershipError(c, violation[0], violation[1])
 
-    residue = {x: cnt for x, cnt in m.items()}
     radii: list[tuple[int, int]] = []
     lo = m.min_element()
     k_max = c - lo if (lo is not None and lo < c) else 0
@@ -252,15 +266,15 @@ def decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
         exact = m.mult(c - k) - m.mult(c - k - 2)
         if exact:
             radii.append((k, exact))
-            for x in range(c - k, c + k + 1, 2):
-                residue[x] = residue.get(x, 0) - exact
 
     singles = []
-    for x in sorted(residue):
-        cnt = residue[x]
-        if cnt < 0 or (cnt > 0 and x < c):
+    for x, cnt in m.counts():
+        if x < c:
+            continue
+        cnt -= m.mult(2 * c - x if x > c else c - 2)
+        if cnt < 0:
             # cannot happen once the profile check passed
-            raise ConeMembershipError(c, abs(x - c), f"residue {cnt} at {x}")
+            raise ConeMembershipError(c, x - c, f"residue {cnt} at {x}")
         if cnt > 0:
             singles.append((x, cnt))
     return ConeDecomposition(center=c, singletons=tuple(singles), radii=tuple(radii))

@@ -121,13 +121,22 @@ def test_poly_arithmetic():
 
 def test_oracle_shares_no_product_primitive_with_the_kernel():
     # lmul is a plain convolution of its own; it must not reuse the
-    # kernel's sparse product or telescoped left action
+    # kernel's sparse product, its big-int packing or the telescoped action
+    primitives = (
+        tilde_ring._sparse_product,
+        tilde_ring._kronecker_product,
+        tilde_ring._kronecker_pack,
+        tilde_ring._kronecker_unpack,
+        tilde_ring._left_action,
+    )
+    names = {primitive.__name__ for primitive in primitives} | {"KRONECKER_MIN_TERM_OPS"}
     source = inspect.getsource(laurent_oracle)
-    for primitive in (tilde_ring._sparse_product, tilde_ring._left_action):
-        assert primitive.__name__ not in source
+    for name in names:
+        assert name not in source
+    for primitive in primitives:
         assert all(obj is not primitive for obj in vars(laurent_oracle).values())
     for fn in (lmul, evaluate, eval_basis):
-        assert not {"_sparse_product", "_left_action"} & set(fn.__code__.co_names)
+        assert not names & set(fn.__code__.co_names)
 
 
 def ref_eval_basis(i):

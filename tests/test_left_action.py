@@ -3,7 +3,9 @@
 mul, left_mul_h, msum and the closed-route expansion all run on one
 sparse product plus an exact division by x^2 - 1.  The references below
 are the direct loops those functions used to be: one shifted copy of the
-right factor per index -i, -i+2, ..., i of every folded term.
+right factor per index -i, -i+2, ..., i of every folded term.  Products
+of at least KRONECKER_MIN_TERM_OPS term pairs are packed into one big-int
+multiply; the large-operand cases below reach both sides of that constant.
 """
 
 import random
@@ -19,9 +21,16 @@ from chebcone.multiset_cone import (
     random_cone_member,
     to_tilde,
 )
+from chebcone import recurrence_engine, tilde_ring
+from chebcone.cli import main
 from chebcone.recurrence_engine import _left_expand
 from chebcone.tilde_ring import (
+    KRONECKER_MIN_TERM_OPS,
     TildeElement,
+    _kronecker_pack,
+    _kronecker_product,
+    _kronecker_unpack,
+    _sparse_product,
     basis,
     fold_L,
     left_mul_h,
@@ -67,13 +76,72 @@ def ref_left_expand(weights: IntegerMultiset, addend: IntegerMultiset) -> Intege
     return IntegerMultiset.from_counts(acc)
 
 
+def ref_product(a, b) -> dict[int, int]:
+    """Sparse product with cancelled coefficients dropped."""
+    acc: dict[int, int] = {}
+    for i, c in a:
+        for j, d in b:
+            acc[i + j] = acc.get(i + j, 0) + c * d
+    return {k: v for k, v in acc.items() if v}
+
+
+def nonzero(p: dict[int, int]) -> dict[int, int]:
+    return {k: v for k, v in p.items() if v}
+
+
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+LARGE = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 coefficients = st.one_of(st.integers(-3, 3), st.integers(-(BIG**2), BIG**2))
 elements = st.dictionaries(st.integers(-14, 14), coefficients, max_size=8).map(TildeElement)
 multisets = st.dictionaries(
     st.integers(-14, 14), st.integers(1, 3) | st.integers(BIG, BIG**2), max_size=8
 ).map(IntegerMultiset.from_counts)
+
+
+def _with_parity(keys: dict, parity: int | None) -> dict:
+    # parity None keeps both parities, so the packed product uses step 1
+    return keys if parity is None else {2 * k + parity: c for k, c in keys.items()}
+
+
+def large(values, lo=-40):
+    """Maps of 20 to 80 keys, all of one parity or mixed."""
+    keys = st.dictionaries(st.integers(lo, 40), values, min_size=20, max_size=80)
+    return st.builds(_with_parity, keys, st.sampled_from((None, 0, 1)))
+
+
+large_elements = large(coefficients).map(TildeElement)
+multiplicities = st.integers(1, 3) | st.integers(BIG, BIG**2)
+large_multisets = large(multiplicities).map(IntegerMultiset.from_counts)
+# non-negative elements fold to non-negative weights
+large_weights = large(multiplicities, lo=0).map(IntegerMultiset.from_counts)
+
+
+@LARGE
+@given(large_elements, large_elements)
+def test_large_mul_matches_reference(g1, g2):
+    assert mul(g1, g2) == ref_mul(g1, g2)
+
+
+@LARGE
+@given(large_multisets, large_multisets)
+def test_large_msum_matches_reference(m1, m2):
+    assert msum(m1, m2) == ref_msum(m1, m2)
+
+
+@LARGE
+@given(large_weights, large_multisets)
+def test_large_left_expand_matches_reference(weights, addend):
+    assert _left_expand(weights, addend) == ref_left_expand(weights, addend)
+
+
+@LARGE
+@given(st.integers(0, 12), st.integers(500, 560), st.integers(0, 2**70), st.sampled_from((1, 2)))
+def test_large_left_mul_h_matches_reference(i, size, seed, step):
+    # the numerator of h[i] has two terms, so g needs 512 terms to be packed
+    rng = random.Random(seed)
+    g = TildeElement({step * k: rng.randint(-BIG, BIG) for k in range(size)})
+    assert left_mul_h(i, g) == ref_left_mul_h(i, g)
 
 
 @PROPERTY
@@ -173,3 +241,113 @@ def test_coefficients_beyond_machine_range():
 def test_negative_folded_weight_is_rejected():
     with pytest.raises(ValueError, match=r"negative folded weight -1 at h\[1\]"):
         _left_expand(IntegerMultiset([-3]), IntegerMultiset([0]))
+
+
+def dense(n: int, lo: int = 0, step: int = 1, coeff=lambda k: k % 7 - 3 or 5) -> list:
+    return [(lo + step * k, coeff(k)) for k in range(n)]
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """Records the operand sizes of every packed product."""
+    calls = []
+
+    def spy(a, b):
+        calls.append(len(a) * len(b))
+        return _kronecker_product(a, b)
+
+    monkeypatch.setattr(tilde_ring, "_kronecker_product", spy)
+    return calls
+
+
+def test_threshold_selects_the_packed_path_exactly_at_the_constant(packed_calls):
+    assert KRONECKER_MIN_TERM_OPS % 2 == 0
+    half = KRONECKER_MIN_TERM_OPS // 2
+    below = TildeElement(dict(dense(half - 1, step=2)))
+    at = TildeElement(dict(dense(half, step=2)))
+    # h[3] has the two-term numerator x^5 - x^-3
+    assert left_mul_h(3, below) == ref_left_mul_h(3, below)
+    assert packed_calls == []
+    assert left_mul_h(3, at) == ref_left_mul_h(3, at)
+    assert packed_calls == [KRONECKER_MIN_TERM_OPS]
+    a, b = dense(half), dense(2, lo=-1)
+    assert _sparse_product(a, b) == ref_product(a, b)
+    assert packed_calls == [KRONECKER_MIN_TERM_OPS] * 2
+
+
+def test_default_verify_never_packs(packed_calls, capsys):
+    # the largest product of a default verify has 580 term pairs
+    for name in ("e0_raw", "e1_raw", "_penultimate_first_lines", "e0_closed", "e1_closed"):
+        getattr(recurrence_engine, name).cache_clear()
+    assert main(["verify", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert packed_calls == []
+
+
+def test_one_term_times_many_terms(packed_calls):
+    many = dense(KRONECKER_MIN_TERM_OPS + 5, lo=-300, step=2)
+    one = [(7, -(3**50))]
+    assert nonzero(_sparse_product(one, many)) == ref_product(one, many)
+    assert nonzero(_sparse_product(many, one)) == ref_product(many, one)
+    assert len(packed_calls) == 2
+
+
+def test_interior_cancellation_drops_every_zero():
+    # (1 + x + ... + x^(n-1)) * (1 - x) = 1 - x^n: all interior slots cancel
+    n = KRONECKER_MIN_TERM_OPS
+    assert _kronecker_product(dense(n, coeff=lambda k: 1), [(0, 1), (1, -1)]) == {0: 1, n: -1}
+    # a left factor whose fold cancels term by term acts as zero
+    g1 = TildeElement({i: 1 for i in range(40)}) + TildeElement({-i - 2: 1 for i in range(40)})
+    assert mul(g1, TildeElement(dict(dense(60)))) == TildeElement.zero()
+
+
+def test_all_negative_operands():
+    a = dense(40, lo=-11, step=2, coeff=lambda k: -(k + 1))
+    b = dense(30, lo=4, step=2, coeff=lambda k: -(2**70) - k)
+    p = _kronecker_product(a, b)
+    assert p == ref_product(a, b)
+    assert all(c > 0 for c in p.values())
+
+
+def test_mixed_parity_uses_step_one():
+    a = dense(40, lo=-5, step=2) + [(0, 9)]
+    b = dense(30, lo=3, step=2)
+    assert _kronecker_product(a, b) == ref_product(a, b)
+    assert _kronecker_product(b, a) == ref_product(b, a)
+
+
+def test_coefficients_above_2_to_the_200():
+    a = dense(35, lo=-20, coeff=lambda k: (-1) ** k * (2**200 + k))
+    b = dense(35, lo=1, step=1, coeff=lambda k: 2**201 - 3 * k)
+    p = _kronecker_product(a, b)
+    assert p == ref_product(a, b)
+    assert max(abs(c) for c in p.values()).bit_length() > 400
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_slots_at_the_limits_of_their_width_decode_on_their_own(width):
+    top = 2 ** (8 * width - 1) - 1
+    values = [top, -top, -top, top, 0, 1, -1, top, 0, -top]
+    terms = [(3 + 2 * k, v) for k, v in enumerate(values) if v]
+    value = _kronecker_pack(terms, 3, 2, len(values), width)
+    assert _kronecker_unpack(value, 3, 2, len(values), width) == dict(terms)
+
+
+def test_slot_sums_need_the_sign_bit():
+    # 15 terms of coefficient 3 on each side: 2 + 2 + bit_length(15) = 8 bits
+    # of magnitude, and the middle slot sums 15 * 3 * 3 = 135 > 2^7 - 1, so
+    # only the sign bit's second byte lets it decode
+    for sign in (1, -1):
+        a = dense(15, coeff=lambda k: sign * 3)
+        b = dense(15, lo=-7, coeff=lambda k: 3)
+        p = _kronecker_product(a, b)
+        assert p == ref_product(a, b)
+        assert p[7] == sign * 135
+
+
+def test_operands_too_sparse_to_pack_fall_back_to_the_loop(packed_calls):
+    a = [(k * 10**9, k + 1) for k in range(40)]
+    b = [(-k * 10**9 + 1, 2 - k) for k in range(40)]
+    assert _kronecker_product(a, b) is None
+    assert nonzero(_sparse_product(a, b)) == ref_product(a, b)
+    assert packed_calls == [1600]

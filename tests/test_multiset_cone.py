@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebcone.multiset_cone import (
     ConeDecomposition,
     ConeMembershipError,
     IntegerMultiset,
+    _cone_violation,
     cone_subset_check,
     decompose_cone,
     in_cone,
@@ -189,3 +192,89 @@ def test_to_tilde():
     assert to_tilde(ms(2, 4, 6)) == basis(2) + basis(4) + basis(6)
     assert to_tilde(IntegerMultiset()) == TildeElement.zero()
     assert to_tilde(ms(0, 0)) == 2 * basis(0)
+
+
+def ref_recompose(d: ConeDecomposition) -> IntegerMultiset:
+    """recompose as it used to be: every interval written out element by element."""
+    acc: dict[int, int] = {}
+    for v, cnt in d.singletons:
+        acc[v] = acc.get(v, 0) + cnt
+    for r, cnt in d.radii:
+        for x in range(d.center - r, d.center + r + 1, 2):
+            acc[x] = acc.get(x, 0) + cnt
+    return IntegerMultiset.from_counts(acc)
+
+
+def ref_decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
+    """decompose_cone as it used to be: each radius subtracted from a residue."""
+    violation = _cone_violation(m, c)
+    if violation is not None:
+        raise ConeMembershipError(c, violation[0], violation[1])
+    residue = dict(m.items())
+    radii = []
+    lo = m.min_element()
+    k_max = c - lo if (lo is not None and lo < c) else 0
+    for k in range(1, k_max + 1):
+        exact = m.mult(c - k) - m.mult(c - k - 2)
+        if exact:
+            radii.append((k, exact))
+            for x in range(c - k, c + k + 1, 2):
+                residue[x] = residue.get(x, 0) - exact
+    singles = []
+    for x in sorted(residue):
+        cnt = residue[x]
+        if cnt < 0 or (cnt > 0 and x < c):
+            raise ConeMembershipError(c, abs(x - c), f"residue {cnt} at {x}")
+        if cnt > 0:
+            singles.append((x, cnt))
+    return ConeDecomposition(center=c, singletons=tuple(singles), radii=tuple(radii))
+
+
+CONE_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+counts = st.integers(1, 3) | st.integers(2**64, 2**80)
+
+
+@st.composite
+def decompositions(draw):
+    """Parts with repeated values and radii, as a hand-built certificate may hold."""
+    c = draw(st.integers(-8, 8))
+    singles = draw(st.lists(st.tuples(st.integers(c, c + 12), counts), max_size=6))
+    radii = draw(st.lists(st.tuples(st.integers(1, 12), counts), max_size=6))
+    return ConeDecomposition(center=c, singletons=tuple(singles), radii=tuple(radii))
+
+
+@st.composite
+def centred_multisets(draw):
+    """(m, c) with m a cone member at c, perturbed at one value half of the time."""
+    d = draw(decompositions())
+    m = dict(ref_recompose(d).items())
+    if draw(st.booleans()):
+        x = draw(st.integers(d.center - 14, d.center + 14))
+        m[x] = max(0, m.get(x, 0) + draw(st.sampled_from((-1, 1, -(2**70), 2**70))))
+    return IntegerMultiset.from_counts(m), d.center
+
+
+@CONE_PROPERTY
+@given(decompositions())
+def test_recompose_matches_reference(d):
+    assert d.recompose() == ref_recompose(d)
+
+
+@CONE_PROPERTY
+@given(centred_multisets())
+def test_decompose_cone_matches_reference(case):
+    m, c = case
+    try:
+        expected = ref_decompose_cone(m, c)
+    except ConeMembershipError as exc:
+        with pytest.raises(ConeMembershipError) as info:
+            decompose_cone(m, c)
+        assert (info.value.center, info.value.offset, info.value.detail) == (
+            exc.center,
+            exc.offset,
+            exc.detail,
+        )
+        assert str(info.value) == str(exc)
+    else:
+        assert decompose_cone(m, c) == expected
+        assert expected.recompose() == m

@@ -91,6 +91,14 @@ def test_raw_equals_closed(n):
     assert e1_raw(n, 0) == to_tilde(e1_closed(n).M)
 
 
+def test_depth_six_raw_equals_closed_and_max_index_law():
+    # depth 6 is the first depth at which certify and verify are routine;
+    # nearly all of its product work takes the packed big-int path
+    assert e0_raw(6, 0) == to_tilde(e0_closed(6).M)
+    assert e1_raw(6, 0) == to_tilde(e1_closed(6).M)
+    assert e0_closed(6).M.max_element() == 2 * 3**6 == 1458
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_shift_ladder(n):
     assert e0_raw(n, 1) == shift(e0_raw(n, 0), -1)
