@@ -13,12 +13,13 @@ regenerated suites diff cleanly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .multiset_cone import ConeDecomposition, decompose_cone, in_cone
 from .recurrence_engine import (
     VALID_I,
     VALID_J,
+    cone_center,
     e0_closed,
     e1_closed,
     raw_element,
@@ -36,20 +37,39 @@ def positivity_cone_bound(n: int, i: int, j: int) -> int:
     penultimate element is a union of two pieces both valid at
     2^(n+1) - 2.
     """
-    if j == 0:
-        return 2 ** (n + 1) if i == 0 else 2 ** (n + 1) - 1
-    return 2 ** (n + 1) - 1 if i == 0 else 2 ** (n + 1) - 2
+    return cone_center(n, j) - (i != 0)
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
+def _check_depth_order(n: int, j: int) -> None:
+    if n < 0:
+        raise ValueError(f"depth must be >= 0, got {n}")
+    if j not in VALID_J:
+        raise ValueError(f"order must be 0 or 1, got {j}")
+
+
+def _check_indices(n: int, i: int, j: int) -> None:
+    _check_depth_order(n, j)
+    if i not in VALID_I:
+        raise ValueError(f"slot must be -1, 0 or 1, got {i}")
+
+
+def _int_fields(doc: dict, *keys: str) -> list[int]:
+    """The named document fields, each of which must be a plain int."""
+    for key in keys:
+        if type(doc[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+    return [doc[key] for key in keys]
+
+
+class PositivityCertificate(NamedTuple):
     """Folded coefficient listing with a sign verdict.
 
     `coefficients` holds (index, decimal string) pairs sorted by index;
     `mass` is the decimal coefficient sum; `cone_bound` records the cone
     center that explains why the verdict had to come out non-negative.
-    from_document rejects a document whose verdict, mass or max_index
-    disagrees with its own listing.
+    from_document rejects a document with a depth, slot or order out of
+    range, a cone_bound other than positivity_cone_bound(n, i, j), or a
+    verdict, mass or max_index that disagrees with its own listing.
     """
 
     n: int
@@ -92,8 +112,13 @@ class PositivityCertificate:
             raise ValueError(f"not a positivity document: kind={doc.get('kind')!r}")
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
+        n, i, j, bound = _int_fields(doc, "n", "i", "j", "cone_bound")
+        _check_indices(n, i, j)
+        # bits first, so that a document with a huge n never builds 2^(n+1)
+        if bound.bit_length() < n or bound != positivity_cone_bound(n, i, j):
+            raise ValueError(f"cone_bound {bound} is not the bound of ({n}, {i}, {j})")
         coefficients = tuple((idx, c) for idx, c in doc["coefficients"])
-        cert = cls.from_listing(doc["n"], doc["i"], doc["j"], coefficients, doc["cone_bound"])
+        cert = cls.from_listing(n, i, j, coefficients, bound)
         for key in ("all_nonnegative", "max_index", "mass"):
             if doc[key] != getattr(cert, key):
                 raise ValueError(f"{key} {doc[key]!r} disagrees with the coefficient listing")
@@ -102,22 +127,20 @@ class PositivityCertificate:
 
 def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
     """Fold the (n, i, j) element and record the sign of every coefficient."""
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
-    if i not in VALID_I or j not in VALID_J:
-        raise ValueError(f"invalid slot/order pair ({i}, {j})")
+    _check_indices(n, i, j)
     folded = fold_L(raw_element(n, i, j))
     coeffs = tuple((idx, str(c)) for idx, c in folded.terms())
     return PositivityCertificate.from_listing(n, i, j, coeffs, positivity_cone_bound(n, i, j))
 
 
-@dataclass(frozen=True)
-class ConeCertificate:
+class ConeCertificate(NamedTuple):
     """Cone membership certificate for a closed-form witness.
 
     The decomposition stores (value, count) and (radius, count) pairs;
     recomposition_ok is True iff rebuilding from the parts reproduces
-    the witness multiset exactly.
+    the witness multiset exactly.  from_document rejects a document with
+    a depth or order out of range, a center other than 2^(n+1) - j, or
+    parts that break the center and radius constraints.
     """
 
     n: int
@@ -144,15 +167,20 @@ class ConeCertificate:
             raise ValueError(f"not a cone document: kind={doc.get('kind')!r}")
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
+        n, j, center = _int_fields(doc, "n", "j", "center")
+        _check_depth_order(n, j)
+        # bits first, as for cone_bound
+        if center.bit_length() < n or center != cone_center(n, j):
+            raise ValueError(f"center {center} is not 2^{n + 1} - {j}")
         decomposition = ConeDecomposition(
-            center=doc["center"],
+            center=center,
             singletons=tuple((v, int(cnt)) for v, cnt in doc["singletons"]),
             radii=tuple((r, int(cnt)) for r, cnt in doc["radii"]),
         )
         return cls(
-            n=doc["n"],
-            j=doc["j"],
-            center=doc["center"],
+            n=n,
+            j=j,
+            center=center,
             decomposition=decomposition,
             recomposition_ok=doc["recomposition_ok"],
         )
@@ -160,10 +188,7 @@ class ConeCertificate:
 
 def certify_cone(n: int, j: int) -> ConeCertificate:
     """Decompose the depth-n witness of order j and validate recomposition."""
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
-    if j not in VALID_J:
-        raise ValueError(f"order must be 0 or 1, got {j}")
+    _check_depth_order(n, j)
     witness = e0_closed(n) if j == 0 else e1_closed(n)
     center = witness.cone_center()
     # decompose_cone raises with a witness offset if membership fails,

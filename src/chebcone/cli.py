@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import suites as suite_lib
 from .certifier import certify_pair, document_json
 from .recurrence_engine import (
     VALID_I,
@@ -29,22 +27,9 @@ from .tilde_ring import TildeElement, fold_L
 
 FORMATS = ("text", "json", "tsv")
 MODES = ("raw", "closed", "both")
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; one field per flag."""
-
-    command: str
-    n: int | None = None
-    i: int = 0
-    j: int = 0
-    mode: str = "raw"
-    suites: list[str] = field(default_factory=list)
-    trials: int | None = None
-    seed: int = 0
-    format: str = "text"
-    out: str | None = None
+# the suites module is imported by `verify` alone, so its names live here
+SUITE_NAMES = ("lemmas", "w-theorem", "multiset", "cone", "shift", "positivity",
+               "cross", "oracle")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,10 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", default="all",
-                          help="comma separated subset of: " + ",".join(suite_lib.SUITE_NAMES))
+                          help="comma separated subset of: " + ",".join(SUITE_NAMES))
     p_verify.add_argument("--n", type=int, default=None,
-                          help="depth for recurrence suites / index bound for lemmas "
-                          "(defaults: depth 3, bounds 8 and 6)")
+                          help="depth for the recurrence suites (default 3)")
     p_verify.add_argument("--trials", type=int, default=None,
                           help="random trials (defaults: 200, cross 500)")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -91,19 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("n", "i", "j", "mode", "trials", "seed", "format", "out"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "suite", None) is not None:
-        if args.suite == "all":
-            cfg.suites = list(suite_lib.SUITE_NAMES)
-        else:
-            cfg.suites = [s.strip() for s in args.suite.split(",") if s.strip()]
-    return cfg
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -115,7 +86,7 @@ def _terms_doc(terms: list[tuple[int, int]]) -> list[list]:
     return [[idx, str(c)] for idx, c in terms]
 
 
-def cmd_compute(cfg: RunConfig) -> int:
+def cmd_compute(cfg: argparse.Namespace) -> int:
     g_raw = raw_element(cfg.n, cfg.i, cfg.j)
     if cfg.mode == "raw":
         g = g_raw
@@ -154,7 +125,8 @@ def cmd_compute(cfg: RunConfig) -> int:
     return 0
 
 
-def _render_checks(pairs: list[tuple[str, list[CheckResult]]], cfg: RunConfig) -> tuple[str, int]:
+def _render_checks(pairs: list[tuple[str, list[CheckResult]]],
+                   cfg: argparse.Namespace) -> tuple[str, int]:
     checks = [(suite, r) for suite, results in pairs for r in results]
     failed = [r for _, r in checks if not r.passed]
     if cfg.format == "json":
@@ -194,17 +166,27 @@ def _render_checks(pairs: list[tuple[str, list[CheckResult]]], cfg: RunConfig) -
     return "\n".join(lines) + "\n", 0 if not failed else 1
 
 
-def cmd_verify(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
-    unknown = [s for s in cfg.suites if s not in suite_lib.SUITE_NAMES]
+def cmd_verify(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if cfg.trials is not None and cfg.trials <= 0:
+        parser.error("--trials must be positive")
+    if cfg.seed < 0 or cfg.seed >= 2**64:
+        parser.error("--seed must fit in 64 unsigned bits")
+    if cfg.suite == "all":
+        names = list(SUITE_NAMES)
+    else:
+        names = [s.strip() for s in cfg.suite.split(",") if s.strip()]
+    unknown = [s for s in names if s not in SUITE_NAMES]
     if unknown:
         parser.error(f"unknown suite(s): {', '.join(unknown)}")
-    pairs = suite_lib.run_suites(cfg.suites, cfg.n, cfg.trials, cfg.seed)
+    from . import suites as suite_lib
+
+    pairs = suite_lib.run_suites(names, cfg.n, cfg.trials, cfg.seed)
     text, code = _render_checks(pairs, cfg)
     _emit(text, cfg.out)
     return code
 
 
-def cmd_certify(cfg: RunConfig) -> int:
+def cmd_certify(cfg: argparse.Namespace) -> int:
     outdir = Path(cfg.out or "certificates")
     outdir.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -239,7 +221,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     return 0 if all_valid else 1
 
 
-def cmd_stats(cfg: RunConfig) -> int:
+def cmd_stats(cfg: argparse.Namespace) -> int:
     rows = []
     for n in range(cfg.n + 1):
         rows.extend(growth_stats(n).rows)
@@ -283,14 +265,9 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    cfg = parser.parse_args(argv)
     if cfg.n is not None and cfg.n < 0:
         parser.error("--n must be >= 0")
-    if cfg.trials is not None and cfg.trials <= 0:
-        parser.error("--trials must be positive")
-    if cfg.seed < 0 or cfg.seed >= 2**64:
-        parser.error("--seed must fit in 64 unsigned bits")
     try:
         if cfg.command == "compute":
             return cmd_compute(cfg)

@@ -11,8 +11,7 @@ profile condition checked per parity class (see in_cone).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, ItemsView, Mapping
+from typing import Iterable, ItemsView, Mapping, NamedTuple
 
 from .tilde_ring import TildeElement, _sparse_product
 
@@ -194,31 +193,40 @@ def cone_subset_check(c: int, m: IntegerMultiset) -> bool:
     return in_cone(m, c)
 
 
-@dataclass(frozen=True)
-class ConeDecomposition:
+class _ConeParts(NamedTuple):
+    center: int
+    singletons: tuple[tuple[int, int], ...]
+    radii: tuple[tuple[int, int], ...]
+
+
+class ConeDecomposition(_ConeParts):
     """Certificate that a multiset lies in the cone centered at `center`.
 
     Parts are stored with multiplicities since counts can be astronomically
     large: `singletons` holds (value, count) pairs with value >= center,
     `radii` holds (radius, count) pairs with radius >= 1.  Recomposition
     unions count copies of {value} and of [center-radius, center+radius].
+    Every construction checks these constraints, `_replace` included.
     """
 
-    center: int
-    singletons: tuple[tuple[int, int], ...]
-    radii: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for v, cnt in self.singletons:
-            if v < self.center:
-                raise ValueError(f"singleton {v} below center {self.center}")
+    def __new__(cls, center: int, singletons: tuple[tuple[int, int], ...],
+                radii: tuple[tuple[int, int], ...]) -> ConeDecomposition:
+        for v, cnt in singletons:
+            if v < center:
+                raise ValueError(f"singleton {v} below center {center}")
             if cnt <= 0:
                 raise ValueError(f"non-positive singleton count {cnt}")
-        for r, cnt in self.radii:
+        for r, cnt in radii:
             if r < 1:
                 raise ValueError(f"interval radius must be >= 1, got {r}")
             if cnt <= 0:
                 raise ValueError(f"non-positive radius count {cnt}")
+        return super().__new__(cls, center, singletons, radii)
+
+    # the inherited _make, which _replace calls, would bypass __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def recompose(self) -> IntegerMultiset:
         """Union of the parts.  The intervals of radius >= k cover c - k and

@@ -17,8 +17,8 @@ together and emits one pass/fail record per assertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .multiset_cone import (
     IntegerMultiset,
@@ -34,8 +34,12 @@ VALID_I = (-1, 0, 1)
 VALID_J = (0, 1)
 
 
-@dataclass(frozen=True)
-class CoeffFamily:
+def cone_center(n: int, j: int) -> int:
+    """Center of the cone the depth-n witness of order j lives in."""
+    return 2 ** (n + 1) - j
+
+
+class CoeffFamily(NamedTuple):
     """One computed coefficient element: depth n, slot i, order j."""
 
     n: int
@@ -44,8 +48,7 @@ class CoeffFamily:
     value: TildeElement
 
 
-@dataclass(frozen=True)
-class MultisetWitness:
+class MultisetWitness(NamedTuple):
     """Closed-form witness: to_tilde(M) equals the (n, 0, j) element."""
 
     n: int
@@ -54,18 +57,16 @@ class MultisetWitness:
 
     def cone_center(self) -> int:
         """Center of the cone the witness is asserted to live in."""
-        return 2 ** (self.n + 1) - self.j
+        return cone_center(self.n, self.j)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     results: tuple[CheckResult, ...]
 
     @property
@@ -215,8 +216,7 @@ def family(n: int, i: int, j: int) -> CoeffFamily:
     return CoeffFamily(n, i, j, raw_element(n, i, j))
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     n: int
     j: int
     support_size: int
@@ -225,8 +225,7 @@ class GrowthRow:
     mass: int
 
 
-@dataclass(frozen=True)
-class GrowthStats:
+class GrowthStats(NamedTuple):
     n: int
     rows: tuple[GrowthRow, GrowthRow]
 

@@ -18,17 +18,6 @@ from .certifier import certify_pair
 from .recurrence_engine import CheckResult, StructureReport
 from .tilde_ring import TildeElement, basis, left_mul_h, mul, random_element, w0, w1
 
-SUITE_NAMES = (
-    "lemmas",
-    "w-theorem",
-    "multiset",
-    "cone",
-    "shift",
-    "positivity",
-    "cross",
-    "oracle",
-)
-
 DEFAULT_DEPTH = 3
 DEFAULT_TRIALS = 200
 DEFAULT_CROSS_TRIALS = 500
@@ -304,16 +293,16 @@ def suite_oracle(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
 def run_suites(names: list[str], depth: int | None, trials: int | None,
                seed: int = 0) -> list[tuple[str, list[CheckResult]]]:
     """Run the named suites with shared defaults and return (name, results)
-    pairs.  The multiset, cone and shift suites share one structure report."""
+    pairs.  `depth` is the recurrence depth only: the lemma sweep always
+    runs at its default bounds.  The multiset, cone and shift suites share
+    one structure report."""
     d = DEFAULT_DEPTH if depth is None else depth
     structural = {"multiset", "cone", "shift"} & set(names)
     report = engine.check_structure(d) if structural else None
     out: list[tuple[str, list[CheckResult]]] = []
     for name in names:
         if name == "lemmas":
-            pair_bound = DEFAULT_PAIR_BOUND if depth is None else depth
-            triple_bound = min(DEFAULT_TRIPLE_BOUND, pair_bound)
-            res = suite_lemmas(pair_bound, triple_bound)
+            res = suite_lemmas(DEFAULT_PAIR_BOUND, DEFAULT_TRIPLE_BOUND)
         elif name == "w-theorem":
             res = suite_w_theorem(DEFAULT_TRIALS if trials is None else trials, seed)
         elif name == "multiset":

@@ -197,3 +197,59 @@ def test_from_document_rejects_max_index_disagreeing_with_listing():
     vacuous["max_index"] = 0
     with pytest.raises(ValueError, match="max_index"):
         PositivityCertificate.from_document(vacuous)
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("cone_bound", 3, "cone_bound"),
+    ("cone_bound", 2 ** 10, "cone_bound"),
+    ("cone_bound", "4", "cone_bound must be an integer"),
+    ("n", -1, "depth"),
+    ("n", True, "n must be an integer"),
+    ("n", 1.0, "n must be an integer"),
+    ("i", 2, "slot must be"),
+    ("j", 2, "order must be 0 or 1"),
+])
+def test_from_document_rejects_out_of_range_positivity_field(key, value, match):
+    doc = _positivity_doc()
+    doc[key] = value
+    with pytest.raises(ValueError, match=match):
+        PositivityCertificate.from_document(doc)
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("center", 4, "center"),
+    ("center", 3.0, "center must be an integer"),
+    ("n", -1, "depth"),
+    ("n", False, "n must be an integer"),
+    ("j", 2, "order must be 0 or 1"),
+    ("j", True, "j must be an integer"),
+])
+def test_from_document_rejects_out_of_range_cone_field(key, value, match):
+    doc = certify_cone(1, 1).to_document()
+    assert ConeCertificate.from_document(doc).center == 3
+    doc[key] = value
+    with pytest.raises(ValueError, match=match):
+        ConeCertificate.from_document(doc)
+
+
+@pytest.mark.parametrize("n", [10**10, 10**4000])
+def test_from_document_rejects_a_huge_depth_without_building_its_power(n):
+    # 2^(n+1) would need gigabytes; the stated values are checked by bit
+    # length first, so rejection is immediate
+    pos = _positivity_doc()
+    pos["n"] = n
+    with pytest.raises(ValueError, match="cone_bound"):
+        PositivityCertificate.from_document(pos)
+    cone = certify_cone(1, 1).to_document()
+    cone["n"] = n
+    with pytest.raises(ValueError, match="center"):
+        ConeCertificate.from_document(cone)
+
+
+def test_every_certified_document_passes_its_own_checks():
+    for n in range(4):
+        for j in (0, 1):
+            cone_cert, pos_certs = certify_pair(n, j)
+            assert ConeCertificate.from_document(cone_cert.to_document()) == cone_cert
+            for pc in pos_certs:
+                assert PositivityCertificate.from_document(pc.to_document()) == pc

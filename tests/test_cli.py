@@ -179,3 +179,11 @@ def test_stats_json(capsys):
     rows = {(r["n"], r["j"]): r for r in doc["rows"]}
     assert rows[(1, 0)]["max_index"] == 6
     assert rows[(0, 1)]["mass"] == "0"
+
+
+def test_verify_depth_leaves_the_lemma_sweep_at_its_defaults(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "lemmas", "--n", "4")
+    assert code == 0
+    assert "[PASS] lemmas/pair-sum: A,B in [-8,8], 289 cases" in out
+    assert "[PASS] lemmas/triple-sum: A1,A2,B in [-6,6], 2197 cases" in out
+    assert out.endswith("(suites=lemmas; n=4; trials=auto; seed=0)\n")

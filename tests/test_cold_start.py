@@ -1,0 +1,33 @@
+"""What a fresh interpreter loads: `import chebcone.cli` must not pull in
+`dataclasses` or the verification suites, which only `verify` imports.
+
+These run in subprocesses because the other test modules have already
+imported the suites into this one.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_suites():
+    proc = _python("-c", "import sys, chebcone.cli; "
+                   "print(sorted({'dataclasses', 'chebcone.suites'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_verify_imports_the_suites_on_demand():
+    proc = _python("-m", "chebcone.cli", "verify", "--suite", "lemmas")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("verify: 4 checks, 4 passed, 0 failed "
+                                "(suites=lemmas; n=auto; trials=auto; seed=0)\n")
