@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .multiset_cone import ConeDecomposition, decompose_cone, in_cone
+from .multiset_cone import ConeDecomposition, decompose_cone
 from .recurrence_engine import (
     VALID_I,
-    VALID_J,
+    _check_indices,
     cone_center,
     e0_closed,
     e1_closed,
@@ -40,25 +40,31 @@ def positivity_cone_bound(n: int, i: int, j: int) -> int:
     return cone_center(n, j) - (i != 0)
 
 
-def _check_depth_order(n: int, j: int) -> None:
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
-    if j not in VALID_J:
-        raise ValueError(f"order must be 0 or 1, got {j}")
-
-
-def _check_indices(n: int, i: int, j: int) -> None:
-    _check_depth_order(n, j)
-    if i not in VALID_I:
-        raise ValueError(f"slot must be -1, 0 or 1, got {i}")
-
-
-def _int_fields(doc: dict, *keys: str) -> list[int]:
-    """The named document fields, each of which must be a plain int."""
+def _int_fields(doc: dict, kind: str, *keys: str) -> list[int]:
+    """The named fields of a current-schema document of the given kind, each
+    of which must be a plain int."""
+    if doc.get("kind") != kind:
+        raise ValueError(f"not a {kind} document: kind={doc.get('kind')!r}")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
     for key in keys:
         if type(doc[key]) is not int:
             raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
     return [doc[key] for key in keys]
+
+
+def _listing(doc: dict, key: str) -> tuple[tuple[int, str], ...]:
+    """The named listing of [index, value] pairs, which must be canonical:
+    int indices strictly increasing, and each value an int written as its
+    own str."""
+    pairs: list[tuple[int, str]] = []
+    for entry in doc[key]:
+        if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is int
+                and type(entry[1]) is str and entry[1] == str(int(entry[1]))
+                and (not pairs or entry[0] > pairs[-1][0])):
+            raise ValueError(f"{key} entry {entry!r} is not canonical")
+        pairs.append((entry[0], entry[1]))
+    return tuple(pairs)
 
 
 class PositivityCertificate(NamedTuple):
@@ -68,8 +74,9 @@ class PositivityCertificate(NamedTuple):
     `mass` is the decimal coefficient sum; `cone_bound` records the cone
     center that explains why the verdict had to come out non-negative.
     from_document rejects a document with a depth, slot or order out of
-    range, a cone_bound other than positivity_cone_bound(n, i, j), or a
-    verdict, mass or max_index that disagrees with its own listing.
+    range, a listing that is not canonical, a cone_bound other than
+    positivity_cone_bound(n, i, j), or a verdict, mass or max_index that
+    disagrees with its own listing or is not of its type.
     """
 
     n: int
@@ -108,26 +115,24 @@ class PositivityCertificate(NamedTuple):
 
     @classmethod
     def from_document(cls, doc: dict) -> "PositivityCertificate":
-        if doc.get("kind") != "positivity":
-            raise ValueError(f"not a positivity document: kind={doc.get('kind')!r}")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
-        n, i, j, bound = _int_fields(doc, "n", "i", "j", "cone_bound")
+        n, i, j, bound = _int_fields(doc, "positivity", "n", "i", "j", "cone_bound")
         _check_indices(n, i, j)
         # bits first, so that a document with a huge n never builds 2^(n+1)
         if bound.bit_length() < n or bound != positivity_cone_bound(n, i, j):
             raise ValueError(f"cone_bound {bound} is not the bound of ({n}, {i}, {j})")
-        coefficients = tuple((idx, c) for idx, c in doc["coefficients"])
+        coefficients = _listing(doc, "coefficients")
+        if "0" in dict(coefficients).values() or (coefficients and coefficients[0][0] < 0):
+            raise ValueError("coefficients listing holds a zero or a negative index")
         cert = cls.from_listing(n, i, j, coefficients, bound)
         for key in ("all_nonnegative", "max_index", "mass"):
-            if doc[key] != getattr(cert, key):
+            value = getattr(cert, key)
+            if type(doc[key]) is not type(value) or doc[key] != value:
                 raise ValueError(f"{key} {doc[key]!r} disagrees with the coefficient listing")
         return cert
 
 
 def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
     """Fold the (n, i, j) element and record the sign of every coefficient."""
-    _check_indices(n, i, j)
     folded = fold_L(raw_element(n, i, j))
     coeffs = tuple((idx, str(c)) for idx, c in folded.terms())
     return PositivityCertificate.from_listing(n, i, j, coeffs, positivity_cone_bound(n, i, j))
@@ -139,8 +144,9 @@ class ConeCertificate(NamedTuple):
     The decomposition stores (value, count) and (radius, count) pairs;
     recomposition_ok is True iff rebuilding from the parts reproduces
     the witness multiset exactly.  from_document rejects a document with
-    a depth or order out of range, a center other than 2^(n+1) - j, or
-    parts that break the center and radius constraints.
+    a depth or order out of range, a center other than 2^(n+1) - j, parts
+    that are not canonical or that break the center and radius
+    constraints, or a recomposition_ok that is not a bool.
     """
 
     n: int
@@ -163,32 +169,25 @@ class ConeCertificate(NamedTuple):
 
     @classmethod
     def from_document(cls, doc: dict) -> "ConeCertificate":
-        if doc.get("kind") != "cone":
-            raise ValueError(f"not a cone document: kind={doc.get('kind')!r}")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
-        n, j, center = _int_fields(doc, "n", "j", "center")
-        _check_depth_order(n, j)
+        n, j, center = _int_fields(doc, "cone", "n", "j", "center")
+        _check_indices(n, 0, j)
         # bits first, as for cone_bound
         if center.bit_length() < n or center != cone_center(n, j):
             raise ValueError(f"center {center} is not 2^{n + 1} - {j}")
         decomposition = ConeDecomposition(
             center=center,
-            singletons=tuple((v, int(cnt)) for v, cnt in doc["singletons"]),
-            radii=tuple((r, int(cnt)) for r, cnt in doc["radii"]),
+            singletons=tuple((v, int(cnt)) for v, cnt in _listing(doc, "singletons")),
+            radii=tuple((r, int(cnt)) for r, cnt in _listing(doc, "radii")),
         )
-        return cls(
-            n=n,
-            j=j,
-            center=center,
-            decomposition=decomposition,
-            recomposition_ok=doc["recomposition_ok"],
-        )
+        if type(doc["recomposition_ok"]) is not bool:
+            raise ValueError(f"recomposition_ok must be a bool, got {doc['recomposition_ok']!r}")
+        return cls(n=n, j=j, center=center, decomposition=decomposition,
+                   recomposition_ok=doc["recomposition_ok"])
 
 
 def certify_cone(n: int, j: int) -> ConeCertificate:
     """Decompose the depth-n witness of order j and validate recomposition."""
-    _check_depth_order(n, j)
+    _check_indices(n, 0, j)
     witness = e0_closed(n) if j == 0 else e1_closed(n)
     center = witness.cone_center()
     # decompose_cone raises with a witness offset if membership fails,
@@ -232,7 +231,3 @@ def certify_pair(n: int, j: int) -> tuple[ConeCertificate, list[PositivityCertif
 def document_json(doc: dict) -> str:
     """Canonical serialized form: fixed key order, one key per line."""
     return json.dumps(doc, indent=1) + "\n"
-
-
-def parse_document(text: str) -> dict:
-    return json.loads(text)

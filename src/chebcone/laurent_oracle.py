@@ -38,10 +38,6 @@ class LaurentPoly:
     def one() -> "LaurentPoly":
         return LaurentPoly({0: 1})
 
-    @staticmethod
-    def monomial(exponent: int, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly({exponent: coeff})
-
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._coeffs.items())
 

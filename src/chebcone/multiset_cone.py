@@ -11,70 +11,41 @@ profile condition checked per parity class (see in_cone).
 from __future__ import annotations
 
 import random
-from typing import Iterable, ItemsView, Mapping, NamedTuple
+from collections import Counter
+from typing import Iterable, Mapping, NamedTuple
 
-from .tilde_ring import TildeElement, _sparse_product
+from .tilde_ring import SparseVector, TildeElement, _sparse_product, _wrap
 
 
-class IntegerMultiset:
+class IntegerMultiset(SparseVector):
     """Finite multiset of integers, stored as {value: multiplicity}.
 
     Multiplicities may be arbitrarily large (they are exact ints), so
     the representation never expands a multiset element by element
-    unless asked to.
+    unless asked to.  `+` is the sumset and `|` the union; there is no
+    difference or negation.
     """
 
-    __slots__ = ("_mult",)
+    __slots__ = ()
 
     def __init__(self, elements: Iterable[int] = ()) -> None:
-        acc: dict[int, int] = {}
-        for x in elements:
-            acc[x] = acc.get(x, 0) + 1
-        self._mult = acc
+        self._coeffs = dict(Counter(elements))
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "IntegerMultiset":
-        m = cls()
         for x, c in counts.items():
             if c < 0:
                 raise ValueError(f"negative multiplicity {c} at {x}")
-            if c:
-                m._mult[x] = c
-        return m
+        return _wrap(cls, {x: c for x, c in counts.items() if c})
 
-    @staticmethod
-    def empty() -> "IntegerMultiset":
-        return IntegerMultiset()
-
-    def mult(self, i: int) -> int:
-        return self._mult.get(i, 0)
-
-    def items(self) -> ItemsView[int, int]:
-        """Read-only (value, multiplicity) view; sized and re-iterable."""
-        return self._mult.items()
-
-    def counts(self) -> list[tuple[int, int]]:
-        """Sorted (value, multiplicity) pairs."""
-        return sorted(self._mult.items())
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._mult))
-
-    def support_size(self) -> int:
-        return len(self._mult)
-
-    def size(self) -> int:
-        """Total number of elements, multiplicity included."""
-        return sum(self._mult.values())
-
-    def is_empty(self) -> bool:
-        return not self._mult
-
-    def min_element(self) -> int | None:
-        return min(self._mult) if self._mult else None
-
-    def max_element(self) -> int | None:
-        return max(self._mult) if self._mult else None
+    mult = SparseVector.coeff
+    counts = SparseVector.terms
+    size = SparseVector.mass  # total number of elements, multiplicity included
+    is_empty = SparseVector.is_zero
+    min_element = SparseVector.min_index
+    max_element = SparseVector.max_index
+    __or__ = SparseVector.__add__  # the union; + is the sumset
+    __sub__ = __neg__ = None  # multiplicities are never negative
 
     def elements(self) -> list[int]:
         """Expanded element list; only sensible for small multisets."""
@@ -85,28 +56,16 @@ class IntegerMultiset:
 
     def shifted(self, k: int) -> "IntegerMultiset":
         """Add k to every element."""
-        return IntegerMultiset.from_counts({x + k: c for x, c in self._mult.items()})
+        return _wrap(IntegerMultiset, {x + k: c for x, c in self._coeffs.items()})
 
     def __add__(self, other: "IntegerMultiset") -> "IntegerMultiset":
         return msum(self, other)
 
-    def __or__(self, other: "IntegerMultiset") -> "IntegerMultiset":
-        return munion(self, other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntegerMultiset):
-            return NotImplemented
-        return self._mult == other._mult
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._mult.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._mult)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{x}: {c}" for x, c in self.counts())
         return "IntegerMultiset{" + inner + "}"
+
+    __str__ = __repr__
 
 
 def interval(a: int, b: int) -> IntegerMultiset:
@@ -120,15 +79,12 @@ def interval(a: int, b: int) -> IntegerMultiset:
 
 def msum(m1: IntegerMultiset, m2: IntegerMultiset) -> IntegerMultiset:
     """Multiset sum: all pairwise element sums, multiplicities convolved."""
-    return IntegerMultiset.from_counts(_sparse_product(m1._mult.items(), m2._mult.items()))
+    return IntegerMultiset.from_counts(_sparse_product(m1.items(), m2.items()))
 
 
 def munion(m1: IntegerMultiset, m2: IntegerMultiset) -> IntegerMultiset:
     """Multiset union: multiplicities add pointwise."""
-    acc = dict(m1.items())
-    for x, c in m2.items():
-        acc[x] = acc.get(x, 0) + c
-    return IntegerMultiset.from_counts(acc)
+    return m1 | m2
 
 
 def interval_sum_decompose(a1: int, b1: int, a2: int, b2: int) -> list[tuple[int, int]]:

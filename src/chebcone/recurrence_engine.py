@@ -77,17 +77,20 @@ class StructureReport(NamedTuple):
         return tuple(r for r in self.results if not r.passed)
 
 
-def _check_args(n: int, i: int) -> None:
+def _check_indices(n: int, i: int, j: int) -> None:
+    """Depth n >= 0, slot i in VALID_I and order j in VALID_J, or ValueError."""
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
+    if j not in VALID_J:
+        raise ValueError(f"order must be 0 or 1, got {j}")
     if i not in VALID_I:
-        raise ValueError(f"slot index must be -1, 0 or 1, got {i}")
+        raise ValueError(f"slot must be -1, 0 or 1, got {i}")
 
 
 @lru_cache(maxsize=None)
 def e0_raw(n: int, i: int = 0) -> TildeElement:
     """Leading-coefficient element at depth n, slot i, by the raw recurrence."""
-    _check_args(n, i)
+    _check_indices(n, i, 0)
     if n == 0:
         return basis(2) if i == 0 else basis(1)
     if i == -1:
@@ -115,7 +118,7 @@ def leading_extra_term(n: int) -> TildeElement:
 @lru_cache(maxsize=None)
 def e1_raw(n: int, i: int = 0) -> TildeElement:
     """Penultimate-leading element at depth n, slot i, by the raw recurrence."""
-    _check_args(n, i)
+    _check_indices(n, i, 1)
     if n == 0:
         return basis(0) if i == -1 else TildeElement.zero()
     e0 = e0_raw(n - 1, 0)
@@ -167,8 +170,7 @@ def _left_expand(weights: IntegerMultiset, addend: IntegerMultiset) -> IntegerMu
 @lru_cache(maxsize=None)
 def e0_closed(n: int) -> MultisetWitness:
     """Closed multiset form of the depth-n leading element (slot 0)."""
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
+    _check_indices(n, 0, 0)
     if n == 0:
         return MultisetWitness(0, 0, IntegerMultiset([2]))
     m_prev = e0_closed(n - 1).M
@@ -178,8 +180,7 @@ def e0_closed(n: int) -> MultisetWitness:
 @lru_cache(maxsize=None)
 def e1_closed(n: int) -> MultisetWitness:
     """Closed multiset form of the depth-n penultimate-leading element (slot 0)."""
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
+    _check_indices(n, 0, 1)
     if n == 0:
         return MultisetWitness(0, 1, IntegerMultiset())
     m0 = e0_closed(n - 1).M
@@ -192,9 +193,7 @@ def e1_closed(n: int) -> MultisetWitness:
 
 def closed_element(n: int, i: int, j: int) -> TildeElement:
     """Element of slot i derived from the closed witnesses via the shift ladder."""
-    _check_args(n, i)
-    if j not in VALID_J:
-        raise ValueError(f"order must be 0 or 1, got {j}")
+    _check_indices(n, i, j)
     w = e0_closed(n) if j == 0 else e1_closed(n)
     base = to_tilde(w.M)
     if i == 0:
@@ -207,8 +206,7 @@ def closed_element(n: int, i: int, j: int) -> TildeElement:
 
 
 def raw_element(n: int, i: int, j: int) -> TildeElement:
-    if j not in VALID_J:
-        raise ValueError(f"order must be 0 or 1, got {j}")
+    _check_indices(n, i, j)
     return e0_raw(n, i) if j == 0 else e1_raw(n, i)
 
 

@@ -16,7 +16,7 @@ from . import multiset_cone as mc
 from . import recurrence_engine as engine
 from .certifier import certify_pair
 from .recurrence_engine import CheckResult, StructureReport
-from .tilde_ring import TildeElement, basis, left_mul_h, mul, random_element, w0, w1
+from .tilde_ring import TildeElement, basis, fold_L, left_mul_h, mul, random_element, w0, w1
 
 DEFAULT_DEPTH = 3
 DEFAULT_TRIALS = 200
@@ -176,7 +176,7 @@ def suite_multiset(report: StructureReport, trials: int = DEFAULT_TRIALS,
     for t in range(trials):
         c = rng.randint(0, 6)
         m = mc.random_cone_member(rng, c)
-        folded = mc.to_tilde(m).fold()
+        folded = fold_L(mc.to_tilde(m))
         profile_ok = all(
             m.mult(i) >= m.mult(-i - 2) for i in range(0, abs(min(m.min_element() or 0, 0)) + 3)
         )

@@ -19,6 +19,8 @@ of bits_a + bits_b + bit_length(min(len)) + 1 bits per exponent step,
 rounded up to whole bytes, where bits_a and bits_b are the largest
 coefficient bit lengths of the two operands (see _kronecker_product).
 
+Both element types, and the multisets of multiset_cone, derive from
+SparseVector, which holds the storage, queries and additive arithmetic.
 All coefficients are plain Python ints, so arithmetic is exact at any
 magnitude.
 """
@@ -26,7 +28,7 @@ magnitude.
 from __future__ import annotations
 
 import random
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, ItemsView, Mapping
 
 Terms = Collection[tuple[int, int]]  # sized, re-iterable (index, coefficient) pairs
 
@@ -38,44 +40,28 @@ def _wrap(cls, data: dict[int, int]):
     return obj
 
 
-def _render(coeffs: Mapping[int, int], symbol: str) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for j in sorted(coeffs):
-        c = coeffs[j]
-        mag = f"{symbol}[{j}]" if abs(c) == 1 else f"{abs(c)}*{symbol}[{j}]"
-        if not parts:
-            parts.append(mag if c > 0 else f"-{mag}")
-        else:
-            parts.append(f"+ {mag}" if c > 0 else f"- {mag}")
-    return " ".join(parts)
+class SparseVector:
+    """Finitely supported integer vector, stored as {index: coefficient}.
 
-
-class TildeElement:
-    """Integer combination of h~[j] symbols, stored as {index: coefficient}.
-
-    Instances are immutable values: every operation returns a fresh
-    element, zero coefficients are dropped at construction, and equality
-    and hashing are structural on the canonical mapping.
+    Instances are immutable values: every operation returns a fresh vector
+    of the same class, zero coefficients are dropped, and equality and
+    hashing are structural on the canonical mapping within one class.
+    Results are built by _wrap, never by a subclass __init__.
     """
 
     __slots__ = ("_coeffs",)
+    symbol: str  # basis symbol used by str, set by each subclass
 
     def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
-        data: dict[int, int] = {}
-        if coeffs:
-            for j, c in coeffs.items():
-                if c:
-                    data[j] = c
-        self._coeffs = data
+        self._coeffs = {j: c for j, c in coeffs.items() if c} if coeffs else {}
 
-    @staticmethod
-    def zero() -> "TildeElement":
-        return TildeElement()
+    @classmethod
+    def zero(cls):
+        return _wrap(cls, {})
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._coeffs.items())
+    def items(self) -> ItemsView[int, int]:
+        """Read-only (index, coefficient) view; sized and re-iterable."""
+        return self._coeffs.items()
 
     def terms(self) -> list[tuple[int, int]]:
         """Sorted (index, coefficient) pairs."""
@@ -103,34 +89,62 @@ class TildeElement:
         """Sum of absolute coefficient values."""
         return sum(abs(c) for c in self._coeffs.values())
 
+    def _combine(self, other, sign: int):
+        if type(other) is not type(self):
+            return NotImplemented
+        acc = dict(self._coeffs)
+        for j, c in other._coeffs.items():
+            c = acc.get(j, 0) + sign * c
+            if c:
+                acc[j] = c
+            else:
+                del acc[j]  # present, since other holds no zero coefficient
+        return _wrap(type(self), acc)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return _wrap(type(self), {j: -c for j, c in self._coeffs.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._coeffs.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
+    def __str__(self) -> str:
+        parts = []
+        for j, c in self.terms():
+            mag = f"{self.symbol}[{j}]" if abs(c) == 1 else f"{abs(c)}*{self.symbol}[{j}]"
+            sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+            parts.append(sign + mag)
+        return " ".join(parts) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.terms())!r})"
+
+
+class TildeElement(SparseVector):
+    """Integer combination of h~[j] symbols, j ranging over all integers."""
+
+    __slots__ = ()
+    symbol = "h~"
+
     def shift(self, k: int) -> "TildeElement":
         """Translate every basis index by k."""
-        return TildeElement({j + k: c for j, c in self._coeffs.items()})
-
-    def fold(self) -> "ChElement":
-        return fold_L(self)
+        return _wrap(TildeElement, {j + k: c for j, c in self._coeffs.items()})
 
     def scale(self, a: int) -> "TildeElement":
         return TildeElement({j: a * c for j, c in self._coeffs.items()})
-
-    def __add__(self, other: "TildeElement") -> "TildeElement":
-        if not isinstance(other, TildeElement):
-            return NotImplemented
-        acc = dict(self._coeffs)
-        for j, c in other._coeffs.items():
-            acc[j] = acc.get(j, 0) + c
-        return TildeElement(acc)
-
-    def __sub__(self, other: "TildeElement") -> "TildeElement":
-        if not isinstance(other, TildeElement):
-            return NotImplemented
-        acc = dict(self._coeffs)
-        for j, c in other._coeffs.items():
-            acc[j] = acc.get(j, 0) - c
-        return TildeElement(acc)
-
-    def __neg__(self) -> "TildeElement":
-        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, TildeElement):
@@ -144,122 +158,29 @@ class TildeElement:
             return self.scale(other)
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TildeElement):
-            return NotImplemented
-        return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __str__(self) -> str:
-        return _render(self._coeffs, "h~")
-
-    def __repr__(self) -> str:
-        return f"TildeElement({dict(sorted(self._coeffs.items()))!r})"
-
-
-class ChElement:
+class ChElement(SparseVector):
     """Integer combination of h[i] symbols with i >= 0 only.
 
-    Same canonical-form discipline as TildeElement.  Construction rejects
-    negative indices; use fold_L to land here from the h~ side.
+    Construction rejects negative indices; use fold_L to land here from
+    the h~ side.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    symbol = "h"
 
     def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
-        data: dict[int, int] = {}
-        if coeffs:
-            for i, c in coeffs.items():
-                if i < 0:
-                    raise ValueError(f"negative index {i} not allowed in folded element")
-                if c:
-                    data[i] = c
-        self._coeffs = data
-
-    @staticmethod
-    def zero() -> "ChElement":
-        return ChElement()
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._coeffs.items())
-
-    def terms(self) -> list[tuple[int, int]]:
-        return sorted(self._coeffs.items())
-
-    def coeff(self, i: int) -> int:
-        return self._coeffs.get(i, 0)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def min_index(self) -> int | None:
-        return min(self._coeffs) if self._coeffs else None
-
-    def max_index(self) -> int | None:
-        return max(self._coeffs) if self._coeffs else None
-
-    def mass(self) -> int:
-        return sum(abs(c) for c in self._coeffs.values())
+        if coeffs and min(coeffs) < 0:
+            raise ValueError(f"negative index {min(coeffs)} not allowed in folded element")
+        super().__init__(coeffs)
 
     def all_nonnegative(self) -> bool:
         return all(c >= 0 for c in self._coeffs.values())
-
-    def lift(self) -> TildeElement:
-        """Re-embed h[i] as h~[i]."""
-        return TildeElement(dict(self._coeffs))
-
-    def __add__(self, other: "ChElement") -> "ChElement":
-        if not isinstance(other, ChElement):
-            return NotImplemented
-        acc = dict(self._coeffs)
-        for i, c in other._coeffs.items():
-            acc[i] = acc.get(i, 0) + c
-        return ChElement(acc)
-
-    def __sub__(self, other: "ChElement") -> "ChElement":
-        if not isinstance(other, ChElement):
-            return NotImplemented
-        acc = dict(self._coeffs)
-        for i, c in other._coeffs.items():
-            acc[i] = acc.get(i, 0) - c
-        return ChElement(acc)
-
-    def __neg__(self) -> "ChElement":
-        return ChElement({i: -c for i, c in self._coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChElement):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __str__(self) -> str:
-        return _render(self._coeffs, "h")
-
-    def __repr__(self) -> str:
-        return f"ChElement({dict(sorted(self._coeffs.items()))!r})"
 
 
 def basis(j: int) -> TildeElement:
     """The basis element h~[j]."""
     return TildeElement({j: 1})
-
-
-def shift(g: TildeElement, k: int) -> TildeElement:
-    return g.shift(k)
 
 
 def fold_L(g: TildeElement) -> ChElement:
@@ -276,7 +197,7 @@ def fold_L(g: TildeElement) -> ChElement:
             continue
         else:
             acc[-j - 2] = acc.get(-j - 2, 0) - c
-    return ChElement(acc)
+    return _wrap(ChElement, {i: c for i, c in acc.items() if c})
 
 
 # Products of at least this many term pairs go through one big-int multiply

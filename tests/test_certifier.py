@@ -1,5 +1,7 @@
 """Unit tests for certificate generation and serialization."""
 
+import json
+
 import pytest
 
 from chebcone.certifier import (
@@ -10,7 +12,6 @@ from chebcone.certifier import (
     certify_positivity,
     check_positivity_implication,
     document_json,
-    parse_document,
     positivity_cone_bound,
 )
 
@@ -80,14 +81,14 @@ def test_positivity_roundtrip():
         pc = certify_positivity(*args)
         doc = pc.to_document()
         text = document_json(doc)
-        assert PositivityCertificate.from_document(parse_document(text)) == pc
+        assert PositivityCertificate.from_document(json.loads(text)) == pc
 
 
 def test_cone_roundtrip():
     for n, j in ((0, 0), (1, 1), (2, 0), (3, 1)):
         cc = certify_cone(n, j)
         text = document_json(cc.to_document())
-        assert ConeCertificate.from_document(parse_document(text)) == cc
+        assert ConeCertificate.from_document(json.loads(text)) == cc
 
 
 def test_roundtrip_preserves_large_counts():
@@ -95,13 +96,13 @@ def test_roundtrip_preserves_large_counts():
     cc = certify_cone(4, 0)
     big = max(cnt for _, cnt in cc.decomposition.radii)
     assert big > 2**64
-    restored = ConeCertificate.from_document(parse_document(document_json(cc.to_document())))
+    restored = ConeCertificate.from_document(json.loads(document_json(cc.to_document())))
     assert restored == cc
 
     pc = certify_positivity(4, 0, 0)
     assert int(pc.mass) > 2**64
     restored_pc = PositivityCertificate.from_document(
-        parse_document(document_json(pc.to_document()))
+        json.loads(document_json(pc.to_document()))
     )
     assert restored_pc == pc
 
@@ -227,6 +228,49 @@ def test_from_document_rejects_out_of_range_positivity_field(key, value, match):
 def test_from_document_rejects_out_of_range_cone_field(key, value, match):
     doc = certify_cone(1, 1).to_document()
     assert ConeCertificate.from_document(doc).center == 3
+    doc[key] = value
+    with pytest.raises(ValueError, match=match):
+        ConeCertificate.from_document(doc)
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("coefficients", [[2, "1"], [4.5, "1"], [6, "1"]], "not canonical"),
+    ("coefficients", [[2, "1"], [True, "1"], [6, "1"]], "not canonical"),
+    ("coefficients", [[2, "1"], [4, True], [6, "1"]], "not canonical"),
+    ("coefficients", [[2, 1], [4, "1"], [6, "1"]], "not canonical"),
+    ("coefficients", [[2, "1"], [4, "1"], [6, " 1 "]], "not canonical"),
+    ("coefficients", [[2, "1"], [4, "01"], [6, "1"]], "not canonical"),
+    ("coefficients", [[4, "1"], [2, "1"], [6, "1"]], "not canonical"),
+    ("coefficients", [[2, "1"], [4, "1"], [4, "1"], [6, "1"]], "not canonical"),
+    ("coefficients", [[2, "1"], [3, "0"], [4, "1"], [6, "1"]], "zero"),
+    ("coefficients", [[-2, "1"], [2, "1"], [4, "1"], [6, "1"]], "negative index"),
+    ("coefficients", [[2, "1"], [4, "1", "1"], [6, "1"]], "not canonical"),
+    ("all_nonnegative", 1, "all_nonnegative"),
+    ("max_index", 6.0, "max_index"),
+])
+def test_from_document_rejects_a_positivity_document_that_is_not_canonical(key, value, match):
+    doc = _positivity_doc()
+    doc[key] = value
+    with pytest.raises(ValueError, match=match):
+        PositivityCertificate.from_document(doc)
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("singletons", [[7, 11], [9, "5"]], "not canonical"),
+    ("singletons", [[7, 1.9], [9, "5"]], "not canonical"),
+    ("singletons", [[7.5, "11"], [9, "5"]], "not canonical"),
+    ("singletons", [[9, "5"], [7, "11"]], "not canonical"),
+    ("singletons", [[7, "11"], [7, "11"]], "not canonical"),
+    ("radii", [[2, "25"], [3.5, "2"]], "not canonical"),
+    ("radii", [[2, "25"], [4, "+27"]], "not canonical"),
+    ("radii", [[4, "27"], [2, "25"]], "not canonical"),
+    ("radii", [[2, "25"], [2, "25"]], "not canonical"),
+    ("recomposition_ok", "yes", "recomposition_ok must be a bool"),
+    ("recomposition_ok", 1, "recomposition_ok must be a bool"),
+])
+def test_from_document_rejects_a_cone_document_that_is_not_canonical(key, value, match):
+    doc = certify_cone(2, 1).to_document()
+    assert ConeCertificate.from_document(doc).center == 7
     doc[key] = value
     with pytest.raises(ValueError, match=match):
         ConeCertificate.from_document(doc)

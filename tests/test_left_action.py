@@ -203,7 +203,7 @@ def test_empty_operands():
     assert mul(zero, g) == zero
     assert mul(g, zero) == zero
     assert left_mul_h(5, zero) == zero
-    empty = IntegerMultiset.empty()
+    empty = IntegerMultiset()
     m = IntegerMultiset([0, 2, 2])
     assert msum(empty, m) == empty
     assert msum(m, empty) == empty

@@ -21,7 +21,7 @@ from chebcone.multiset_cone import (
     random_cone_member,
     to_tilde,
 )
-from chebcone.tilde_ring import TildeElement, basis, left_mul_h
+from chebcone.tilde_ring import ChElement, TildeElement, basis, fold_L, left_mul_h
 
 
 def ms(*elements):
@@ -61,6 +61,35 @@ def test_multiset_counts_and_elements():
     assert m.mult(3) == 2 and m.mult(7) == 0
     with pytest.raises(ValueError):
         IntegerMultiset.from_counts({0: -1})
+
+
+def test_multiset_is_not_a_signed_vector():
+    m1, m2 = ms(0, 2, 2), ms(1)
+    with pytest.raises(TypeError):
+        m1 - m2
+    with pytest.raises(TypeError):
+        -m1
+    assert m1 + m2 == ms(1, 3, 3)  # the sumset, not the union
+    assert m1 | m2 == ms(0, 1, 2, 2)
+    assert str(m1) == repr(m1) == "IntegerMultiset{0: 1, 2: 2}"
+    assert str(IntegerMultiset()) == "IntegerMultiset{}"
+    assert m1.size() == 3 and m1.support_size() == 2
+    assert (m1.min_element(), m1.max_element()) == (0, 2)
+    assert IntegerMultiset().min_element() is None and IntegerMultiset().is_empty()
+
+
+def test_same_mapping_in_three_types_compares_unequal():
+    m = IntegerMultiset.from_counts({0: 1, 2: 2})
+    g = TildeElement({0: 1, 2: 2})
+    x = ChElement({0: 1, 2: 2})
+    assert dict(m.items()) == dict(g.items()) == dict(x.items())
+    for a, b in ((m, g), (g, m), (m, x), (x, m), (g, x), (x, g)):
+        assert a != b
+    assert to_tilde(m) == g
+    with pytest.raises(TypeError):
+        m | g
+    with pytest.raises(TypeError):
+        munion(m, g)
 
 
 def test_shifted():
@@ -181,7 +210,7 @@ def test_fold_of_cone_member_is_nonnegative():
     for _ in range(100):
         c = rng.randint(0, 6)
         m = random_cone_member(rng, c)
-        assert to_tilde(m).fold().all_nonnegative()
+        assert fold_L(to_tilde(m)).all_nonnegative()
         lo = m.min_element()
         bound = 0 if lo is None or lo >= 0 else -lo
         for i in range(bound + 2):

@@ -16,7 +16,7 @@ from chebcone.recurrence_engine import (
     leading_extra_term,
     raw_element,
 )
-from chebcone.tilde_ring import TildeElement, basis, shift, w0, w1
+from chebcone.tilde_ring import TildeElement, basis, w0, w1
 
 
 def ms(*xs):
@@ -51,7 +51,7 @@ def test_penultimate_depth_one_by_hand():
     #     h~[2]h~[1] = h~[-1]+h~[1]+h~[3],  h~[1]h~[0] = h~[-1]+h~[1]
     #     difference = h~[3]; then h~[2]h~[3] = h~[1]+h~[3]+h~[5]
     assert e1_raw(1, 0) == basis(1) + basis(3) + basis(5)
-    # slot -1 by the ladder: shift(e1(1,0), -1) + shift(e0(1,0), -2)
+    # slot -1 by the ladder: e1(1,0).shift(-1) + e0(1,0).shift(-2)
     #   = (h~[0]+h~[2]+h~[4]) + (h~[0]+h~[2]+h~[4])
     assert e1_raw(1, -1) == 2 * (basis(0) + basis(2) + basis(4))
     assert e1_raw(1, 1) == basis(0) + basis(2) + basis(4)
@@ -101,10 +101,10 @@ def test_depth_six_raw_equals_closed_and_max_index_law():
 
 @pytest.mark.parametrize("n", range(6))
 def test_shift_ladder(n):
-    assert e0_raw(n, 1) == shift(e0_raw(n, 0), -1)
+    assert e0_raw(n, 1) == e0_raw(n, 0).shift(-1)
     assert e0_raw(n, -1) == e0_raw(n, 1)
-    assert e1_raw(n, 1) == shift(e1_raw(n, 0), -1)
-    assert e1_raw(n, -1) == shift(e1_raw(n, 0), -1) + shift(e0_raw(n, 0), -2)
+    assert e1_raw(n, 1) == e1_raw(n, 0).shift(-1)
+    assert e1_raw(n, -1) == e1_raw(n, 0).shift(-1) + e0_raw(n, 0).shift(-2)
 
 
 @pytest.mark.parametrize("n", range(6))

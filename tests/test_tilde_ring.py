@@ -13,7 +13,6 @@ from chebcone.tilde_ring import (
     left_mul_h,
     mul,
     random_element,
-    shift,
     w0,
     w1,
 )
@@ -34,9 +33,9 @@ def test_canonical_form_drops_zeros():
 
 
 def test_shift_basics():
-    assert shift(basis(2), -1) == basis(1)
-    assert shift(basis(2) + basis(4) + basis(6), -1) == basis(1) + basis(3) + basis(5)
-    assert shift(TildeElement.zero(), 17) == TildeElement.zero()
+    assert basis(2).shift(-1) == basis(1)
+    assert (basis(2) + basis(4) + basis(6)).shift(-1) == basis(1) + basis(3) + basis(5)
+    assert TildeElement.zero().shift(17) == TildeElement.zero()
 
 
 def test_shift_composes():
@@ -44,8 +43,8 @@ def test_shift_composes():
     for _ in range(25):
         g = random_element(rng)
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-        assert shift(shift(g, a), b) == shift(g, a + b)
-        assert shift(g, 0) == g
+        assert g.shift(a).shift(b) == g.shift(a + b)
+        assert g.shift(0) == g
 
 
 def test_fold_cases():
@@ -59,6 +58,28 @@ def test_fold_cases():
 def test_ch_element_rejects_negative_indices():
     with pytest.raises(ValueError):
         ChElement({-2: 1})
+    with pytest.raises(ValueError, match="negative index -1"):
+        ChElement({-1: 1})
+    with pytest.raises(ValueError):
+        ChElement({3: 1, -1: 0})
+
+
+def test_shared_base_keeps_each_type_apart():
+    g = TildeElement({0: 1, 2: -3})
+    x = ChElement({0: 1, 2: -3})
+    assert g != x and x != g
+    assert dict(g.items()) == dict(x.items())
+    with pytest.raises(TypeError):
+        g + x
+    with pytest.raises(TypeError):
+        x - g
+    assert type(-x) is ChElement and type(x + x) is ChElement
+    assert type(g.shift(1)) is TildeElement and type(3 * g) is TildeElement
+    assert len(g.items()) == 2 and list(g.items()) == list(g.items())
+    assert repr(x) == "ChElement({0: 1, 2: -3})"
+    assert str(x) == "h[0] - 3*h[2]"
+    assert repr(g) == "TildeElement({0: 1, 2: -3})"
+    assert x.all_nonnegative() is False and ChElement().all_nonnegative()
 
 
 def test_left_mul_h():
@@ -147,17 +168,17 @@ def test_w0_examples():
 
 def test_w1_examples():
     h = basis
-    assert w1(h(2), h(2), h(2)) == shift(w0(h(2), h(2), h(2)), -1)
+    assert w1(h(2), h(2), h(2)) == w0(h(2), h(2), h(2)).shift(-1)
     assert w1(h(2), h(2), h(2)) == h(1) + h(3) + h(5)
     assert w1(TildeElement.zero(), h(2), h(3)) == TildeElement.zero()
-    assert w1(h(1), h(2), h(1)) == shift(w0(h(1), h(2), h(1)), -1)
+    assert w1(h(1), h(2), h(1)) == w0(h(1), h(2), h(1)).shift(-1)
 
 
 def test_w1_is_shifted_w0_on_random_triples():
     rng = random.Random(5)
     for _ in range(100):
         g1, g2, g3 = (random_element(rng) for _ in range(3))
-        assert w1(g1, g2, g3) == shift(w0(g1, g2, g3), -1)
+        assert w1(g1, g2, g3) == w0(g1, g2, g3).shift(-1)
 
 
 def test_rendering():
