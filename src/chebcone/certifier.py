@@ -19,10 +19,10 @@ from .multiset_cone import ConeDecomposition, decompose_cone
 from .recurrence_engine import (
     VALID_I,
     _check_indices,
+    closed_element,
     cone_center,
     e0_closed,
     e1_closed,
-    raw_element,
 )
 from .tilde_ring import fold_L
 
@@ -132,8 +132,13 @@ class PositivityCertificate(NamedTuple):
 
 
 def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
-    """Fold the (n, i, j) element and record the sign of every coefficient."""
-    folded = fold_L(raw_element(n, i, j))
+    """Fold the (n, i, j) element and record the sign of every coefficient.
+
+    The element is read from the closed route (closed_element); that it
+    equals the raw recurrence's is what verify's closed/ and shift/
+    checks establish.
+    """
+    folded = fold_L(closed_element(n, i, j))
     coeffs = tuple((idx, str(c)) for idx, c in folded.terms())
     return PositivityCertificate.from_listing(n, i, j, coeffs, positivity_cone_bound(n, i, j))
 
@@ -229,5 +234,20 @@ def certify_pair(n: int, j: int) -> tuple[ConeCertificate, list[PositivityCertif
 
 
 def document_json(doc: dict) -> str:
-    """Canonical serialized form: fixed key order, one key per line."""
-    return json.dumps(doc, indent=1) + "\n"
+    """Canonical serialized form: fixed key order, one key per line.
+
+    The bytes are those of json.dumps(doc, indent=1) + "\n" for a flat
+    document whose list values are canonical [int, "s"] listings, as
+    to_document builds.  The layout is written here because with an
+    indent json.dumps always takes its pure-Python encoder, which is slow
+    on long listings.
+    """
+    fields = []
+    for key, value in doc.items():
+        if type(value) is list:
+            entries = ",\n".join(f'  [\n   {idx},\n   "{c}"\n  ]' for idx, c in value)
+            text = f"[\n{entries}\n ]" if value else "[]"
+        else:
+            text = json.dumps(value)
+        fields.append(f" {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"

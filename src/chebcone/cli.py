@@ -87,18 +87,16 @@ def _terms_doc(terms: list[tuple[int, int]]) -> list[list]:
 
 
 def cmd_compute(cfg: argparse.Namespace) -> int:
-    g_raw = raw_element(cfg.n, cfg.i, cfg.j)
     if cfg.mode == "raw":
-        g = g_raw
+        g = raw_element(cfg.n, cfg.i, cfg.j)
     else:
-        g_closed = closed_element(cfg.n, cfg.i, cfg.j)
-        if cfg.mode == "both" and g_raw != g_closed:
+        g = closed_element(cfg.n, cfg.i, cfg.j)
+        if cfg.mode == "both" and raw_element(cfg.n, cfg.i, cfg.j) != g:
             sys.stderr.write(
                 f"compute: raw and closed elements disagree at "
                 f"(n={cfg.n}, i={cfg.i}, j={cfg.j})\n"
             )
             return 1
-        g = g_closed
     folded = fold_L(g)
 
     if cfg.format == "text":

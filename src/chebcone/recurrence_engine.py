@@ -101,11 +101,8 @@ def e0_raw(n: int, i: int = 0) -> TildeElement:
     e1 = e0_raw(n - 1, 1)
     if i == 0:
         return mul(e0, mul(e0, e0) - mul(e1, e1))
-    return (
-        mul(e1, mul(e0, e0))
-        + mul(e0, mul(e0, e1))
-        - mul(e1, mul(basis(1), mul(e0, e1)))
-    )
+    e0e1 = mul(e0, e1)
+    return mul(e1, mul(e0, e0)) + mul(e0, e0e1) - mul(e1, mul(basis(1), e0e1))
 
 
 def leading_extra_term(n: int) -> TildeElement:
@@ -134,9 +131,10 @@ def e1_raw(n: int, i: int = 0) -> TildeElement:
     pm1 = e1_raw(n - 1, -1)
     p1 = e1_raw(n - 1, 1)
     h1 = basis(1)
-    out = out + mul(pm1, mul(e0, e0)) + mul(p0, mul(e0, s0))
-    out = out - mul(pm1, mul(h1, mul(e0, s0)))
-    out = out + 2 * mul(s0, mul(e0, s0))
+    e0s0 = mul(e0, s0)
+    out = out + mul(pm1, mul(e0, e0)) + mul(p0, e0s0)
+    out = out - mul(pm1, mul(h1, e0s0))
+    out = out + 2 * mul(s0, e0s0)
     out = out - mul(s0, mul(h1, mul(s0, s0)))
     out = out + mul(s0, mul(pm1 - p1, s0))
     return out
@@ -229,10 +227,11 @@ class GrowthStats(NamedTuple):
 
 
 def growth_stats(n: int) -> GrowthStats:
-    """Support and coefficient-mass statistics of the slot-0 elements at depth n."""
+    """Support and coefficient-mass statistics of the slot-0 elements at
+    depth n, read from the closed witnesses."""
     rows = []
     for j in VALID_J:
-        g = raw_element(n, 0, j)
+        g = closed_element(n, 0, j)
         rows.append(
             GrowthRow(
                 n=n,

@@ -373,10 +373,10 @@ def w1(g1: TildeElement, g2: TildeElement, g3: TildeElement) -> TildeElement:
     Unparenthesised products group right to left throughout.
     """
     s1 = g1.shift(-1)
-    s3 = g3.shift(-1)
+    g2s3 = mul(g2, g3.shift(-1))
     a = mul(s1, mul(g2, g3))
-    b = mul(g1, mul(g2, s3))
-    c = mul(s1, mul(basis(1), mul(g2, s3)))
+    b = mul(g1, g2s3)
+    c = mul(s1, mul(basis(1), g2s3))
     return a + b - c
 
 

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebcone.certifier import (
     ConeCertificate,
@@ -14,6 +16,8 @@ from chebcone.certifier import (
     document_json,
     positivity_cone_bound,
 )
+from chebcone.recurrence_engine import VALID_I, VALID_J, raw_element
+from chebcone.tilde_ring import fold_L
 
 
 def test_positivity_certificate_basic():
@@ -297,3 +301,54 @@ def test_every_certified_document_passes_its_own_checks():
             assert ConeCertificate.from_document(cone_cert.to_document()) == cone_cert
             for pc in pos_certs:
                 assert PositivityCertificate.from_document(pc.to_document()) == pc
+
+
+def test_positivity_listing_is_the_fold_of_the_raw_element():
+    # certify_positivity reads the closed route; its listing must be the
+    # one the raw recurrence gives
+    for n in range(6):
+        for i in VALID_I:
+            for j in VALID_J:
+                folded = fold_L(raw_element(n, i, j))
+                listing = tuple((idx, str(c)) for idx, c in folded.terms())
+                assert certify_positivity(n, i, j).coefficients == listing
+
+
+def reference_json(doc: dict) -> str:
+    """The layout document_json writes, by the standard library encoder."""
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def test_document_json_matches_the_reference_on_every_certified_document():
+    for n in range(6):
+        for j in VALID_J:
+            cone_cert, pos_certs = certify_pair(n, j)
+            for doc in [cone_cert.to_document()] + [pc.to_document() for pc in pos_certs]:
+                assert document_json(doc) == reference_json(doc)
+
+
+def test_document_json_matches_the_reference_on_edge_documents():
+    vacuous = certify_positivity(0, 0, 1).to_document()
+    assert vacuous["coefficients"] == [] and vacuous["max_index"] is None
+    negative = PositivityCertificate.from_listing(
+        1, 0, 0, ((2, "-1"), (4, str(-(2**100))), (6, "3")), 4
+    ).to_document()
+    empty_parts = certify_cone(0, 1).to_document()
+    assert empty_parts["singletons"] == [] and empty_parts["radii"] == []
+    for doc in (vacuous, negative, empty_parts):
+        assert document_json(doc) == reference_json(doc)
+
+
+canonical_listings = st.dictionaries(
+    st.integers(-(2**70), 2**70), st.integers(-(2**200), 2**200).filter(bool), max_size=6
+).map(lambda terms: [[idx, str(c)] for idx, c in sorted(terms.items())])
+scalars = st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.text(max_size=8)
+canonical_documents = st.dictionaries(
+    st.text(max_size=8), canonical_listings | scalars, min_size=1, max_size=8
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(canonical_documents)
+def test_document_json_matches_the_reference_on_random_documents(doc):
+    assert document_json(doc) == reference_json(doc)

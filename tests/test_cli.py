@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from chebcone import recurrence_engine
 from chebcone.cli import main
 
 
@@ -187,3 +188,43 @@ def test_verify_depth_leaves_the_lemma_sweep_at_its_defaults(capsys):
     assert "[PASS] lemmas/pair-sum: A,B in [-8,8], 289 cases" in out
     assert "[PASS] lemmas/triple-sum: A1,A2,B in [-6,6], 2197 cases" in out
     assert out.endswith("(suites=lemmas; n=4; trials=auto; seed=0)\n")
+
+
+def refuse_raw_route(mp: pytest.MonkeyPatch) -> None:
+    """Make every build of a raw recurrence element fail loudly."""
+    def refuse(*args):
+        raise RuntimeError("the raw recurrence ran")
+
+    mp.setattr(recurrence_engine, "e0_raw", refuse)
+    mp.setattr(recurrence_engine, "e1_raw", refuse)
+
+
+@pytest.fixture
+def no_raw_route(monkeypatch):
+    refuse_raw_route(monkeypatch)
+
+
+def test_raw_route_is_refused_under_the_fixture(no_raw_route):
+    with pytest.raises(RuntimeError, match="raw recurrence"):
+        main(["compute", "--n", "1", "--mode", "raw"])
+
+
+def test_certify_and_stats_never_run_the_raw_recurrence(no_raw_route, tmp_path, capsys):
+    code, out, _ = run(capsys, "certify", "--n", "3", "--out", str(tmp_path / "certs"))
+    assert code == 0 and out.endswith("all valid\n")
+    assert len(list((tmp_path / "certs").iterdir())) == 32
+    code, out, _ = run(capsys, "stats", "--n", "3", "--format", "tsv")
+    assert code == 0
+    assert out.splitlines()[1:3] == ["0\t0\t1\t2\t2\t1", "0\t1\t0\t\t\t0"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
+def test_closed_compute_never_runs_the_raw_recurrence(fmt, monkeypatch, capsys):
+    argv = ["compute", "--n", "3", "--i", "-1", "--j", "1", "--format", fmt]
+    code, raw_out, _ = run(capsys, *argv, "--mode", "raw")
+    assert code == 0
+    with monkeypatch.context() as mp:
+        refuse_raw_route(mp)
+        code, closed_out, _ = run(capsys, *argv, "--mode", "closed")
+    assert code == 0
+    assert closed_out == raw_out.replace('"mode": "raw"', '"mode": "closed"')
