@@ -136,11 +136,20 @@ def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
 
     The element is read from the closed route (closed_element); that it
     equals the raw recurrence's is what verify's closed/ and shift/
-    checks establish.
+    checks establish.  The verdict, mass and max index are computed from
+    the folded ints; only from_document reads them off the listing's
+    decimal strings.
     """
     folded = fold_L(closed_element(n, i, j))
-    coeffs = tuple((idx, str(c)) for idx, c in folded.terms())
-    return PositivityCertificate.from_listing(n, i, j, coeffs, positivity_cone_bound(n, i, j))
+    terms = folded.terms()
+    return PositivityCertificate(
+        n=n, i=i, j=j,
+        coefficients=tuple((idx, str(c)) for idx, c in terms),
+        all_nonnegative=folded.all_nonnegative(),
+        max_index=folded.max_index(),
+        mass=str(sum(c for _, c in terms)),
+        cone_bound=positivity_cone_bound(n, i, j),
+    )
 
 
 class ConeCertificate(NamedTuple):

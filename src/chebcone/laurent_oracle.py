@@ -12,13 +12,17 @@ necessary but not sufficient: the formal checks stay primary.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import ItemsView, Mapping
 
 from .tilde_ring import TildeElement, mul
 
 
 class LaurentPoly:
-    """Sparse integer Laurent polynomial in one variable t."""
+    """Sparse integer Laurent polynomial in one variable t.
+
+    The constructor drops zero coefficients from its input; the oracle's
+    own results, which it builds free of zeros, go through _from_nonzero.
+    """
 
     __slots__ = ("_coeffs",)
 
@@ -38,8 +42,9 @@ class LaurentPoly:
     def one() -> "LaurentPoly":
         return LaurentPoly({0: 1})
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._coeffs.items())
+    def items(self) -> ItemsView[int, int]:
+        """Read-only (exponent, coefficient) view; sized and re-iterable."""
+        return self._coeffs.items()
 
     def terms(self) -> list[tuple[int, int]]:
         return sorted(self._coeffs.items())
@@ -52,7 +57,7 @@ class LaurentPoly:
 
     def mirror(self) -> "LaurentPoly":
         """Substitute 1/t for t."""
-        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
+        return _from_nonzero({-e: c for e, c in self._coeffs.items()})
 
     def is_palindromic(self) -> bool:
         return self.mirror() == self
@@ -61,24 +66,27 @@ class LaurentPoly:
         """Value at t = 1: the plain coefficient sum."""
         return sum(self._coeffs.values())
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, each cancelled exponent dropped in place."""
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         acc = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+            c = acc.get(e, 0) + sign * c
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]  # present, since other holds no zero coefficient
+        return _from_nonzero(acc)
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        acc = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            acc[e] = acc.get(e, 0) - c
-        return LaurentPoly(acc)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        return _from_nonzero({e: -c for e, c in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
@@ -110,13 +118,23 @@ class LaurentPoly:
         return f"LaurentPoly({body})"
 
 
+def _from_nonzero(coeffs: dict[int, int]) -> LaurentPoly:
+    """LaurentPoly that takes coeffs as its storage, unfiltered: coeffs
+    must hold no zero coefficient, and no one else may keep it."""
+    poly = object.__new__(LaurentPoly)
+    poly._coeffs = coeffs
+    return poly
+
+
 def lmul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Convolution product; commutative and associative."""
     acc: dict[int, int] = {}
+    q_items = q.items()
     for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    return LaurentPoly(acc)
+        for e2, c2 in q_items:
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return _from_nonzero({e: c for e, c in acc.items() if c})
 
 
 def eval_basis(i: int) -> LaurentPoly:
@@ -132,7 +150,7 @@ def evaluate(g: TildeElement) -> LaurentPoly:
             j, c = -j - 2, -c
         for e in range(j, -j - 1, -2):
             acc[e] = acc.get(e, 0) + c
-    return LaurentPoly(acc)
+    return _from_nonzero({e: c for e, c in acc.items() if c})
 
 
 def weighted_mass(g: TildeElement) -> int:

@@ -28,7 +28,7 @@ from .multiset_cone import (
     munion,
     to_tilde,
 )
-from .tilde_ring import TildeElement, _left_action, basis, fold_L, mul, w0, w1
+from .tilde_ring import TildeElement, _left_action, _numerator, basis, mul, w0, w1
 
 VALID_I = (-1, 0, 1)
 VALID_J = (0, 1)
@@ -154,15 +154,25 @@ def _left_expand(weights: IntegerMultiset, addend: IntegerMultiset) -> IntegerMu
 
     Each folded coefficient d at index i contributes d copies of the
     sumset [-i, i] + addend: in all, sum d * (x^(i+2) - x^-i) times addend,
-    divided exactly by x^2 - 1.  Folded coefficients must be non-negative
-    for the result to be a multiset; a negative one would contradict the
-    positivity lemma and is reported loudly.
+    divided exactly by x^2 - 1, where that numerator is read straight off
+    weights and holds d at i + 2.  Folded coefficients must be
+    non-negative for the result to be a multiset; a negative one would
+    contradict the positivity lemma and is reported loudly.
     """
-    folded = fold_L(to_tilde(weights))
-    for i, d in folded.items():
-        if d < 0:
-            raise ValueError(f"negative folded weight {d} at h[{i}]: not a multiset")
-    return IntegerMultiset.from_counts(_left_action(folded.items(), addend.items()))
+    numerator = _numerator(weights.items())
+    for j, _ in weights.items():  # in the order fold_L would meet them
+        k = j + 2 if j >= 0 else -j  # where the fold of h~[j] sits in the numerator
+        if k > 1 and numerator.get(k, 0) < 0:
+            raise ValueError(f"negative folded weight {numerator[k]} at h[{k - 2}]: not a multiset")
+    return IntegerMultiset.from_counts(_left_action(numerator.items(), addend.items()))
+
+
+@lru_cache(maxsize=None)
+def _self_sum(n: int) -> IntegerMultiset:
+    """The sumset M + M of the depth-n leading witness, which both
+    depth n+1 witnesses expand."""
+    m = e0_closed(n).M
+    return msum(m, m)
 
 
 @lru_cache(maxsize=None)
@@ -171,21 +181,26 @@ def e0_closed(n: int) -> MultisetWitness:
     _check_indices(n, 0, 0)
     if n == 0:
         return MultisetWitness(0, 0, IntegerMultiset([2]))
-    m_prev = e0_closed(n - 1).M
-    return MultisetWitness(n, 0, _left_expand(m_prev, msum(m_prev, m_prev)))
+    return MultisetWitness(n, 0, _left_expand(e0_closed(n - 1).M, _self_sum(n - 1)))
 
 
 @lru_cache(maxsize=None)
 def e1_closed(n: int) -> MultisetWitness:
-    """Closed multiset form of the depth-n penultimate-leading element (slot 0)."""
+    """Closed multiset form of the depth-n penultimate-leading element (slot 0).
+
+    With m0 and m1 the depth n-1 witnesses, it is the union of m0 acting
+    on m0 + (m0 - 1), twice m0 acting on m0 + m1, and m1 acting on
+    m0 + m0.  The first term is the depth-n leading witness shifted by
+    -1, since shifts commute with sumsets and with the left action.
+    """
     _check_indices(n, 0, 1)
     if n == 0:
         return MultisetWitness(0, 1, IntegerMultiset())
     m0 = e0_closed(n - 1).M
     m1 = e1_closed(n - 1).M
-    t1 = _left_expand(m0, msum(m0, m0.shifted(-1)))
+    t1 = e0_closed(n).M.shifted(-1)
     t2 = _left_expand(m0, msum(m0, m1))  # counted twice below
-    t3 = _left_expand(m1, msum(m0, m0))
+    t3 = _left_expand(m1, _self_sum(n - 1))
     return MultisetWitness(n, 1, munion(munion(t1, munion(t2, t2)), t3))
 
 

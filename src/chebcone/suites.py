@@ -41,60 +41,78 @@ def _product_identities(prefix: str, basis_of, product, pair_bound: int,
 
     The same sweep checks the module (basis, mul) and the oracle
     (eval_basis, lmul).  Products stay grouped left to right, as
-    displayed, since mul is not commutative.  Products the identities
-    share are computed once: per outer b, right[a] = B(b)*B(a) gives both
-    right-hand sides, and the rows T[a2] = right[a1]*B(a2) and
-    S[a2] = (B(a1)*B(b))*B(a2), kept for a1 and a1 - 1 only, give all
-    other terms but one, so memory stays flat.
+    displayed, since mul is not commutative.  Each product expression
+    the identities read is formed once: 5,332 products at bounds 8 and
+    6, where the identities written as nested loops make 29,717.  The
+    pair products P(a, b) = B(a)*B(b) sit in one table, which also gives
+    the first factors and right-hand sides of the triple identities.
+    Those run first (_triple_failures), so that their rows are gone
+    before the pair identities add the rest of the table.
     """
     B = lru_cache(maxsize=None)(basis_of)
+    P = lru_cache(maxsize=None)(lambda a, b: product(B(a), B(b)))
+    bad_t_sum, bad_t_mixed = _triple_failures(B, P, product, triple_bound)
     span = range(-pair_bound, pair_bound + 1)
     bad_sum, bad_diff = [], []
     for a in span:
         for b in span:
-            ab = product(B(a), B(b))
-            if ab - product(B(a - 1), B(b - 1)) != B(a + b):
+            ab = P(a, b)
+            if ab - P(a - 1, b - 1) != B(a + b):
                 bad_sum.append((a, b))
-            if ab - product(B(a - 1), B(b + 1)) != B(b - a):
+            if ab - P(a - 1, b + 1) != B(b - a):
                 bad_diff.append((a, b))
     total = len(span) ** 2
     scope = f"A,B in [{-pair_bound},{pair_bound}]"
-    results = [
+    total3 = (2 * triple_bound + 1) ** 3
+    scope3 = f"A1,A2,B in [{-triple_bound},{triple_bound}]"
+    return [
         _exhaustive(f"{prefix}/pair-sum", bad_sum, total, scope),
         _exhaustive(f"{prefix}/pair-diff", bad_diff, total, scope),
-    ]
-
-    span3 = range(-triple_bound, triple_bound + 1)
-    wide = range(-triple_bound - 1, triple_bound + 1)
-    sums = range(-2 * triple_bound - 1, 2 * triple_bound + 1)
-    below_h1 = {a: product(B(a - 1), B(1)) for a in span3}
-    bad_t_sum, bad_t_mixed = [], []
-    for b in span3:
-        hb = B(b)
-        right = {a: product(hb, B(a)) for a in sums}
-
-        def rows(a1):
-            left = product(B(a1), hb)
-            return ({a2: product(right[a1], B(a2)) for a2 in wide},
-                    {a2: product(left, B(a2)) for a2 in wide})
-
-        T_prev, S_prev = rows(-triple_bound - 1)
-        for a1 in span3:
-            T, S = rows(a1)
-            below_h1_b = product(below_h1[a1], hb)
-            for a2 in span3:
-                if T[a2] - T_prev[a2 - 1] != right[a1 + a2]:
-                    bad_t_sum.append((a1, a2, b))
-                mixed = S[a2 - 1] + S_prev[a2] - product(below_h1_b, B(a2 - 1))
-                if mixed != right[a1 + a2 - 1]:
-                    bad_t_mixed.append((a1, a2, b))
-            T_prev, S_prev = T, S
-    total3 = len(span3) ** 3
-    scope3 = f"A1,A2,B in [{-triple_bound},{triple_bound}]"
-    return results + [
         _exhaustive(f"{prefix}/triple-sum", bad_t_sum, total3, scope3),
         _exhaustive(f"{prefix}/triple-mixed", bad_t_mixed, total3, scope3),
     ]
+
+
+def _triple_failures(B, P, product, triple_bound: int) -> tuple[list, list]:
+    """Failing (a1, a2, b) of the triple-sum and triple-mixed identities,
+    in (b, a1, a2) order, the order of the nested loops they are written as.
+
+    The rows R(x, y)[z] = P(x, y)*B(z) are built once per (x, y), over the
+    z that some identity reads, with x outermost: triple-sum at b = x
+    reads R(x, .), and triple-mixed at a1 = x reads R(x, .) and
+    R(x - 1, .), whose four-factor term is R(x - 1, 1)[b]*B(a2 - 1).  A row
+    of x - 1 is dropped once read, so some 15 rows are alive at a time.
+    """
+    low = -triple_bound - 1  # a1 - 1 and a2 - 1 reach one below the span
+    span3 = range(-triple_bound, triple_bound + 1)
+    bad_t_sum, bad_t_mixed = [], []
+    above: dict = {}  # the rows R(x - 1, b) that triple-mixed has yet to read
+    for x in range(low, triple_bound + 1):
+        # R(x - 1, 1)[b], the first two factors of the four-factor term;
+        # a span without 1 has no row y = 1 to read them from
+        h1_row = above[1] if 1 in above else {b: product(P(x - 1, 1), B(b)) for b in above}
+        rows = {}
+        for y in range(low if x > low else -triple_bound, triple_bound + 1):
+            # z runs over what is read: rows of x = low only at z = a2,
+            # rows of y = low only at z = a2 - 1
+            head = P(x, y)
+            row = {z: product(head, B(z))
+                   for z in range(low + (x == low), triple_bound + (y > low))}
+            if x > low and y > low:
+                for a2 in span3:  # triple-sum at (a1, a2, b) = (y, a2, x)
+                    if row[a2] - last[a2 - 1] != P(x, y + a2):
+                        bad_t_sum.append((y, a2, x))
+                up = above.pop(y)
+                for a2 in span3:  # triple-mixed at (a1, a2, b) = (x, a2, y)
+                    mixed = row[a2 - 1] + up[a2] - product(h1_row[y], B(a2 - 1))
+                    if mixed != P(y, x + a2 - 1):
+                        bad_t_mixed.append((x, a2, y))
+            if y > low:
+                rows[y] = row
+            last = row
+        above = rows
+    bad_t_mixed.sort(key=lambda f: (f[2], f[0], f[1]))
+    return bad_t_sum, bad_t_mixed
 
 
 def suite_lemmas(pair_bound: int = DEFAULT_PAIR_BOUND,
@@ -189,7 +207,8 @@ def suite_multiset(report: StructureReport, trials: int = DEFAULT_TRIALS,
         c = rng.randint(-3, 6)
         m = mc.random_cone_member(rng, c)
         d = mc.decompose_cone(m, c)
-        if d.recompose() != m or mc.decompose_cone(d.recompose(), c) != d:
+        rebuilt = d.recompose()
+        if rebuilt != m or mc.decompose_cone(rebuilt, c) != d:
             bad.append((t, c))
     results.append(_exhaustive("multiset/decompose-roundtrip", bad, trials, "random members"))
 

@@ -12,6 +12,9 @@ nothing here relies on it, empirically associative.
 Reading h~[j] as x^j, the shifts of h[i] sum to the Chebyshev-U kernel
 (x^(i+2) - x^-i) / (x^2 - 1), so every left action is one sparse
 product followed by an exact division by x^2 - 1 (see _left_action).
+For mul the numerator is x^2 * g1(x) - g1(1/x), built straight from the
+left factor g1 with no fold, since the fold leaves it unchanged (see
+_numerator).
 A product of at least KRONECKER_MIN_TERM_OPS term pairs is one big-int
 multiply by Kronecker substitution (Schoenhage 1982; Harvey,
 arXiv:0712.4046): each operand is packed into an integer with one slot
@@ -28,7 +31,7 @@ magnitude.
 from __future__ import annotations
 
 import random
-from typing import Collection, Iterable, ItemsView, Mapping
+from typing import Collection, ItemsView, Mapping
 
 Terms = Collection[tuple[int, int]]  # sized, re-iterable (index, coefficient) pairs
 
@@ -298,18 +301,36 @@ def _kronecker_unpack(value: int, lo: int, stride: int, slots: int, width: int) 
     return {e: c for e, c in zip(range(lo, lo + stride * slots, stride), decoded) if c}
 
 
-def _left_action(weights: Iterable[tuple[int, int]], g: Terms) -> dict[int, int]:
-    """Coefficients of sum c * h[i], over the pairs (i >= 0, c) of weights, acting on g.
+def _numerator(terms: Terms) -> dict[int, int]:
+    """Nonzero coefficients of x^2 * g(x) - g(1/x) for g = sum c * x^j over
+    terms, which must hold distinct exponents and no zero coefficient:
+    the numerator of the left action of sum c * h~[j] (see _left_action).
+
+    It needs no fold: h~[-1] gives x - x, which cancels, and h~[j] for
+    j < -1 gives x^(j+2) - x^-j = -(x^(i+2) - x^-i) with i = -j - 2, the
+    numerator of its fold -h[i].  So the coefficient at i + 2 >= 2 is the
+    folded weight of h[i], the one at -i <= 0 its negative, and none is at 1.
+    """
+    acc = {j + 2: c for j, c in terms}  # distinct, and nonzero for nonzero c
+    for j, c in terms:
+        c = acc.get(-j, 0) - c
+        if c:
+            acc[-j] = c
+        else:
+            del acc[-j]  # present, since c was nonzero
+    return acc
+
+
+def _left_action(numerator: Terms, g: Terms) -> dict[int, int]:
+    """Coefficients of sum c * h[i] acting on g, given its numerator
+    sum c * (x^(i+2) - x^-i) as (exponent, coefficient) pairs.
 
     The shift kernel K = sum c * (x^-i + x^(-i+2) + ... + x^i) telescopes to
-    (x^2 - 1) * K = sum c * (x^(i+2) - x^-i), so K * g is the sparse product P
-    of g with that numerator, divided exactly by x^2 - 1: R[k] = R[k-2] - P[k]
+    (x^2 - 1) * K = that numerator, so K * g is the sparse product P of g
+    with the numerator, divided exactly by x^2 - 1: R[k] = R[k-2] - P[k]
     from the lowest index up.  R is constant between indices of P of its
     parity, so it is written one run at a time, and only where nonzero.
     """
-    numerator = []
-    for i, c in weights:
-        numerator += ((i + 2, c), (-i, -c))
     p = _sparse_product(g, numerator)
     out: dict[int, int] = {}
     r0 = r1 = k0 = k1 = 0  # R and the index where its run began: even, odd
@@ -334,13 +355,14 @@ def left_mul_h(i: int, g: TildeElement) -> TildeElement:
     that is (x^(i+2) - x^-i) * g divided exactly by x^2 - 1."""
     if i < 0:
         raise ValueError(f"left multiplier index must be >= 0, got {i}")
-    return _wrap(TildeElement, _left_action(((i, 1),), g._coeffs.items()))
+    return _wrap(TildeElement, _left_action(((i + 2, 1), (-i, -1)), g._coeffs.items()))
 
 
 def mul(g1: TildeElement, g2: TildeElement) -> TildeElement:
-    """Module product: fold the left factor, then act termwise on the right,
-    as (sum c * (x^(i+2) - x^-i)) * g2 divided exactly by x^2 - 1."""
-    return _wrap(TildeElement, _left_action(fold_L(g1)._coeffs.items(), g2._coeffs.items()))
+    """Module product: the folded left factor acts termwise on the right,
+    as (x^2 * g1(x) - g1(1/x)) * g2 divided exactly by x^2 - 1."""
+    numerator = _numerator(g1._coeffs.items())
+    return _wrap(TildeElement, _left_action(numerator.items(), g2._coeffs.items()))
 
 
 def ch_left_mul(i: int, x: ChElement) -> ChElement:

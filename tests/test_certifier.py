@@ -314,6 +314,27 @@ def test_positivity_listing_is_the_fold_of_the_raw_element():
                 assert certify_positivity(n, i, j).coefficients == listing
 
 
+def test_positivity_verdict_comes_from_the_ints(monkeypatch):
+    # the verdict, mass and max index are those the listing implies, but
+    # certify_positivity no longer reads them back from its strings
+    expected = {}
+    for n in range(6):
+        for i in VALID_I:
+            for j in VALID_J:
+                pc = certify_positivity(n, i, j)
+                expected[n, i, j] = pc
+                assert pc == PositivityCertificate.from_listing(
+                    n, i, j, pc.coefficients, pc.cone_bound
+                )
+
+    def refused(*args):
+        raise AssertionError("certify_positivity parsed its own listing")
+
+    monkeypatch.setattr(PositivityCertificate, "from_listing", refused)
+    for (n, i, j), pc in expected.items():
+        assert certify_positivity(n, i, j) == pc
+
+
 def reference_json(doc: dict) -> str:
     """The layout document_json writes, by the standard library encoder."""
     return json.dumps(doc, indent=1) + "\n"

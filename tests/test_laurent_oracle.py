@@ -179,3 +179,61 @@ def test_evaluate_matches_repeated_addition(coeffs, c_minus_one, low, c_low):
     # every element carries index -1 and an index below -1
     g = TildeElement({**coeffs, -1: c_minus_one, low: c_low})
     assert evaluate(g) == ref_evaluate(g)
+
+
+def filtered_sum(p, q, sign):
+    """p + sign * q as it used to be built: accumulate, then let the
+    constructor drop the zeros."""
+    acc = dict(p.items())
+    for e, c in q.items():
+        acc[e] = acc.get(e, 0) + sign * c
+    return LaurentPoly(acc)
+
+
+def filtered_lmul(p, q):
+    acc = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(acc)
+
+
+def filtered_evaluate(g):
+    acc = {}
+    for j, c in g.items():
+        if j < -1:
+            j, c = -j - 2, -c
+        for e in range(j, -j - 1, -2):
+            acc[e] = acc.get(e, 0) + c
+    return LaurentPoly(acc)
+
+
+# small exponents and coefficients, zeros included, so that sums, products
+# and images cancel often
+small_terms = st.dictionaries(st.integers(-6, 6), st.integers(-2, 2), max_size=7)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(small_terms.map(LaurentPoly), small_terms.map(LaurentPoly), small_terms.map(TildeElement))
+def test_results_hold_no_zero_and_match_the_filtered_construction(p, q, g):
+    cases = [
+        (p + q, filtered_sum(p, q, 1)),
+        (p - q, filtered_sum(p, q, -1)),
+        (q - q, LaurentPoly.zero()),
+        (-p, filtered_sum(LaurentPoly.zero(), p, -1)),
+        (lmul(p, q), filtered_lmul(p, q)),
+        (evaluate(g), filtered_evaluate(g)),
+    ]
+    for got, expected in cases:
+        assert got == expected
+        assert len(got.items()) == len(expected.terms())
+        assert all(c for _, c in got.items())
+
+
+def test_cancellation_leaves_no_zero():
+    one_plus_t = LaurentPoly({0: 1, 1: 1})
+    one_minus_t = LaurentPoly({0: 1, 1: -1})
+    product = lmul(one_plus_t, one_minus_t)
+    assert dict(product.items()) == {0: 1, 2: -1}
+    assert dict((one_plus_t - LaurentPoly({1: 1})).items()) == {0: 1}
+    assert evaluate(basis(3) + basis(-5)).is_zero()

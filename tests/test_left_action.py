@@ -30,6 +30,7 @@ from chebcone.tilde_ring import (
     _kronecker_pack,
     _kronecker_product,
     _kronecker_unpack,
+    _numerator,
     _sparse_product,
     basis,
     fold_L,
@@ -351,3 +352,32 @@ def test_operands_too_sparse_to_pack_fall_back_to_the_loop(packed_calls):
     assert _kronecker_product(a, b) is None
     assert nonzero(_sparse_product(a, b)) == ref_product(a, b)
     assert packed_calls == [1600]
+
+
+def test_numerator_needs_no_fold():
+    # x^2 g(x) - g(1/x): h~[-1] cancels, and h~[j], h~[-j-2] share the
+    # numerator terms of the folded h[j]
+    assert _numerator({-1: 7}.items()) == {}
+    assert _numerator({4: 3, -6: 3}.items()) == {}
+    assert _numerator({4: 3, -6: 1}.items()) == {6: 2, -4: -2}
+    assert _numerator({-5: 2}.items()) == {-3: 2, 5: -2}
+    assert _numerator({0: 1, -2: 1, -1: 4}.items()) == {}
+
+
+PARTNER_FACTORS = [
+    {4: 3, -6: 1, 0: 2},  # j and -j - 2 fold onto h[4] and partly cancel
+    {-1: 7, 3: 1, -4: 5},  # index -1 folds to zero
+    {5: 2, -7: 2, -1: 1, 1: 1, -3: 4, 6: -(BIG**2)},  # both, h[5] cancelled
+]
+
+
+@pytest.mark.parametrize("terms", PARTNER_FACTORS)
+def test_mul_with_partner_indices_on_both_sides_of_the_threshold(terms, packed_calls):
+    g1 = TildeElement(terms)
+    width = len(_numerator(g1.items()))
+    at = -(-KRONECKER_MIN_TERM_OPS // width)  # fewest right terms that pack
+    for size, packs in ((at - 1, False), (at, True)):
+        del packed_calls[:]
+        g2 = TildeElement(dict(dense(size, lo=-size, coeff=lambda k: (k % 11 - 5) or BIG)))
+        assert mul(g1, g2) == ref_mul(g1, g2)
+        assert packed_calls == ([size * width] if packs else [])

@@ -1,9 +1,12 @@
 """Unit tests for the coefficient-family recurrences and witnesses."""
 
+from functools import lru_cache
+
 import pytest
 
-from chebcone.multiset_cone import IntegerMultiset, in_cone, to_tilde
+from chebcone.multiset_cone import IntegerMultiset, in_cone, msum, munion, to_tilde
 from chebcone.recurrence_engine import (
+    _left_expand,
     CheckResult,
     check_structure,
     closed_element,
@@ -89,6 +92,24 @@ def test_closed_witness_depth_two():
 def test_raw_equals_closed(n):
     assert e0_raw(n, 0) == to_tilde(e0_closed(n).M)
     assert e1_raw(n, 0) == to_tilde(e1_closed(n).M)
+
+
+@lru_cache(maxsize=None)
+def ref_closed(n):
+    """The depth-n witnesses (M0, M1) by the printed expansions: every
+    sumset formed afresh and the first penultimate term expanded."""
+    if n == 0:
+        return IntegerMultiset([2]), IntegerMultiset()
+    m0, m1 = ref_closed(n - 1)
+    t1 = _left_expand(m0, msum(m0, m0.shifted(-1)))
+    t2 = _left_expand(m0, msum(m0, m1))
+    t3 = _left_expand(m1, msum(m0, m0))
+    return _left_expand(m0, msum(m0, m0)), munion(munion(t1, munion(t2, t2)), t3)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_closed_witnesses_match_the_three_term_expansion(n):
+    assert (e0_closed(n).M, e1_closed(n).M) == ref_closed(n)
 
 
 def test_depth_six_raw_equals_closed_and_max_index_law():

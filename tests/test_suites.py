@@ -1,9 +1,12 @@
 """The shared product-identity sweep against the nested loops it replaced,
 and the single structure report behind the verify command."""
 
+import sys
+import tracemalloc
+
 import pytest
 
-from chebcone import recurrence_engine, suites
+from chebcone import multiset_cone, recurrence_engine, suites
 from chebcone.cli import main
 from chebcone.laurent_oracle import eval_basis, lmul
 from chebcone.suites import _product_identities
@@ -75,8 +78,9 @@ ALGEBRAS = {
 
 
 @pytest.mark.parametrize("prefix", sorted(ALGEBRAS))
-@pytest.mark.parametrize("bounds", [(3, 2), (5, 4)])
+@pytest.mark.parametrize("bounds", [(3, 2), (5, 4), (2, 0)])
 def test_sweep_matches_nested_loops(prefix, bounds):
+    # a triple bound of 0 leaves index 1 out of the triple span
     B, product, _ = ALGEBRAS[prefix]
     got = _product_identities(prefix, B, product, *bounds)
     assert got == ref_product_identities(prefix, B, product, *bounds)
@@ -96,6 +100,74 @@ def test_sweep_reports_the_same_failures_for_a_wrong_product(prefix, bounds, mon
     assert got == ref_product_identities(prefix, B, wrong, *bounds)
     # every identity family fails somewhere, but not everywhere
     assert all(0 < len(failures) < total for _, failures, total in got)
+
+
+class Expr:
+    """Symbolic operand standing for one product expression, by its key.
+
+    Sums and differences return the left operand and every comparison
+    holds, so a sweep over these runs through without a failure and its
+    product calls are the whole record."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __add__(self, other):
+        return self
+
+    __sub__ = __add__
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    __hash__ = None
+
+
+def formed_products(sweep, pair_bound, triple_bound):
+    """Keys of the products a sweep forms, in call order."""
+    keys = []
+
+    def product(p, q):
+        keys.append((p.key, q.key))
+        return Expr(keys[-1])
+
+    sweep("symbolic", Expr, product, pair_bound, triple_bound)
+    return keys
+
+
+def test_sweep_forms_each_product_expression_once():
+    keys = formed_products(_product_identities, 8, 6)
+    assert len(keys) == len(set(keys)) == 5332
+    # exactly the expressions the identities read; written as nested
+    # loops, they form 29,717 products
+    reference = formed_products(ref_product_identities, 8, 6)
+    assert len(reference) == 29717
+    assert set(keys) == set(reference)
+
+
+# Peak traced allocation of one sweep at bounds 8 and 6 (CPython 3.11):
+# 0.29-0.30 MB for (basis, mul) and 0.39 MB for (eval_basis, lmul),
+# against 1.2 and 1.6 MB if every triple row stayed alive.  The bound adds
+# a third to the larger one.
+SWEEP_PEAK_BOUND = 520_000
+
+
+@pytest.mark.parametrize("prefix", sorted(ALGEBRAS))
+def test_sweep_keeps_few_rows_alive(prefix):
+    B, product, _ = ALGEBRAS[prefix]
+    tracemalloc.start()
+    try:
+        results = _product_identities(prefix, B, product, 8, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < SWEEP_PEAK_BOUND
 
 
 def test_verify_builds_one_structure_report(capsys, monkeypatch):
@@ -118,3 +190,20 @@ def test_verify_without_structure_suites_builds_no_report(capsys, monkeypatch):
     assert main(["verify", "--suite", "lemmas,cross", "--n", "2"]) == 0
     capsys.readouterr()
     assert calls == []
+
+
+def test_decompose_roundtrip_recomposes_once_per_trial(monkeypatch):
+    report = recurrence_engine.check_structure(1)
+    calls = []
+    real = multiset_cone.ConeDecomposition.recompose
+
+    def counted(self):
+        # only the suite's own calls: decompose_cone recomposes as well
+        if sys._getframe(1).f_code is suites.suite_multiset.__code__:
+            calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(multiset_cone.ConeDecomposition, "recompose", counted)
+    results = suites.suite_multiset(report, trials=30, seed=5)
+    assert all(r.passed for r in results)
+    assert len(calls) == 30
