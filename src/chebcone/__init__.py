@@ -24,9 +24,6 @@ from .multiset_cone import (
 )
 from .recurrence_engine import (
     CheckResult,
-    CoeffFamily,
-    MultisetWitness,
-    StructureReport,
     check_structure,
     closed_element,
     e0_closed,
@@ -53,14 +50,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ChElement",
     "CheckResult",
-    "CoeffFamily",
     "ConeCertificate",
     "ConeDecomposition",
     "IntegerMultiset",
     "LaurentPoly",
-    "MultisetWitness",
     "PositivityCertificate",
-    "StructureReport",
     "TildeElement",
     "basis",
     "certify_cone",

@@ -40,25 +40,39 @@ def positivity_cone_bound(n: int, i: int, j: int) -> int:
     return cone_center(n, j) - (i != 0)
 
 
+def _field(doc: dict, key: str):
+    """The named field of a document, which must be present."""
+    if key not in doc:
+        raise ValueError(f"missing field {key!r}")
+    return doc[key]
+
+
 def _int_fields(doc: dict, kind: str, *keys: str) -> list[int]:
     """The named fields of a current-schema document of the given kind, each
     of which must be a plain int."""
+    if type(doc) is not dict:
+        raise ValueError(f"a certificate document is a JSON object, got {type(doc).__name__}")
     if doc.get("kind") != kind:
         raise ValueError(f"not a {kind} document: kind={doc.get('kind')!r}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {doc.get('schema_version')!r}")
-    for key in keys:
-        if type(doc[key]) is not int:
-            raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
-    return [doc[key] for key in keys]
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {version!r}")
+    values = [_field(doc, key) for key in keys]
+    for key, value in zip(keys, values):
+        if type(value) is not int:
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    return values
 
 
 def _listing(doc: dict, key: str) -> tuple[tuple[int, str], ...]:
     """The named listing of [index, value] pairs, which must be canonical:
     int indices strictly increasing, and each value an int written as its
     own str."""
+    listing = _field(doc, key)
+    if type(listing) is not list:
+        raise ValueError(f"{key} must be a list, got {type(listing).__name__}")
     pairs: list[tuple[int, str]] = []
-    for entry in doc[key]:
+    for entry in listing:
         if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is int
                 and type(entry[1]) is str and entry[1] == str(int(entry[1]))
                 and (not pairs or entry[0] > pairs[-1][0])):
@@ -76,7 +90,8 @@ class PositivityCertificate(NamedTuple):
     from_document rejects a document with a depth, slot or order out of
     range, a listing that is not canonical, a cone_bound other than
     positivity_cone_bound(n, i, j), or a verdict, mass or max_index that
-    disagrees with its own listing or is not of its type.
+    disagrees with its own listing or is not of its type.  Every malformed
+    document, a missing field or a non-object included, raises ValueError.
     """
 
     n: int
@@ -125,9 +140,9 @@ class PositivityCertificate(NamedTuple):
             raise ValueError("coefficients listing holds a zero or a negative index")
         cert = cls.from_listing(n, i, j, coefficients, bound)
         for key in ("all_nonnegative", "max_index", "mass"):
-            value = getattr(cert, key)
-            if type(doc[key]) is not type(value) or doc[key] != value:
-                raise ValueError(f"{key} {doc[key]!r} disagrees with the coefficient listing")
+            value, stated = getattr(cert, key), _field(doc, key)
+            if type(stated) is not type(value) or stated != value:
+                raise ValueError(f"{key} {stated!r} disagrees with the coefficient listing")
         return cert
 
 
@@ -160,7 +175,8 @@ class ConeCertificate(NamedTuple):
     the witness multiset exactly.  from_document rejects a document with
     a depth or order out of range, a center other than 2^(n+1) - j, parts
     that are not canonical or that break the center and radius
-    constraints, or a recomposition_ok that is not a bool.
+    constraints, or a recomposition_ok that is not a bool; as for
+    positivity, every malformed document raises ValueError.
     """
 
     n: int
@@ -193,26 +209,26 @@ class ConeCertificate(NamedTuple):
             singletons=tuple((v, int(cnt)) for v, cnt in _listing(doc, "singletons")),
             radii=tuple((r, int(cnt)) for r, cnt in _listing(doc, "radii")),
         )
-        if type(doc["recomposition_ok"]) is not bool:
-            raise ValueError(f"recomposition_ok must be a bool, got {doc['recomposition_ok']!r}")
-        return cls(n=n, j=j, center=center, decomposition=decomposition,
-                   recomposition_ok=doc["recomposition_ok"])
+        ok = _field(doc, "recomposition_ok")
+        if type(ok) is not bool:
+            raise ValueError(f"recomposition_ok must be a bool, got {ok!r}")
+        return cls(n=n, j=j, center=center, decomposition=decomposition, recomposition_ok=ok)
 
 
 def certify_cone(n: int, j: int) -> ConeCertificate:
     """Decompose the depth-n witness of order j and validate recomposition."""
     _check_indices(n, 0, j)
     witness = e0_closed(n) if j == 0 else e1_closed(n)
-    center = witness.cone_center()
+    center = cone_center(n, j)
     # decompose_cone raises with a witness offset if membership fails,
     # which would falsify the structural theorems upstream
-    decomposition = decompose_cone(witness.M, center)
+    decomposition = decompose_cone(witness, center)
     return ConeCertificate(
         n=n,
         j=j,
         center=center,
         decomposition=decomposition,
-        recomposition_ok=decomposition.recompose() == witness.M,
+        recomposition_ok=decomposition.recompose() == witness,
     )
 
 

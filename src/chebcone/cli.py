@@ -173,6 +173,8 @@ def cmd_verify(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         names = list(SUITE_NAMES)
     else:
         names = [s.strip() for s in cfg.suite.split(",") if s.strip()]
+    if not names:
+        parser.error(f"--suite {cfg.suite!r} names no suite")
     unknown = [s for s in names if s not in SUITE_NAMES]
     if unknown:
         parser.error(f"unknown suite(s): {', '.join(unknown)}")
@@ -222,7 +224,7 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
 def cmd_stats(cfg: argparse.Namespace) -> int:
     rows = []
     for n in range(cfg.n + 1):
-        rows.extend(growth_stats(n).rows)
+        rows.extend(growth_stats(n))
     if cfg.format == "json":
         doc = {
             "command": "stats",

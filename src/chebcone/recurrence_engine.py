@@ -21,14 +21,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .multiset_cone import (
+    ConeMembershipError,
     IntegerMultiset,
     decompose_cone,
-    in_cone,
     msum,
     munion,
     to_tilde,
 )
-from .tilde_ring import TildeElement, _left_action, _numerator, basis, mul, w0, w1
+from .tilde_ring import TildeElement, _left_action, _numerator, basis, fold_L, mul, w0, w1
 
 VALID_I = (-1, 0, 1)
 VALID_J = (0, 1)
@@ -39,42 +39,10 @@ def cone_center(n: int, j: int) -> int:
     return 2 ** (n + 1) - j
 
 
-class CoeffFamily(NamedTuple):
-    """One computed coefficient element: depth n, slot i, order j."""
-
-    n: int
-    i: int
-    j: int
-    value: TildeElement
-
-
-class MultisetWitness(NamedTuple):
-    """Closed-form witness: to_tilde(M) equals the (n, 0, j) element."""
-
-    n: int
-    j: int
-    M: IntegerMultiset
-
-    def cone_center(self) -> int:
-        """Center of the cone the witness is asserted to live in."""
-        return cone_center(self.n, self.j)
-
-
 class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
-
-
-class StructureReport(NamedTuple):
-    results: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(r for r in self.results if not r.passed)
 
 
 def _check_indices(n: int, i: int, j: int) -> None:
@@ -153,40 +121,40 @@ def _left_expand(weights: IntegerMultiset, addend: IntegerMultiset) -> IntegerMu
     """Multiset of fold_L(to_tilde(weights)) acting on to_tilde(addend).
 
     Each folded coefficient d at index i contributes d copies of the
-    sumset [-i, i] + addend: in all, sum d * (x^(i+2) - x^-i) times addend,
-    divided exactly by x^2 - 1, where that numerator is read straight off
-    weights and holds d at i + 2.  Folded coefficients must be
-    non-negative for the result to be a multiset; a negative one would
-    contradict the positivity lemma and is reported loudly.
+    sumset [-i, i] + addend: in all, one left action of weights on addend.
+    Folded coefficients must be non-negative for the result to be a
+    multiset; a negative one would contradict the positivity lemma and is
+    reported loudly.
     """
-    numerator = _numerator(weights.items())
-    for j, _ in weights.items():  # in the order fold_L would meet them
-        k = j + 2 if j >= 0 else -j  # where the fold of h~[j] sits in the numerator
-        if k > 1 and numerator.get(k, 0) < 0:
-            raise ValueError(f"negative folded weight {numerator[k]} at h[{k - 2}]: not a multiset")
-    return IntegerMultiset.from_counts(_left_action(numerator.items(), addend.items()))
+    for i, d in fold_L(to_tilde(weights)).items():
+        if d < 0:
+            raise ValueError(f"negative folded weight {d} at h[{i}]: not a multiset")
+    numerator = _numerator(weights.items()).items()
+    return IntegerMultiset.from_counts(_left_action(numerator, addend.items()))
 
 
 @lru_cache(maxsize=None)
 def _self_sum(n: int) -> IntegerMultiset:
     """The sumset M + M of the depth-n leading witness, which both
     depth n+1 witnesses expand."""
-    m = e0_closed(n).M
+    m = e0_closed(n)
     return msum(m, m)
 
 
 @lru_cache(maxsize=None)
-def e0_closed(n: int) -> MultisetWitness:
-    """Closed multiset form of the depth-n leading element (slot 0)."""
+def e0_closed(n: int) -> IntegerMultiset:
+    """Closed multiset witness of the depth-n leading element (slot 0):
+    to_tilde of it is that element, and it lies in R(cone_center(n, 0))."""
     _check_indices(n, 0, 0)
     if n == 0:
-        return MultisetWitness(0, 0, IntegerMultiset([2]))
-    return MultisetWitness(n, 0, _left_expand(e0_closed(n - 1).M, _self_sum(n - 1)))
+        return IntegerMultiset([2])
+    return _left_expand(e0_closed(n - 1), _self_sum(n - 1))
 
 
 @lru_cache(maxsize=None)
-def e1_closed(n: int) -> MultisetWitness:
-    """Closed multiset form of the depth-n penultimate-leading element (slot 0).
+def e1_closed(n: int) -> IntegerMultiset:
+    """Closed multiset witness of the depth-n penultimate-leading element
+    (slot 0), in R(cone_center(n, 1)).
 
     With m0 and m1 the depth n-1 witnesses, it is the union of m0 acting
     on m0 + (m0 - 1), twice m0 acting on m0 + m1, and m1 acting on
@@ -195,36 +163,31 @@ def e1_closed(n: int) -> MultisetWitness:
     """
     _check_indices(n, 0, 1)
     if n == 0:
-        return MultisetWitness(0, 1, IntegerMultiset())
-    m0 = e0_closed(n - 1).M
-    m1 = e1_closed(n - 1).M
-    t1 = e0_closed(n).M.shifted(-1)
+        return IntegerMultiset()
+    m0 = e0_closed(n - 1)
+    m1 = e1_closed(n - 1)
+    t1 = e0_closed(n).shifted(-1)
     t2 = _left_expand(m0, msum(m0, m1))  # counted twice below
     t3 = _left_expand(m1, _self_sum(n - 1))
-    return MultisetWitness(n, 1, munion(munion(t1, munion(t2, t2)), t3))
+    return munion(munion(t1, munion(t2, t2)), t3)
 
 
 def closed_element(n: int, i: int, j: int) -> TildeElement:
     """Element of slot i derived from the closed witnesses via the shift ladder."""
     _check_indices(n, i, j)
-    w = e0_closed(n) if j == 0 else e1_closed(n)
-    base = to_tilde(w.M)
+    base = to_tilde(e0_closed(n) if j == 0 else e1_closed(n))
     if i == 0:
         return base
     if j == 0:
         return base.shift(-1)  # slots 1 and -1 coincide for the leading family
     if i == 1:
         return base.shift(-1)
-    return base.shift(-1) + to_tilde(e0_closed(n).M).shift(-2)
+    return base.shift(-1) + to_tilde(e0_closed(n)).shift(-2)
 
 
 def raw_element(n: int, i: int, j: int) -> TildeElement:
     _check_indices(n, i, j)
     return e0_raw(n, i) if j == 0 else e1_raw(n, i)
-
-
-def family(n: int, i: int, j: int) -> CoeffFamily:
-    return CoeffFamily(n, i, j, raw_element(n, i, j))
 
 
 class GrowthRow(NamedTuple):
@@ -236,28 +199,14 @@ class GrowthRow(NamedTuple):
     mass: int
 
 
-class GrowthStats(NamedTuple):
-    n: int
-    rows: tuple[GrowthRow, GrowthRow]
-
-
-def growth_stats(n: int) -> GrowthStats:
+def growth_stats(n: int) -> tuple[GrowthRow, GrowthRow]:
     """Support and coefficient-mass statistics of the slot-0 elements at
     depth n, read from the closed witnesses."""
     rows = []
     for j in VALID_J:
         g = closed_element(n, 0, j)
-        rows.append(
-            GrowthRow(
-                n=n,
-                j=j,
-                support_size=g.support_size(),
-                min_index=g.min_index(),
-                max_index=g.max_index(),
-                mass=g.mass(),
-            )
-        )
-    return GrowthStats(n=n, rows=(rows[0], rows[1]))
+        rows.append(GrowthRow(n, j, g.support_size(), g.min_index(), g.max_index(), g.mass()))
+    return rows[0], rows[1]
 
 
 def _diff_detail(lhs: TildeElement, rhs: TildeElement) -> str:
@@ -266,7 +215,7 @@ def _diff_detail(lhs: TildeElement, rhs: TildeElement) -> str:
     return f"difference has {d.support_size()} terms, first {head}"
 
 
-def check_structure(n_max: int) -> StructureReport:
+def check_structure(n_max: int) -> tuple[CheckResult, ...]:
     """Replay every structural identity for depths 0..n_max.
 
     Covers the shift ladder for both families, raw versus closed
@@ -302,19 +251,15 @@ def check_structure(n_max: int) -> StructureReport:
                 "" if extra.is_zero() else f"extra term nonzero: {extra}",
             )
 
-        for j, witness in ((0, e0_closed(n)), (1, e1_closed(n))):
-            element_eq(
-                f"closed/raw-equals-closed(n={n},j={j})",
-                raw_element(n, 0, j),
-                to_tilde(witness.M),
-            )
-            c = witness.cone_center()
-            member = in_cone(witness.M, c)
-            if not member:
+        for j, m in ((0, e0_closed(n)), (1, e1_closed(n))):
+            element_eq(f"closed/raw-equals-closed(n={n},j={j})", raw_element(n, 0, j), to_tilde(m))
+            c = cone_center(n, j)
+            try:
+                decomposition = decompose_cone(m, c)
+            except ConeMembershipError:
                 record(f"cone/membership(n={n},j={j})", False, f"not in R({c})")
                 continue
-            decomp = decompose_cone(witness.M, c)
-            ok = decomp.recompose() == witness.M
+            ok = decomposition.recompose() == m
             record(
                 f"cone/membership(n={n},j={j})",
                 ok,
@@ -323,4 +268,4 @@ def check_structure(n_max: int) -> StructureReport:
                 else f"decomposition at center {c} does not recompose",
             )
 
-    return StructureReport(tuple(results))
+    return tuple(results)

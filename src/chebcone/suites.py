@@ -15,7 +15,7 @@ from . import laurent_oracle as oracle
 from . import multiset_cone as mc
 from . import recurrence_engine as engine
 from .certifier import certify_pair
-from .recurrence_engine import CheckResult, StructureReport
+from .recurrence_engine import CheckResult
 from .tilde_ring import TildeElement, basis, fold_L, left_mul_h, mul, random_element, w0, w1
 
 DEFAULT_DEPTH = 3
@@ -115,10 +115,9 @@ def _triple_failures(B, P, product, triple_bound: int) -> tuple[list, list]:
     return bad_t_sum, bad_t_mixed
 
 
-def suite_lemmas(pair_bound: int = DEFAULT_PAIR_BOUND,
-                 triple_bound: int = DEFAULT_TRIPLE_BOUND) -> list[CheckResult]:
+def suite_lemmas() -> list[CheckResult]:
     """Exhaustive two- and three-factor product identities on basis symbols."""
-    return _product_identities("lemmas", basis, mul, pair_bound, triple_bound)
+    return _product_identities("lemmas", basis, mul, DEFAULT_PAIR_BOUND, DEFAULT_TRIPLE_BOUND)
 
 
 def suite_w_theorem(trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[CheckResult]:
@@ -139,11 +138,11 @@ def suite_w_theorem(trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[CheckRe
     ]
 
 
-def suite_multiset(report: StructureReport, trials: int = DEFAULT_TRIALS,
+def suite_multiset(structure: tuple[CheckResult, ...], trials: int = DEFAULT_TRIALS,
                    seed: int = 0) -> list[CheckResult]:
     """Multiset-calculus lemmas on seeded random instances, plus the
-    raw-versus-closed agreement of the recurrence families, read from a
-    check_structure report."""
+    raw-versus-closed agreement of the recurrence families, read from the
+    check_structure records."""
     results = []
     rng = _rng(seed, "multiset")
 
@@ -212,20 +211,20 @@ def suite_multiset(report: StructureReport, trials: int = DEFAULT_TRIALS,
             bad.append((t, c))
     results.append(_exhaustive("multiset/decompose-roundtrip", bad, trials, "random members"))
 
-    results.extend(r for r in report.results if r.name.startswith("closed/"))
+    results.extend(r for r in structure if r.name.startswith("closed/"))
     return results
 
 
-def suite_cone(report: StructureReport) -> list[CheckResult]:
+def suite_cone(structure: tuple[CheckResult, ...]) -> list[CheckResult]:
     """Cone membership of both witness families, with recomposing
-    certificates, read from a check_structure report."""
-    return [r for r in report.results if r.name.startswith("cone/")]
+    certificates, read from the check_structure records."""
+    return [r for r in structure if r.name.startswith("cone/")]
 
 
-def suite_shift(report: StructureReport) -> list[CheckResult]:
+def suite_shift(structure: tuple[CheckResult, ...]) -> list[CheckResult]:
     """Shift-ladder identities between slots, plus the vanishing extra
-    term, read from a check_structure report."""
-    return [r for r in report.results if r.name.startswith("shift/")]
+    term, read from the check_structure records."""
+    return [r for r in structure if r.name.startswith("shift/")]
 
 
 def suite_positivity(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
@@ -261,14 +260,12 @@ def suite_cross(trials: int = DEFAULT_CROSS_TRIALS, seed: int = 0) -> list[Check
 
 
 def suite_oracle(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
-                 seed: int = 0,
-                 pair_bound: int = DEFAULT_PAIR_BOUND,
-                 triple_bound: int = DEFAULT_TRIPLE_BOUND) -> list[CheckResult]:
+                 seed: int = 0) -> list[CheckResult]:
     """Re-verification of the product identities inside the commutative
     oracle algebra, plus palindromicity, the t = 1 mass identity and the
     max-index growth law."""
     results = _product_identities("oracle", oracle.eval_basis, oracle.lmul,
-                                  pair_bound, triple_bound)
+                                  DEFAULT_PAIR_BOUND, DEFAULT_TRIPLE_BOUND)
 
     rng = _rng(seed, "oracle")
     bad_w, bad_pal = [], []
@@ -301,7 +298,7 @@ def suite_oracle(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
 
     bad_max = []
     for n in range(1, depth + 1):
-        if engine.e0_closed(n).M.max_element() != 2 * 3**n:
+        if engine.e0_closed(n).max_element() != 2 * 3**n:
             bad_max.append(n)
     results.append(
         _exhaustive("oracle/max-index-law", bad_max, depth, "max index equals 2*3^n")
@@ -314,28 +311,29 @@ def run_suites(names: list[str], depth: int | None, trials: int | None,
     """Run the named suites with shared defaults and return (name, results)
     pairs.  `depth` is the recurrence depth only: the lemma sweep always
     runs at its default bounds.  The multiset, cone and shift suites share
-    one structure report."""
+    one check_structure run."""
     d = DEFAULT_DEPTH if depth is None else depth
+    t, cross_t = (DEFAULT_TRIALS, DEFAULT_CROSS_TRIALS) if trials is None else (trials, trials)
     structural = {"multiset", "cone", "shift"} & set(names)
-    report = engine.check_structure(d) if structural else None
+    structure = engine.check_structure(d) if structural else ()
     out: list[tuple[str, list[CheckResult]]] = []
     for name in names:
         if name == "lemmas":
-            res = suite_lemmas(DEFAULT_PAIR_BOUND, DEFAULT_TRIPLE_BOUND)
+            res = suite_lemmas()
         elif name == "w-theorem":
-            res = suite_w_theorem(DEFAULT_TRIALS if trials is None else trials, seed)
+            res = suite_w_theorem(t, seed)
         elif name == "multiset":
-            res = suite_multiset(report, DEFAULT_TRIALS if trials is None else trials, seed)
+            res = suite_multiset(structure, t, seed)
         elif name == "cone":
-            res = suite_cone(report)
+            res = suite_cone(structure)
         elif name == "shift":
-            res = suite_shift(report)
+            res = suite_shift(structure)
         elif name == "positivity":
             res = suite_positivity(d)
         elif name == "cross":
-            res = suite_cross(DEFAULT_CROSS_TRIALS if trials is None else trials, seed)
+            res = suite_cross(cross_t, seed)
         elif name == "oracle":
-            res = suite_oracle(d, DEFAULT_TRIALS if trials is None else trials, seed)
+            res = suite_oracle(d, t, seed)
         else:
             raise ValueError(f"unknown suite {name!r}")
         out.append((name, res))

@@ -174,6 +174,16 @@ def _positivity_doc():
     return doc
 
 
+MISSING = object()  # a row value that deletes its field
+
+
+def _set(doc, key, value):
+    if value is MISSING:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
 def test_from_document_rejects_verdict_disagreeing_with_listing():
     doc = _positivity_doc()
     doc["coefficients"] = [[2, "-1"], [4, "1"], [6, "1"]]
@@ -213,10 +223,16 @@ def test_from_document_rejects_max_index_disagreeing_with_listing():
     ("n", 1.0, "n must be an integer"),
     ("i", 2, "slot must be"),
     ("j", 2, "order must be 0 or 1"),
+    ("schema_version", True, "unsupported schema version True"),
+    ("schema_version", 1.0, "unsupported schema version 1.0"),
+    ("schema_version", MISSING, "unsupported schema version None"),
+    ("kind", MISSING, "not a positivity document"),
+    ("n", MISSING, "missing field 'n'"),
+    ("cone_bound", MISSING, "missing field 'cone_bound'"),
 ])
 def test_from_document_rejects_out_of_range_positivity_field(key, value, match):
     doc = _positivity_doc()
-    doc[key] = value
+    _set(doc, key, value)
     with pytest.raises(ValueError, match=match):
         PositivityCertificate.from_document(doc)
 
@@ -228,11 +244,15 @@ def test_from_document_rejects_out_of_range_positivity_field(key, value, match):
     ("n", False, "n must be an integer"),
     ("j", 2, "order must be 0 or 1"),
     ("j", True, "j must be an integer"),
+    ("schema_version", True, "unsupported schema version True"),
+    ("schema_version", 1.0, "unsupported schema version 1.0"),
+    ("center", MISSING, "missing field 'center'"),
+    ("j", MISSING, "missing field 'j'"),
 ])
 def test_from_document_rejects_out_of_range_cone_field(key, value, match):
     doc = certify_cone(1, 1).to_document()
     assert ConeCertificate.from_document(doc).center == 3
-    doc[key] = value
+    _set(doc, key, value)
     with pytest.raises(ValueError, match=match):
         ConeCertificate.from_document(doc)
 
@@ -251,10 +271,16 @@ def test_from_document_rejects_out_of_range_cone_field(key, value, match):
     ("coefficients", [[2, "1"], [4, "1", "1"], [6, "1"]], "not canonical"),
     ("all_nonnegative", 1, "all_nonnegative"),
     ("max_index", 6.0, "max_index"),
+    ("coefficients", None, "coefficients must be a list, got NoneType"),
+    ("coefficients", {"2": "1"}, "coefficients must be a list, got dict"),
+    ("coefficients", MISSING, "missing field 'coefficients'"),
+    ("all_nonnegative", MISSING, "missing field 'all_nonnegative'"),
+    ("max_index", MISSING, "missing field 'max_index'"),
+    ("mass", MISSING, "missing field 'mass'"),
 ])
 def test_from_document_rejects_a_positivity_document_that_is_not_canonical(key, value, match):
     doc = _positivity_doc()
-    doc[key] = value
+    _set(doc, key, value)
     with pytest.raises(ValueError, match=match):
         PositivityCertificate.from_document(doc)
 
@@ -271,13 +297,25 @@ def test_from_document_rejects_a_positivity_document_that_is_not_canonical(key, 
     ("radii", [[2, "25"], [2, "25"]], "not canonical"),
     ("recomposition_ok", "yes", "recomposition_ok must be a bool"),
     ("recomposition_ok", 1, "recomposition_ok must be a bool"),
+    ("radii", None, "radii must be a list, got NoneType"),
+    ("singletons", "7", "singletons must be a list, got str"),
+    ("radii", MISSING, "missing field 'radii'"),
+    ("singletons", MISSING, "missing field 'singletons'"),
+    ("recomposition_ok", MISSING, "missing field 'recomposition_ok'"),
 ])
 def test_from_document_rejects_a_cone_document_that_is_not_canonical(key, value, match):
     doc = certify_cone(2, 1).to_document()
     assert ConeCertificate.from_document(doc).center == 7
-    doc[key] = value
+    _set(doc, key, value)
     with pytest.raises(ValueError, match=match):
         ConeCertificate.from_document(doc)
+
+
+@pytest.mark.parametrize("cls", [PositivityCertificate, ConeCertificate])
+@pytest.mark.parametrize("doc", [None, [], "positivity", 1, [["kind", "cone"]]])
+def test_from_document_rejects_a_document_that_is_not_an_object(cls, doc):
+    with pytest.raises(ValueError, match="a certificate document is a JSON object"):
+        cls.from_document(doc)
 
 
 @pytest.mark.parametrize("n", [10**10, 10**4000])

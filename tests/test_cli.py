@@ -114,6 +114,16 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("selection", [",", "", " , ,"])
+def test_verify_selection_naming_no_suite_is_usage_error(capsys, selection):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", selection])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "names no suite" in captured.err
+
+
 def test_negative_depth_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["compute", "--n", "-3"])

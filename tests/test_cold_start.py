@@ -1,14 +1,17 @@
 """What a fresh interpreter loads: `import chebcone.cli` must not pull in
 `dataclasses` or the verification suites, which only `verify` imports.
+Also what the package exports.
 
-These run in subprocesses because the other test modules have already
-imported the suites into this one.
+The import tests run in subprocesses because the other test modules have
+already imported the suites into this one.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import chebcone
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,3 +34,11 @@ def test_verify_imports_the_suites_on_demand():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("verify: 4 checks, 4 passed, 0 failed "
                                 "(suites=lemmas; n=auto; trials=auto; seed=0)\n")
+
+
+def test_package_exports_are_sorted_unique_and_resolve():
+    names = chebcone.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(chebcone, name)]
+    assert missing == []

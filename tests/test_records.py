@@ -10,43 +10,19 @@ import pytest
 
 from chebcone.certifier import ConeCertificate, certify_cone, certify_positivity
 from chebcone.multiset_cone import ConeDecomposition, decompose_cone
-from chebcone.recurrence_engine import (
-    CheckResult,
-    StructureReport,
-    e0_closed,
-    family,
-    growth_stats,
-)
+from chebcone.recurrence_engine import CheckResult, e0_closed, growth_stats
 
 RECORDS = {
-    "CoeffFamily": (
-        lambda: family(1, 0, 0),
-        "CoeffFamily(n=1, i=0, j=0, value=TildeElement({2: 1, 4: 1, 6: 1}))",
-    ),
-    "MultisetWitness": (
-        lambda: e0_closed(1),
-        "MultisetWitness(n=1, j=0, M=IntegerMultiset{2: 1, 4: 1, 6: 1})",
-    ),
     "CheckResult": (
         lambda: CheckResult("x", True),
         "CheckResult(name='x', passed=True, detail='')",
     ),
-    "StructureReport": (
-        lambda: StructureReport((CheckResult("a", False, "d"),)),
-        "StructureReport(results=(CheckResult(name='a', passed=False, detail='d'),))",
-    ),
     "GrowthRow": (
-        lambda: growth_stats(1).rows[0],
+        lambda: growth_stats(1)[0],
         "GrowthRow(n=1, j=0, support_size=3, min_index=2, max_index=6, mass=3)",
     ),
-    "GrowthStats": (
-        lambda: growth_stats(1),
-        "GrowthStats(n=1, rows=(GrowthRow(n=1, j=0, support_size=3, min_index=2, "
-        "max_index=6, mass=3), GrowthRow(n=1, j=1, support_size=3, min_index=1, "
-        "max_index=5, mass=3)))",
-    ),
     "ConeDecomposition": (
-        lambda: decompose_cone(e0_closed(1).M, 4),
+        lambda: decompose_cone(e0_closed(1), 4),
         "ConeDecomposition(center=4, singletons=(), radii=((2, 1),))",
     ),
     "PositivityCertificate": (

@@ -5,16 +5,17 @@ from functools import lru_cache
 import pytest
 
 from chebcone.multiset_cone import IntegerMultiset, in_cone, msum, munion, to_tilde
+from chebcone import recurrence_engine, suites
 from chebcone.recurrence_engine import (
     _left_expand,
     CheckResult,
     check_structure,
     closed_element,
+    cone_center,
     e0_closed,
     e0_raw,
     e1_closed,
     e1_raw,
-    family,
     growth_stats,
     leading_extra_term,
     raw_element,
@@ -72,26 +73,26 @@ def test_invalid_arguments():
 
 
 def test_closed_witnesses_small():
-    assert e0_closed(0).M == ms(2)
-    assert e0_closed(1).M == ms(2, 4, 6)
-    assert e1_closed(0).M == IntegerMultiset()
-    assert e1_closed(1).M == ms(1, 3, 5)
+    assert e0_closed(0) == ms(2)
+    assert e0_closed(1) == ms(2, 4, 6)
+    assert e1_closed(0) == IntegerMultiset()
+    assert e1_closed(1) == ms(1, 3, 5)
 
 
 def test_closed_witness_depth_two():
-    w = e0_closed(2)
-    assert w.M.max_element() == 18
-    assert in_cone(w.M, 8)
-    assert to_tilde(w.M) == e0_raw(2, 0)
-    w1_ = e1_closed(2)
-    assert in_cone(w1_.M, 7)
-    assert to_tilde(w1_.M) == e1_raw(2, 0)
+    m0 = e0_closed(2)
+    assert m0.max_element() == 18
+    assert in_cone(m0, 8)
+    assert to_tilde(m0) == e0_raw(2, 0)
+    m1 = e1_closed(2)
+    assert in_cone(m1, 7)
+    assert to_tilde(m1) == e1_raw(2, 0)
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_raw_equals_closed(n):
-    assert e0_raw(n, 0) == to_tilde(e0_closed(n).M)
-    assert e1_raw(n, 0) == to_tilde(e1_closed(n).M)
+    assert e0_raw(n, 0) == to_tilde(e0_closed(n))
+    assert e1_raw(n, 0) == to_tilde(e1_closed(n))
 
 
 @lru_cache(maxsize=None)
@@ -109,15 +110,15 @@ def ref_closed(n):
 
 @pytest.mark.parametrize("n", range(7))
 def test_closed_witnesses_match_the_three_term_expansion(n):
-    assert (e0_closed(n).M, e1_closed(n).M) == ref_closed(n)
+    assert (e0_closed(n), e1_closed(n)) == ref_closed(n)
 
 
 def test_depth_six_raw_equals_closed_and_max_index_law():
     # depth 6 is the first depth at which certify and verify are routine;
     # nearly all of its product work takes the packed big-int path
-    assert e0_raw(6, 0) == to_tilde(e0_closed(6).M)
-    assert e1_raw(6, 0) == to_tilde(e1_closed(6).M)
-    assert e0_closed(6).M.max_element() == 2 * 3**6 == 1458
+    assert e0_raw(6, 0) == to_tilde(e0_closed(6))
+    assert e1_raw(6, 0) == to_tilde(e1_closed(6))
+    assert e0_closed(6).max_element() == 2 * 3**6 == 1458
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -149,51 +150,96 @@ def test_closed_element_ladder():
                 assert closed_element(n, i, j) == raw_element(n, i, j)
 
 
-def test_family_record():
-    fam = family(2, 1, 0)
-    assert fam.n == 2 and fam.i == 1 and fam.j == 0
-    assert fam.value == e0_raw(2, 1)
-
-
 def test_witness_cone_centers():
-    assert e0_closed(3).cone_center() == 16
-    assert e1_closed(3).cone_center() == 15
+    assert cone_center(3, 0) == 16
+    assert cone_center(3, 1) == 15
 
 
 def test_check_structure_small():
-    report = check_structure(1)
-    assert report.all_passed
-    assert report.failures() == ()
-    names = {r.name for r in report.results}
+    results = check_structure(1)
+    assert type(results) is tuple
+    assert all(r.passed for r in results)
+    names = {r.name for r in results}
     assert "shift/leading-slot1(n=1)" in names
     assert "cone/membership(n=1,j=1)" in names
-    assert all(isinstance(r, CheckResult) for r in report.results)
+    assert all(isinstance(r, CheckResult) for r in results)
 
 
 def test_check_structure_depth_zero():
-    report = check_structure(0)
-    assert report.all_passed
+    assert all(r.passed for r in check_structure(0))
     # the empty witness is vacuously a member at its asserted center
-    assert in_cone(e1_closed(0).M, e1_closed(0).cone_center())
+    assert in_cone(e1_closed(0), cone_center(0, 1))
+
+
+def structure_records(n_max):
+    """The check_structure records for depths 0..n_max, as the multiset,
+    cone and shift suites of verify report them."""
+    pairs = suites.run_suites(["multiset", "cone", "shift"], n_max, 1)
+    return [r for name, results in pairs for r in results if name != "multiset"
+            or r.name.startswith("closed/")]
+
+
+def failed(records):
+    return [r for r in records if not r.passed]
+
+
+def test_check_structure_reports_a_raw_closed_difference(monkeypatch):
+    real = recurrence_engine.raw_element
+
+    def off_by_one_term(n, i, j):
+        g = real(n, i, j)
+        return g + basis(99) if (n, i, j) == (1, 0, 1) else g
+
+    monkeypatch.setattr(recurrence_engine, "raw_element", off_by_one_term)
+    assert failed(structure_records(1)) == [
+        CheckResult("closed/raw-equals-closed(n=1,j=1)", False,
+                    "difference has 1 terms, first [(99, 1)]"),
+    ]
+
+
+def test_check_structure_reports_a_witness_outside_its_cone(monkeypatch):
+    # {2, 4, 6} lies in R(4) but not in R(5): offset 3 meets mult(2) > mult(8)
+    real = recurrence_engine.cone_center
+    monkeypatch.setattr(recurrence_engine, "cone_center",
+                        lambda n, j: real(n, j) + ((n, j) == (1, 0)))
+    records = structure_records(1)
+    assert failed(records) == [CheckResult("cone/membership(n=1,j=0)", False, "not in R(5)")]
+    assert CheckResult("cone/membership(n=1,j=1)", True,
+                       "center 3, decomposition recomposes") in records
+
+
+def test_check_structure_reports_a_decomposition_that_does_not_recompose(monkeypatch):
+    real = recurrence_engine.decompose_cone
+
+    def with_extra_singleton(m, c):
+        d = real(m, c)
+        return d._replace(singletons=d.singletons + ((100, 1),)) if c == 8 else d
+
+    monkeypatch.setattr(recurrence_engine, "decompose_cone", with_extra_singleton)
+    assert failed(structure_records(2)) == [
+        CheckResult("cone/membership(n=2,j=0)", False,
+                    "decomposition at center 8 does not recompose"),
+    ]
 
 
 def test_growth_stats():
     s1 = growth_stats(1)
-    assert s1.rows[0].max_index == 6
-    assert s1.rows[0].support_size == 3
+    assert type(s1) is tuple and len(s1) == 2
+    assert s1[0].max_index == 6
+    assert s1[0].support_size == 3
     s2 = growth_stats(2)
-    assert s2.rows[0].max_index == 18
+    assert s2[0].max_index == 18
     s0 = growth_stats(0)
-    assert s0.rows[1].support_size == 0
-    assert s0.rows[1].mass == 0
-    assert s0.rows[1].max_index is None
+    assert s0[1].support_size == 0
+    assert s0[1].mass == 0
+    assert s0[1].max_index is None
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_max_index_law(n):
-    assert e0_closed(n).M.max_element() == 2 * 3**n
+    assert e0_closed(n).max_element() == 2 * 3**n
 
 
 def test_mass_growth_exceeds_machine_range_by_depth_four():
     # coefficient mass roughly cubes per depth; depth 4 is beyond 64-bit
-    assert growth_stats(4).rows[0].mass > 2**64
+    assert growth_stats(4)[0].mass > 2**64
