@@ -23,7 +23,7 @@ from .recurrence_engine import (
     growth_stats,
     raw_element,
 )
-from .tilde_ring import TildeElement, fold_L
+from .tilde_ring import fold_L
 
 FORMATS = ("text", "json", "tsv")
 MODES = ("raw", "closed", "both")
@@ -178,6 +178,8 @@ def cmd_verify(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     unknown = [s for s in names if s not in SUITE_NAMES]
     if unknown:
         parser.error(f"unknown suite(s): {', '.join(unknown)}")
+    if len(set(names)) < len(names):
+        parser.error(f"--suite {cfg.suite!r} names a suite more than once")
     from . import suites as suite_lib
 
     pairs = suite_lib.run_suites(names, cfg.n, cfg.trials, cfg.seed)

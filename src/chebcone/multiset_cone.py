@@ -103,16 +103,18 @@ def _cone_violation(m: IntegerMultiset, c: int) -> tuple[int, str] | None:
     """First offset at which the cone profile fails, or None.
 
     The profile condition, per offset i >= 0 along each parity class:
-    mult(c-i-2) <= mult(c-i) <= mult(c+i).  Offsets beyond the support
-    hull carry only zero multiplicities, so a finite sweep suffices.
+    mult(c-i-2) <= mult(c-i) <= mult(c+i).  Past offset c - min(m) both
+    left multiplicities are zero, so neither inequality can fail there,
+    and the sweep stops at that offset.
     """
-    if m.is_empty():
+    counts = m._coeffs
+    if not counts:
         return None
-    bound = max(abs(x - c) for x in m.support()) + 2
-    for i in range(bound + 1):
-        left_outer = m.mult(c - i - 2)
-        left_inner = m.mult(c - i)
-        right = m.mult(c + i)
+    mult = counts.get
+    for i in range(c - min(counts) + 1):
+        left_outer = mult(c - i - 2, 0)
+        left_inner = mult(c - i, 0)
+        right = mult(c + i, 0)
         if left_outer > left_inner:
             return (i, f"mult({c - i - 2})={left_outer} > mult({c - i})={left_inner}")
         if left_inner > right:

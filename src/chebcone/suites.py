@@ -16,7 +16,7 @@ from . import multiset_cone as mc
 from . import recurrence_engine as engine
 from .certifier import certify_pair
 from .recurrence_engine import CheckResult
-from .tilde_ring import TildeElement, basis, fold_L, left_mul_h, mul, random_element, w0, w1
+from .tilde_ring import basis, fold_L, left_mul_h, mul, random_element, w0, w1
 
 DEFAULT_DEPTH = 3
 DEFAULT_TRIALS = 200

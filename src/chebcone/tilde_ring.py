@@ -10,17 +10,29 @@ shifts by -i, -i+2, ..., i; it is linear in both slots and, although
 nothing here relies on it, empirically associative.
 
 Reading h~[j] as x^j, the shifts of h[i] sum to the Chebyshev-U kernel
-(x^(i+2) - x^-i) / (x^2 - 1), so every left action is one sparse
-product followed by an exact division by x^2 - 1 (see _left_action).
-For mul the numerator is x^2 * g1(x) - g1(1/x), built straight from the
-left factor g1 with no fold, since the fold leaves it unchanged (see
-_numerator).
-A product of at least KRONECKER_MIN_TERM_OPS term pairs is one big-int
-multiply by Kronecker substitution (Schoenhage 1982; Harvey,
-arXiv:0712.4046): each operand is packed into an integer with one slot
-of bits_a + bits_b + bit_length(min(len)) + 1 bits per exponent step,
-rounded up to whole bytes, where bits_a and bits_b are the largest
-coefficient bit lengths of the two operands (see _kronecker_product).
+(x^(i+2) - x^-i) / (x^2 - 1), so a left action is one sparse product
+with a numerator followed by an exact division by x^2 - 1 (see
+_left_action).  For mul the numerator is x^2 * g1(x) - g1(1/x), built
+straight from the left factor g1 with no fold, since the fold leaves it
+unchanged (see _numerator), and mul(g1, g2) = K * g2 for the shift kernel
+K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1).
+
+Large products are one big-int multiply by Kronecker substitution
+(Schoenhage 1982; Harvey, arXiv:0712.4046): each operand is packed into
+one integer with a field of fixed width per exponent step.  There are two
+field encodings:
+
+- Words.  From WORD_MIN_TERM_OPS pairs of g1 and g2 terms on, while every
+  product slot fits a signed 64-bit word and there are at most
+  WORD_MAX_SLOTS of them, mul packs the dense numerator and g2 into 8-byte
+  fields with struct, divides the packed numerator exactly by 2^128 - 1
+  (x^2 - 1 at x = 2^64) to pack K, and makes one multiply K * g2, decoded
+  by struct (see _word_mul).  No Python loop runs over the slots.
+- Bytes.  Any other product of at least KRONECKER_MIN_TERM_OPS term
+  pairs, the multiset sums and left actions included, packs each sparse
+  operand with a field of bits_a + bits_b + bit_length(min(len)) + 1 bits
+  rounded up to whole bytes, where bits_a and bits_b are the largest
+  coefficient bit lengths of the two operands (see _kronecker_product).
 
 Both element types, and the multisets of multiset_cone, derive from
 SparseVector, which holds the storage, queries and additive arithmetic.
@@ -31,6 +43,8 @@ magnitude.
 from __future__ import annotations
 
 import random
+import struct
+from itertools import compress
 from typing import Collection, ItemsView, Mapping
 
 Terms = Collection[tuple[int, int]]  # sized, re-iterable (index, coefficient) pairs
@@ -203,14 +217,34 @@ def fold_L(g: TildeElement) -> ChElement:
     return _wrap(ChElement, {i: c for i, c in acc.items() if c})
 
 
-# Products of at least this many term pairs go through one big-int multiply
-# (_kronecker_product).  Timed with CPython 3.11 on a 2-CPU Xeon host over
-# the products that the chebcone commands make, the two paths break even at
-# 384-512 term pairs.  Packing is 0.9-1.3x as fast below 1024, 1.7-5x as
+# mul offers products of at least WORD_MIN_TERM_OPS pairs of g1 and g2
+# terms to the word route (_word_mul).  Any other product of at least
+# KRONECKER_MIN_TERM_OPS term pairs goes through the byte-field multiply
+# (_kronecker_product), and the rest through the double loop.
+#
+# Byte fields: timed with CPython 3.11 on a 2-CPU Xeon host over the
+# products that the chebcone commands make, they break even with the loop
+# at 384-512 term pairs.  Packing is 0.9-1.3x as fast below 1024, 1.7-5x as
 # fast from 1024 on, and up to 3x slower under 256, where its fixed cost of
 # some 40 us dominates.  The largest product of a default `verify` has 580
-# term pairs, so every one of them stays on the loop.
+# term pairs (of the numerator and g2), so none of them packs into bytes.
+#
+# Words: mul over the 10,388 products of `verify --seed 1`, on the same
+# host, best of 40 rounds per group, loop against words (the host's speed
+# varied by up to 1.5x between runs, the ratios much less):
+#
+#     g1 x g2 terms   products   loop ms   words ms   ratio
+#     1-4               3,139      24.5      32.3      1.32
+#     5-8               2,210      22.1      30.9      1.40
+#     9-15                836      15.1      18.0      1.20
+#     16-31             1,615      44.8      36.2      0.81
+#     32-63             1,000      27.5      17.1      0.62
+#     64-127              954      53.6      22.3      0.42
+#     128-330             203      17.1       6.9      0.40
+#
+# Below 16 pairs the fixed cost of the packing calls loses.
 KRONECKER_MIN_TERM_OPS = 1024
+WORD_MIN_TERM_OPS = 16
 
 
 def _sparse_product(a: Terms, b: Terms) -> dict[int, int]:
@@ -350,6 +384,87 @@ def _left_action(numerator: Terms, g: Terms) -> dict[int, int]:
     return out
 
 
+# 2^63 in each of WORD_MAX_SLOTS 8-byte fields (8 KiB); its top n fields,
+# shifted down, are the mask of an n-field value, at a quarter of the cost
+# of building that mask from bytes.  The widest word product of a default
+# `verify` has 93 slots.
+WORD_MAX_SLOTS = 1024
+_FIELD_TOPS = int.from_bytes((1 << 63).to_bytes(8, "little") * WORD_MAX_SLOTS, "little")
+
+
+def _word_pack(values: list[int]) -> int:
+    """The sum of v * 2^(64 k) over the k-th value v, each |v| < 2^63, for
+    at most WORD_MAX_SLOTS values.
+
+    struct writes each value as a little-endian 8-byte field in two's
+    complement, the XOR with 2^63 in every field turns that into the
+    offset form v + 2^63, and subtracting the same mask leaves v in place.
+    """
+    n = len(values)
+    top = _FIELD_TOPS >> 64 * (WORD_MAX_SLOTS - n)
+    return (int.from_bytes(struct.pack(f"<{n}q", *values), "little") ^ top) - top
+
+
+def _word_unpack(value: int, lo: int, slots: int) -> dict[int, int]:
+    """Nonzero 64-bit slots of a value packed as by _word_pack, keyed lo,
+    lo + 1, ...; each slot must lie strictly between -2^63 and 2^63, so
+    that adding 2^63 to every slot carries into no other, and there are at
+    most WORD_MAX_SLOTS of them."""
+    top = _FIELD_TOPS >> 64 * (WORD_MAX_SLOTS - slots)
+    decoded = struct.unpack(f"<{slots}q", ((value + top) ^ top).to_bytes(8 * slots, "little"))
+    return dict(zip(compress(range(lo, lo + slots), decoded), compress(decoded, decoded)))
+
+
+# x^2 - 1 at x = 2^64: dividing a packed numerator by it packs the kernel
+_X2_MINUS_1 = (1 << 128) - 1
+
+
+def _word_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
+    """Nonzero coefficients of mul(g1, g2) for non-empty g1 = sum a[j] x^j
+    and g2 = sum b[j] x^j, as one word-packed product K * g2 of the shift
+    kernel K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1); or None if a product
+    slot might not fit a signed 64-bit word, if the dense operands would
+    hold more slots than the loop makes term products (two per term pair),
+    or if an operand or the product has more than WORD_MAX_SLOTS slots.
+
+    K is sum c * (x^-i + x^(-i+2) + ... + x^i) over the folded terms
+    c * h[i] of g1, so it spans -m..m for the largest index m that folds
+    onto some h[i], and no coefficient of K exceeds the sum of |a[j]|.
+    The numerator is a polynomial multiple of x^2 - 1, so at x = 2^64 its
+    packed value is an integer multiple of 2^128 - 1, and one exact integer
+    division leaves K packed.  The slot bound is that of _kronecker_product,
+    with that sum standing in for the largest coefficient of K.
+    """
+    m = max(max(a), -2 - min(a))
+    if m < 0:
+        return {}  # g1 is a multiple of h~[-1], which folds to zero
+    lo = min(b)
+    slots_k = 2 * m + 1
+    slots_b = max(b) - lo + 1
+    slots = slots_k + slots_b - 1
+    if slots > 2 * len(a) * len(b) or max(slots, slots_k + 2) > WORD_MAX_SLOTS:
+        return None
+    bits = (
+        sum(map(abs, a.values())).bit_length()
+        + max(map(abs, b.values())).bit_length()
+        + min(slots_k, len(b)).bit_length()
+        + 1
+    )
+    if bits > 64:
+        return None
+    numerator = [0] * (slots_k + 2)  # exponents -m .. m + 2
+    for j, c in a.items():
+        numerator[m + j + 2] += c
+        numerator[m - j] -= c
+    kernel = _word_pack(numerator) // _X2_MINUS_1
+    if not kernel:
+        return {}  # every folded weight cancels
+    dense = [0] * slots_b
+    for j, c in b.items():
+        dense[j - lo] = c
+    return _word_unpack(kernel * _word_pack(dense), lo - m, slots)
+
+
 def left_mul_h(i: int, g: TildeElement) -> TildeElement:
     """Act by h[i] on the left: the sum of shifts of g by -i, -i+2, ..., i,
     that is (x^(i+2) - x^-i) * g divided exactly by x^2 - 1."""
@@ -360,9 +475,15 @@ def left_mul_h(i: int, g: TildeElement) -> TildeElement:
 
 def mul(g1: TildeElement, g2: TildeElement) -> TildeElement:
     """Module product: the folded left factor acts termwise on the right,
-    as (x^2 * g1(x) - g1(1/x)) * g2 divided exactly by x^2 - 1."""
-    numerator = _numerator(g1._coeffs.items())
-    return _wrap(TildeElement, _left_action(numerator.items(), g2._coeffs.items()))
+    as (x^2 * g1(x) - g1(1/x)) * g2 divided exactly by x^2 - 1; from
+    WORD_MIN_TERM_OPS term pairs on, as one word-packed multiply of the
+    shift kernel when its slots fit (see _word_mul)."""
+    a, b = g1._coeffs, g2._coeffs
+    if len(a) * len(b) >= WORD_MIN_TERM_OPS:
+        product = _word_mul(a, b)
+        if product is not None:
+            return _wrap(TildeElement, product)
+    return _wrap(TildeElement, _left_action(_numerator(a.items()).items(), b.items()))
 
 
 def ch_left_mul(i: int, x: ChElement) -> ChElement:

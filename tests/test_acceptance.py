@@ -10,7 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from chebcone.certifier import certify_cone, certify_positivity
+from chebcone.certifier import certify_positivity
 from chebcone.laurent_oracle import cross_check, eval_basis, evaluate, lmul
 from chebcone.multiset_cone import (
     decompose_cone,

@@ -124,6 +124,16 @@ def test_verify_selection_naming_no_suite_is_usage_error(capsys, selection):
     assert "names no suite" in captured.err
 
 
+@pytest.mark.parametrize("selection", ["lemmas,lemmas", "cone, shift,cone", "oracle,,oracle "])
+def test_verify_suite_named_twice_is_usage_error(capsys, selection):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", selection])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--suite {selection!r} names a suite more than once" in captured.err
+
+
 def test_negative_depth_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["compute", "--n", "-3"])

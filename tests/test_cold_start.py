@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: `import chebcone.cli` must not pull in
-`dataclasses` or the verification suites, which only `verify` imports.
+`dataclasses` or the verification suites, which only `verify` imports, nor
+`array`, `decimal` or `numpy`, which no product needs.
 Also what the package exports.
 
 The import tests run in subprocesses because the other test modules have
@@ -25,6 +26,15 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 def test_cli_import_loads_neither_dataclasses_nor_suites():
     proc = _python("-c", "import sys, chebcone.cli; "
                    "print(sorted({'dataclasses', 'chebcone.suites'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_array_decimal_or_numpy():
+    # the word-packed products need only struct and itertools
+    proc = _python("-c", "import sys, chebcone.cli; "
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                   "{'array', 'decimal', '_decimal', '_pydecimal', 'numpy'}))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

@@ -121,17 +121,27 @@ def test_poly_arithmetic():
 
 def test_oracle_shares_no_product_primitive_with_the_kernel():
     # lmul is a plain convolution of its own; it must not reuse the
-    # kernel's sparse product, its big-int packing or the telescoped action
+    # kernel's sparse product, its big-int or word packing, or the
+    # telescoped action
     primitives = (
         tilde_ring._sparse_product,
         tilde_ring._kronecker_product,
         tilde_ring._kronecker_pack,
         tilde_ring._kronecker_unpack,
         tilde_ring._left_action,
+        tilde_ring._word_mul,
+        tilde_ring._word_pack,
+        tilde_ring._word_unpack,
         tilde_ring._wrap,
         tilde_ring.SparseVector,
     )
-    names = {primitive.__name__ for primitive in primitives} | {"KRONECKER_MIN_TERM_OPS"}
+    names = {primitive.__name__ for primitive in primitives} | {
+        "KRONECKER_MIN_TERM_OPS",
+        "WORD_MIN_TERM_OPS",
+        "WORD_MAX_SLOTS",
+        "_X2_MINUS_1",
+        "_FIELD_TOPS",
+    }
     source = inspect.getsource(laurent_oracle)
     for name in names:
         assert name not in source

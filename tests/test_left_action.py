@@ -6,6 +6,9 @@ are the direct loops those functions used to be: one shifted copy of the
 right factor per index -i, -i+2, ..., i of every folded term.  Products
 of at least KRONECKER_MIN_TERM_OPS term pairs are packed into one big-int
 multiply; the large-operand cases below reach both sides of that constant.
+mul takes the word route (_word_mul) from WORD_MIN_TERM_OPS term pairs on
+while every product slot fits a signed 64-bit word; the word-route cases
+reach both sides of that constant and of that bound.
 """
 
 import random
@@ -26,12 +29,17 @@ from chebcone.cli import main
 from chebcone.recurrence_engine import _left_expand
 from chebcone.tilde_ring import (
     KRONECKER_MIN_TERM_OPS,
+    WORD_MAX_SLOTS,
+    WORD_MIN_TERM_OPS,
     TildeElement,
     _kronecker_pack,
     _kronecker_product,
     _kronecker_unpack,
     _numerator,
     _sparse_product,
+    _word_mul,
+    _word_pack,
+    _word_unpack,
     basis,
     fold_L,
     left_mul_h,
@@ -176,6 +184,125 @@ def test_left_expand_matches_reference(weights, addend):
         assert _left_expand(weights, addend) == expected
 
 
+word_values = st.integers(-(2**31) + 1, 2**31 - 1)
+word_elements = st.builds(
+    _with_parity,
+    st.dictionaries(st.integers(-20, 20), st.integers(-(2**20), 2**20), min_size=1, max_size=12),
+    st.sampled_from((None, 0, 1)),
+).map(TildeElement)
+
+
+def word_bits(g1: TildeElement, g2: TildeElement) -> int:
+    """The slot width _word_mul asks for: the sum of |g1| bounds the kernel."""
+    a, b = dict(g1.items()), dict(g2.items())
+    m = max(max(a), -2 - min(a))
+    return (
+        sum(abs(c) for c in a.values()).bit_length()
+        + max(abs(c) for c in b.values()).bit_length()
+        + min(2 * m + 1, len(b)).bit_length()
+        + 1
+    )
+
+
+@PROPERTY
+@given(st.lists(word_values, min_size=1, max_size=40),
+       st.lists(st.integers(-(2**25), 2**25), min_size=1, max_size=40),
+       st.integers(-30, 30))
+def test_word_packed_product_matches_reference(u, v, lo):
+    # every slot sums at most 40 products below 2^56 in magnitude
+    expected = ref_product([(lo + k, c) for k, c in enumerate(u)], list(enumerate(v)))
+    product = _word_pack(u) * _word_pack(v)
+    assert _word_unpack(product, lo, len(u) + len(v) - 1) == expected
+
+
+@PROPERTY
+@given(word_elements, word_elements)
+def test_word_route_matches_reference(g1, g2):
+    # 1 to 144 term pairs, one parity or mixed on each side
+    expected = ref_mul(g1, g2)
+    assert mul(g1, g2) == expected
+    if g1 and g2:  # mul offers the word route non-empty operands only
+        packed = _word_mul(dict(g1.items()), dict(g2.items()))
+        assert packed is None or packed == dict(expected.items())
+
+
+@PROPERTY
+@given(word_elements, word_elements)
+def test_word_route_drops_every_cancelled_slot(g1, h):
+    # K * (x^2 - 1) * h is the sparse numerator times h: most slots cancel
+    g2 = h.shift(2) - h
+    product = mul(g1, g2)
+    assert product == ref_mul(g1, g2)
+    assert 0 not in dict(product.items()).values()
+
+
+@PROPERTY
+@given(st.integers(3, 8), st.integers(-5, 0), st.integers(8, 20), st.integers(-9, 9),
+       st.integers(22, 34), st.integers(22, 34), st.sampled_from((1, -1)))
+def test_word_route_on_both_sides_of_the_64_bit_bound(n1, lo1, n2, lo2, e1, e2, sign):
+    # coefficients near 2^e1 and 2^e2 ask for slots of about e1 + e2 + 10 bits
+    g1 = TildeElement(dict(dense(n1, lo=lo1, coeff=lambda k: (-1) ** k * (2**e1 - k))))
+    g2 = TildeElement(dict(dense(n2, lo=lo2, coeff=lambda k: sign * (2**e2 + 3 * k))))
+    expected = ref_mul(g1, g2)
+    packed = _word_mul(dict(g1.items()), dict(g2.items()))
+    assert (packed is not None) == (word_bits(g1, g2) <= 64)
+    assert packed is None or packed == dict(expected.items())
+    assert mul(g1, g2) == expected
+
+
+@pytest.mark.parametrize("values", [
+    [2**63 - 1],
+    [-(2**63) + 1],
+    [2**63 - 1, -(2**63) + 1, 0, 1, -1, 2**63 - 1, 0, -(2**63) + 1],
+    [0, 0, -(2**63) + 1, 0],
+])
+def test_word_slots_at_the_limits_decode_on_their_own(values):
+    expected = {-3 + k: v for k, v in enumerate(values) if v}
+    assert _word_unpack(_word_pack(values), -3, len(values)) == expected
+    # times 1 and times -1 leave every slot in place, sign for sign
+    assert _word_unpack(_word_pack(values) * _word_pack([1]), -3, len(values)) == expected
+    negated = {k: -v for k, v in expected.items()}
+    assert _word_unpack(_word_pack(values) * _word_pack([0, -1]), -4, len(values) + 1) == negated
+
+
+def test_slot_sums_that_need_bit_63_fall_back_to_the_big_int_packer(word_calls, packed_calls):
+    # K = sum over i = 0, 2, ..., 30 of x^-i + ... + x^i peaks at 16, and
+    # 32 right terms of 2^56 make slots of up to 192 * 2^56 > 2^63
+    g1 = TildeElement({j: 1 for j in range(0, 32, 2)})
+    g2 = TildeElement(dict(dense(32, coeff=lambda k: 2**56)))
+    product = mul(g1, g2)
+    assert product == ref_mul(g1, g2)
+    assert max(abs(c) for _, c in product.items()) >= 2**63
+    assert word_calls == [(16 * 32, False)]
+    assert packed_calls == [len(_numerator(g1.items())) * 32] == [KRONECKER_MIN_TERM_OPS]
+
+
+@pytest.mark.parametrize("size, packed", [
+    (WORD_MAX_SLOTS, True),
+    (WORD_MAX_SLOTS + 1, False),
+])
+def test_products_past_the_widest_mask_decline_the_word_route(size, packed, word_calls):
+    # h~[0] has the kernel 1, so the product has exactly the slots of g2
+    g2 = TildeElement(dict(dense(size, lo=-500)))
+    assert mul(basis(0), g2) == g2 == ref_mul(basis(0), g2)
+    assert word_calls == [(size, packed)]
+    values = [(-1) ** k * (2**63 - 1 - k) for k in range(WORD_MAX_SLOTS)]
+    assert _word_unpack(_word_pack(values), 0, WORD_MAX_SLOTS) == dict(enumerate(values))
+
+
+@pytest.mark.parametrize("terms", [
+    {-1: 5},  # h~[-1] folds to zero
+    {3: 2, -5: 2},  # h~[j] + h~[-j-2] folds to zero
+    {0: 1, -2: 1, -1: -4},
+    {**{j: 3 for j in range(8)}, **{-j - 2: 3 for j in range(8)}},
+])
+def test_left_factors_with_a_zero_kernel_take_the_word_route(terms, word_calls):
+    g1 = TildeElement(terms)
+    g2 = TildeElement(dict(dense(20, lo=-7)))
+    assert mul(g1, g2) == TildeElement.zero() == ref_mul(g1, g2)
+    assert word_calls == [(len(terms) * 20, True)]
+
+
 def test_seeded_products_match_reference():
     rng = random.Random(31)
     for _ in range(300):
@@ -261,7 +388,33 @@ def packed_calls(monkeypatch):
     return calls
 
 
-def test_threshold_selects_the_packed_path_exactly_at_the_constant(packed_calls):
+@pytest.fixture
+def word_calls(monkeypatch):
+    """Records (term pairs, packed) for every product mul offers the word route."""
+    calls = []
+
+    def spy(a, b):
+        result = _word_mul(a, b)
+        calls.append((len(a) * len(b), result is not None))
+        return result
+
+    monkeypatch.setattr(tilde_ring, "_word_mul", spy)
+    return calls
+
+
+def test_threshold_selects_the_packed_path_exactly_at_the_constant(packed_calls, word_calls):
+    # mul: word route from WORD_MIN_TERM_OPS pairs of g1 and g2 terms on
+    g1 = basis(3) - 2 * basis(-2)
+    half = WORD_MIN_TERM_OPS // 2
+    assert WORD_MIN_TERM_OPS % 2 == 0
+    below = TildeElement(dict(dense(half - 1, lo=-4)))
+    at = TildeElement(dict(dense(half, lo=-4)))
+    assert mul(g1, below) == ref_mul(g1, below)
+    assert word_calls == []
+    assert mul(g1, at) == ref_mul(g1, at)
+    assert word_calls == [(WORD_MIN_TERM_OPS, True)]
+    assert packed_calls == []
+    # the other products: one big-int multiply from KRONECKER_MIN_TERM_OPS on
     assert KRONECKER_MIN_TERM_OPS % 2 == 0
     half = KRONECKER_MIN_TERM_OPS // 2
     below = TildeElement(dict(dense(half - 1, step=2)))
@@ -276,13 +429,19 @@ def test_threshold_selects_the_packed_path_exactly_at_the_constant(packed_calls)
     assert packed_calls == [KRONECKER_MIN_TERM_OPS] * 2
 
 
-def test_default_verify_never_packs(packed_calls, capsys):
-    # the largest product of a default verify has 580 term pairs
+def test_default_verify_never_packs(packed_calls, word_calls, capsys):
+    # the largest product of a default verify has 580 term pairs, so no
+    # product reaches the big-int packer; thousands of mul products take
+    # the word route, and only a few decline it, for sparsity (no field of
+    # a default verify needs more than 64 bits)
     for name in ("e0_raw", "e1_raw", "_penultimate_first_lines", "e0_closed", "e1_closed"):
         getattr(recurrence_engine, name).cache_clear()
     assert main(["verify", "--seed", "0"]) == 0
     capsys.readouterr()
     assert packed_calls == []
+    assert all(pairs >= WORD_MIN_TERM_OPS for pairs, _ in word_calls)
+    assert sum(packed for _, packed in word_calls) > 3000
+    assert sum(not packed for _, packed in word_calls) < 20
 
 
 def test_one_term_times_many_terms(packed_calls):
@@ -371,13 +530,17 @@ PARTNER_FACTORS = [
 ]
 
 
+@pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("terms", PARTNER_FACTORS)
-def test_mul_with_partner_indices_on_both_sides_of_the_threshold(terms, packed_calls):
+def test_mul_with_partner_indices_on_both_sides_of_the_threshold(terms, wide, word_calls):
     g1 = TildeElement(terms)
-    width = len(_numerator(g1.items()))
-    at = -(-KRONECKER_MIN_TERM_OPS // width)  # fewest right terms that pack
-    for size, packs in ((at - 1, False), (at, True)):
-        del packed_calls[:]
-        g2 = TildeElement(dict(dense(size, lo=-size, coeff=lambda k: (k % 11 - 5) or BIG)))
+    at = -(-WORD_MIN_TERM_OPS // len(terms))  # fewest right terms offered the word route
+    # a coefficient of 2^64 on the right, or of 2^128 on the left, needs
+    # fields wider than 64 bits, and the product falls back to the loop
+    fits = not wide and max(abs(c) for c in terms.values()) < BIG
+    filler = BIG if wide else 7
+    for size, offered in ((at - 1, False), (at, True)):
+        del word_calls[:]
+        g2 = TildeElement(dict(dense(size, lo=-size, coeff=lambda k: (k % 11 - 5) or filler)))
         assert mul(g1, g2) == ref_mul(g1, g2)
-        assert packed_calls == ([size * width] if packs else [])
+        assert word_calls == ([(size * len(terms), fits)] if offered else [])

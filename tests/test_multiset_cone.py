@@ -283,6 +283,45 @@ def centred_multisets(draw):
     return IntegerMultiset.from_counts(m), d.center
 
 
+def ref_cone_violation(m: IntegerMultiset, c: int) -> tuple[int, str] | None:
+    """_cone_violation as it used to be: the sweep bound read off the sorted support."""
+    if m.is_empty():
+        return None
+    bound = max(abs(x - c) for x in m.support()) + 2
+    for i in range(bound + 1):
+        left_outer = m.mult(c - i - 2)
+        left_inner = m.mult(c - i)
+        right = m.mult(c + i)
+        if left_outer > left_inner:
+            return (i, f"mult({c - i - 2})={left_outer} > mult({c - i})={left_inner}")
+        if left_inner > right:
+            return (i, f"mult({c - i})={left_inner} > mult({c + i})={right}")
+    return None
+
+
+@CONE_PROPERTY
+@given(centred_multisets(), st.integers(-16, 16))
+def test_cone_violation_matches_reference(case, offset):
+    # offset 0 keeps the drawn center, where unperturbed cases are members;
+    # far offsets leave the support on one side of the center
+    m, c = case
+    assert _cone_violation(m, c + offset) == ref_cone_violation(m, c + offset)
+
+
+def test_cone_violation_reference_cases_cover_members_and_nonmembers():
+    rng = random.Random(33)
+    verdicts = set()
+    for _ in range(200):
+        c = rng.randint(-6, 6)
+        m = random_cone_member(rng, c)
+        for center in (c - 9, c - 1, c, c + 1, c + 9):
+            expected = ref_cone_violation(m, center)
+            assert _cone_violation(m, center) == expected
+            verdicts.add(expected is None)
+    assert verdicts == {True, False}
+    assert _cone_violation(IntegerMultiset(), 5) is None
+
+
 @CONE_PROPERTY
 @given(decompositions())
 def test_recompose_matches_reference(d):
