@@ -28,7 +28,7 @@ from .multiset_cone import (
     munion,
     to_tilde,
 )
-from .tilde_ring import TildeElement, _left_action, _numerator, basis, fold_L, mul, w0, w1
+from .tilde_ring import H1, TildeElement, _left_action, _numerator, basis, fold_L, mul, w0, w1
 
 VALID_I = (-1, 0, 1)
 VALID_J = (0, 1)
@@ -60,7 +60,7 @@ def e0_raw(n: int, i: int = 0) -> TildeElement:
     """Leading-coefficient element at depth n, slot i, by the raw recurrence."""
     _check_indices(n, i, 0)
     if n == 0:
-        return basis(2) if i == 0 else basis(1)
+        return basis(2) if i == 0 else H1
     if i == -1:
         # slot -1 repeats the slot-1 lines plus an extra cubic term that
         # must come out as zero; it is kept literal rather than dropped
@@ -70,7 +70,7 @@ def e0_raw(n: int, i: int = 0) -> TildeElement:
     if i == 0:
         return mul(e0, mul(e0, e0) - mul(e1, e1))
     e0e1 = mul(e0, e1)
-    return mul(e1, mul(e0, e0)) + mul(e0, e0e1) - mul(e1, mul(basis(1), e0e1))
+    return mul(e1, mul(e0, e0)) + mul(e0, e0e1) - mul(e1, mul(H1, e0e1))
 
 
 def leading_extra_term(n: int) -> TildeElement:
@@ -98,12 +98,11 @@ def e1_raw(n: int, i: int = 0) -> TildeElement:
     # summands written out term by term; two connectives restored as "+"
     pm1 = e1_raw(n - 1, -1)
     p1 = e1_raw(n - 1, 1)
-    h1 = basis(1)
     e0s0 = mul(e0, s0)
     out = out + mul(pm1, mul(e0, e0)) + mul(p0, e0s0)
-    out = out - mul(pm1, mul(h1, e0s0))
+    out = out - mul(pm1, mul(H1, e0s0))
     out = out + 2 * mul(s0, e0s0)
-    out = out - mul(s0, mul(h1, mul(s0, s0)))
+    out = out - mul(s0, mul(H1, mul(s0, s0)))
     out = out + mul(s0, mul(pm1 - p1, s0))
     return out
 

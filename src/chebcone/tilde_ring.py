@@ -15,7 +15,8 @@ with a numerator followed by an exact division by x^2 - 1 (see
 _left_action).  For mul the numerator is x^2 * g1(x) - g1(1/x), built
 straight from the left factor g1 with no fold, since the fold leaves it
 unchanged (see _numerator), and mul(g1, g2) = K * g2 for the shift kernel
-K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1).
+K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1).  A left factor keeps K once
+formed, so a one-term g2 = d * h~[j] gives K shifted by j, times d (see mul).
 
 Large products are one big-int multiply by Kronecker substitution
 (Schoenhage 1982; Harvey, arXiv:0712.4046): each operand is packed into
@@ -26,8 +27,9 @@ field encodings:
   product slot fits a signed 64-bit word and there are at most
   WORD_MAX_SLOTS of them, mul packs the dense numerator and g2 into 8-byte
   fields with struct, divides the packed numerator exactly by 2^128 - 1
-  (x^2 - 1 at x = 2^64) to pack K, and makes one multiply K * g2, decoded
-  by struct (see _word_mul).  No Python loop runs over the slots.
+  (x^2 - 1 at x = 2^64) to pack K, kept on g1 for its next product, and
+  makes one multiply K * g2, decoded by struct (see _word_mul).  No Python
+  loop runs over the slots.
 - Bytes.  Any other product of at least KRONECKER_MIN_TERM_OPS term
   pairs, the multiset sums and left actions included, packs each sparse
   operand with a field of bits_a + bits_b + bit_length(min(len)) + 1 bits
@@ -153,7 +155,7 @@ class SparseVector:
 class TildeElement(SparseVector):
     """Integer combination of h~[j] symbols, j ranging over all integers."""
 
-    __slots__ = ()
+    __slots__ = ("_kernel", "_word_kernel")  # kept by mul for a left factor
     symbol = "h~"
 
     def shift(self, k: int) -> "TildeElement":
@@ -200,6 +202,9 @@ def basis(j: int) -> TildeElement:
     return TildeElement({j: 1})
 
 
+H1 = basis(1)  # h~[1], one left factor for every recurrence, so its kernel forms once
+
+
 def fold_L(g: TildeElement) -> ChElement:
     """Fold onto non-negative indices.
 
@@ -217,10 +222,13 @@ def fold_L(g: TildeElement) -> ChElement:
     return _wrap(ChElement, {i: c for i, c in acc.items() if c})
 
 
-# mul offers products of at least WORD_MIN_TERM_OPS pairs of g1 and g2
-# terms to the word route (_word_mul).  Any other product of at least
+# mul shifts the kernel of g1 for a one-term g2 and offers the other
+# products of at least WORD_MIN_TERM_OPS pairs of g1 and g2 terms to the
+# word route (_word_mul).  Any other product of at least
 # KRONECKER_MIN_TERM_OPS term pairs goes through the byte-field multiply
-# (_kronecker_product), and the rest through the double loop.
+# (_kronecker_product), and the rest through the double loop.  Of the
+# 10,388 mul calls of `verify --seed 1`, 5,420 have a one-term g2, 3,761
+# take the word route and 1,207 the loop.
 #
 # Byte fields: timed with CPython 3.11 on a 2-CPU Xeon host over the
 # products that the chebcone commands make, they break even with the loop
@@ -229,9 +237,9 @@ def fold_L(g: TildeElement) -> ChElement:
 # some 40 us dominates.  The largest product of a default `verify` has 580
 # term pairs (of the numerator and g2), so none of them packs into bytes.
 #
-# Words: mul over the 10,388 products of `verify --seed 1`, on the same
-# host, best of 40 rounds per group, loop against words (the host's speed
-# varied by up to 1.5x between runs, the ratios much less):
+# Words: mul over the 10,388 products of `verify --seed 1`, one-term g2
+# included, on the same host, best of 40 rounds per group, loop against
+# words (the host's speed varied by up to 1.5x between runs):
 #
 #     g1 x g2 terms   products   loop ms   words ms   ratio
 #     1-4               3,139      24.5      32.3      1.32
@@ -357,15 +365,17 @@ def _numerator(terms: Terms) -> dict[int, int]:
 
 def _left_action(numerator: Terms, g: Terms) -> dict[int, int]:
     """Coefficients of sum c * h[i] acting on g, given its numerator
-    sum c * (x^(i+2) - x^-i) as (exponent, coefficient) pairs.
+    sum c * (x^(i+2) - x^-i) as (exponent, coefficient) pairs.  The shift
+    kernel K = sum c * (x^-i + x^(-i+2) + ... + x^i) telescopes to
+    (x^2 - 1) * K = that numerator, so K * g is the sparse product of g
+    with the numerator, divided exactly by x^2 - 1."""
+    return _over_x2_minus_1(_sparse_product(g, numerator))
 
-    The shift kernel K = sum c * (x^-i + x^(-i+2) + ... + x^i) telescopes to
-    (x^2 - 1) * K = that numerator, so K * g is the sparse product P of g
-    with the numerator, divided exactly by x^2 - 1: R[k] = R[k-2] - P[k]
-    from the lowest index up.  R is constant between indices of P of its
-    parity, so it is written one run at a time, and only where nonzero.
-    """
-    p = _sparse_product(g, numerator)
+
+def _over_x2_minus_1(p: dict[int, int]) -> dict[int, int]:
+    """Nonzero coefficients of R = P / (x^2 - 1) for a multiple P = sum
+    p[k] x^k of x^2 - 1: R[k] = R[k-2] - P[k] from the lowest index up,
+    written one run of constant R per parity at a time."""
     out: dict[int, int] = {}
     r0 = r1 = k0 = k1 = 0  # R and the index where its run began: even, odd
     for k in sorted(p):
@@ -419,9 +429,9 @@ def _word_unpack(value: int, lo: int, slots: int) -> dict[int, int]:
 _X2_MINUS_1 = (1 << 128) - 1
 
 
-def _word_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
-    """Nonzero coefficients of mul(g1, g2) for non-empty g1 = sum a[j] x^j
-    and g2 = sum b[j] x^j, as one word-packed product K * g2 of the shift
+def _word_mul(g1: TildeElement, b: dict[int, int]) -> dict[int, int] | None:
+    """Nonzero coefficients of mul(g1, g2) for non-empty g1 and
+    g2 = sum b[j] x^j, as one word-packed product K * g2 of the shift
     kernel K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1); or None if a product
     slot might not fit a signed 64-bit word, if the dense operands would
     hold more slots than the loop makes term products (two per term pair),
@@ -429,13 +439,19 @@ def _word_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
 
     K is sum c * (x^-i + x^(-i+2) + ... + x^i) over the folded terms
     c * h[i] of g1, so it spans -m..m for the largest index m that folds
-    onto some h[i], and no coefficient of K exceeds the sum of |a[j]|.
+    onto some h[i], and no coefficient of K exceeds the sum of |g1|.
     The numerator is a polynomial multiple of x^2 - 1, so at x = 2^64 its
     packed value is an integer multiple of 2^128 - 1, and one exact integer
     division leaves K packed.  The slot bound is that of _kronecker_product,
     with that sum standing in for the largest coefficient of K.
     """
-    m = max(max(a), -2 - min(a))
+    a = g1._coeffs
+    try:
+        m, bits_a, kernel = g1._word_kernel
+    except AttributeError:
+        m = max(max(a), -2 - min(a))
+        bits_a = sum(map(abs, a.values())).bit_length()
+        kernel = None
     if m < 0:
         return {}  # g1 is a multiple of h~[-1], which folds to zero
     lo = min(b)
@@ -444,19 +460,16 @@ def _word_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
     slots = slots_k + slots_b - 1
     if slots > 2 * len(a) * len(b) or max(slots, slots_k + 2) > WORD_MAX_SLOTS:
         return None
-    bits = (
-        sum(map(abs, a.values())).bit_length()
-        + max(map(abs, b.values())).bit_length()
-        + min(slots_k, len(b)).bit_length()
-        + 1
-    )
+    bits = bits_a + max(map(abs, b.values())).bit_length() + min(slots_k, len(b)).bit_length() + 1
     if bits > 64:
         return None
-    numerator = [0] * (slots_k + 2)  # exponents -m .. m + 2
-    for j, c in a.items():
-        numerator[m + j + 2] += c
-        numerator[m - j] -= c
-    kernel = _word_pack(numerator) // _X2_MINUS_1
+    if kernel is None:
+        numerator = [0] * (slots_k + 2)  # exponents -m .. m + 2
+        for j, c in a.items():
+            numerator[m + j + 2] += c
+            numerator[m - j] -= c
+        kernel = _word_pack(numerator) // _X2_MINUS_1
+        g1._word_kernel = m, bits_a, kernel
     if not kernel:
         return {}  # every folded weight cancels
     dense = [0] * slots_b
@@ -475,12 +488,24 @@ def left_mul_h(i: int, g: TildeElement) -> TildeElement:
 
 def mul(g1: TildeElement, g2: TildeElement) -> TildeElement:
     """Module product: the folded left factor acts termwise on the right,
-    as (x^2 * g1(x) - g1(1/x)) * g2 divided exactly by x^2 - 1; from
-    WORD_MIN_TERM_OPS term pairs on, as one word-packed multiply of the
-    shift kernel when its slots fit (see _word_mul)."""
+    as (x^2 * g1(x) - g1(1/x)) * g2 divided exactly by x^2 - 1.
+
+    A one-term g2 = d * h~[j] takes the shift kernel K of g1, shifted by j
+    and scaled by d; from WORD_MIN_TERM_OPS term pairs on, the product is
+    one word-packed multiply K * g2 when its slots fit (see _word_mul).
+    g1 keeps K, and packed K, once formed: elements are immutable, so
+    neither goes stale, and neither takes part in ==, hash, repr or str.
+    """
     a, b = g1._coeffs, g2._coeffs
+    if len(b) == 1:
+        try:
+            kernel = g1._kernel
+        except AttributeError:
+            kernel = g1._kernel = _over_x2_minus_1(_numerator(a.items()))
+        ((j, d),) = b.items()
+        return _wrap(TildeElement, {i + j: c * d for i, c in kernel.items()})
     if len(a) * len(b) >= WORD_MIN_TERM_OPS:
-        product = _word_mul(a, b)
+        product = _word_mul(g1, b)
         if product is not None:
             return _wrap(TildeElement, product)
     return _wrap(TildeElement, _left_action(_numerator(a.items()).items(), b.items()))
@@ -519,7 +544,7 @@ def w1(g1: TildeElement, g2: TildeElement, g3: TildeElement) -> TildeElement:
     g2s3 = mul(g2, g3.shift(-1))
     a = mul(s1, mul(g2, g3))
     b = mul(g1, g2s3)
-    c = mul(s1, mul(basis(1), g2s3))
+    c = mul(s1, mul(H1, g2s3))
     return a + b - c
 
 

@@ -129,6 +129,7 @@ def test_oracle_shares_no_product_primitive_with_the_kernel():
         tilde_ring._kronecker_pack,
         tilde_ring._kronecker_unpack,
         tilde_ring._left_action,
+        tilde_ring._over_x2_minus_1,
         tilde_ring._word_mul,
         tilde_ring._word_pack,
         tilde_ring._word_unpack,

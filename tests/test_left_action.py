@@ -8,7 +8,10 @@ of at least KRONECKER_MIN_TERM_OPS term pairs are packed into one big-int
 multiply; the large-operand cases below reach both sides of that constant.
 mul takes the word route (_word_mul) from WORD_MIN_TERM_OPS term pairs on
 while every product slot fits a signed 64-bit word; the word-route cases
-reach both sides of that constant and of that bound.
+reach both sides of that constant and of that bound.  A one-term right
+factor takes the left factor's shift kernel, which the left factor keeps,
+as it keeps the packed kernel of the word route; the reuse cases run one
+left factor through every route in turn.
 """
 
 import random
@@ -28,6 +31,7 @@ from chebcone import recurrence_engine, tilde_ring
 from chebcone.cli import main
 from chebcone.recurrence_engine import _left_expand
 from chebcone.tilde_ring import (
+    H1,
     KRONECKER_MIN_TERM_OPS,
     WORD_MAX_SLOTS,
     WORD_MIN_TERM_OPS,
@@ -222,7 +226,7 @@ def test_word_route_matches_reference(g1, g2):
     expected = ref_mul(g1, g2)
     assert mul(g1, g2) == expected
     if g1 and g2:  # mul offers the word route non-empty operands only
-        packed = _word_mul(dict(g1.items()), dict(g2.items()))
+        packed = _word_mul(g1, dict(g2.items()))
         assert packed is None or packed == dict(expected.items())
 
 
@@ -244,7 +248,7 @@ def test_word_route_on_both_sides_of_the_64_bit_bound(n1, lo1, n2, lo2, e1, e2, 
     g1 = TildeElement(dict(dense(n1, lo=lo1, coeff=lambda k: (-1) ** k * (2**e1 - k))))
     g2 = TildeElement(dict(dense(n2, lo=lo2, coeff=lambda k: sign * (2**e2 + 3 * k))))
     expected = ref_mul(g1, g2)
-    packed = _word_mul(dict(g1.items()), dict(g2.items()))
+    packed = _word_mul(g1, dict(g2.items()))
     assert (packed is not None) == (word_bits(g1, g2) <= 64)
     assert packed is None or packed == dict(expected.items())
     assert mul(g1, g2) == expected
@@ -303,6 +307,87 @@ def test_left_factors_with_a_zero_kernel_take_the_word_route(terms, word_calls):
     assert word_calls == [(len(terms) * 20, True)]
 
 
+ROUTES = ("one-term", "small", "word", "wide", "bytes")
+
+
+def right_factor(route: str, rng: random.Random) -> TildeElement:
+    """A right factor that takes the given route of mul against a left
+    factor of at most 7 terms, each folding onto some h[i] with i <= 8."""
+    lo = rng.randint(-12, 4)
+    if route == "one-term":
+        return TildeElement({lo: rng.choice((1, -1, rng.randint(2, BIG**2)))})
+    if route == "small":  # at most 7 x 2 term pairs: the loop
+        return TildeElement({lo: rng.randint(1, 9), lo + rng.randint(1, 5): -rng.randint(1, 9)})
+    if route == "word":  # at most 17 + 23 slots: within two per term pair
+        return TildeElement({lo + k: rng.randint(-(2**20), 2**20) for k in range(24)})
+    if route == "wide":  # one coefficient above 2^64 declines the word route
+        return TildeElement({lo + k: rng.randint(-9, 9) for k in range(17)} | {lo: BIG + 1})
+    # at least 2 x 520 pairs of numerator and right terms, fields above 64 bits
+    return TildeElement({lo + k: rng.randint(BIG, 2 * BIG) for k in range(520)})
+
+
+reused_left_factors = st.one_of(
+    st.dictionaries(st.integers(-10, 8), st.integers(-(2**20), 2**20), min_size=1, max_size=7),
+    st.sampled_from(({-1: 5}, {3: 2, -5: 2}, {})),  # fold to zero, and the empty element
+).map(TildeElement)
+route_orders = st.lists(st.sampled_from(ROUTES), max_size=5).flatmap(
+    lambda extra: st.permutations(ROUTES + tuple(extra))
+)
+
+
+@LARGE
+@given(reused_left_factors, route_orders, st.integers(0, 2**32))
+def test_a_reused_left_factor_matches_reference_on_every_route(g1, routes, seed):
+    # each route reads or fills the kernels that g1 keeps from the routes before
+    rng = random.Random(seed)
+    for route in routes:
+        g2 = right_factor(route, rng)
+        assert mul(g1, g2) == ref_mul(g1, g2)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_right_factors_take_their_route(route, word_calls, packed_calls):
+    g1 = TildeElement({8: 3, -10: 1, 0: -2, 5: 7, -4: 1, 2: 2, -1: 9})  # 7 terms, h[8] the widest
+    g2 = right_factor(route, random.Random(5))
+    assert mul(g1, g2) == ref_mul(g1, g2)
+    offered = {"word": [True], "wide": [False], "bytes": [False]}.get(route, [])
+    assert [packed for _, packed in word_calls] == offered
+    assert len(packed_calls) == (route == "bytes")
+
+
+def test_one_term_right_factors_take_neither_product(word_calls, sparse_calls):
+    # 20 x 1 term pairs would be offered the word route, 2 x 1 the loop
+    many = TildeElement(dict(dense(20, lo=-9)))
+    for g1 in (many, basis(3) - 2 * basis(-2), TildeElement.zero()):
+        for g2 in (3 * basis(5), -basis(-2), (BIG + 1) * basis(0), 3 * basis(5)):
+            assert mul(g1, g2) == ref_mul(g1, g2)
+    assert word_calls == [] and sparse_calls == []
+
+
+def test_a_reused_left_factor_packs_its_kernel_once(word_calls, word_packs):
+    # K of g1 spans -2..2, so its numerator packs into 2 * 2 + 3 fields
+    g1 = TildeElement(dict(dense(6, lo=-3)))
+    g2 = TildeElement(dict(dense(20, lo=-7)))
+    g3 = TildeElement(dict(dense(30, lo=2, coeff=lambda k: 2**20 - k)))
+    assert mul(g1, g2) == ref_mul(g1, g2)
+    assert word_packs == [7, 20]
+    assert mul(g1, g3) == ref_mul(g1, g3)
+    assert word_packs == [7, 20, 30]
+    # the packed kernel belongs to the element, not to its value
+    assert mul(TildeElement(dict(g1.items())), g3) == ref_mul(g1, g3)
+    assert word_packs == [7, 20, 30, 7, 30]
+    assert word_calls == [(120, True), (180, True), (180, True)]
+
+
+def test_w1_passes_one_shared_h1(monkeypatch):
+    lefts = []
+    monkeypatch.setattr(tilde_ring, "mul", lambda g1, g2: lefts.append(g1) or mul(g1, g2))
+    g = basis(4) - basis(-1) + 2 * basis(3)
+    assert tilde_ring.w1(g, g, g) == tilde_ring.w1(g, g, g) == tilde_ring.w0(g, g, g).shift(-1)
+    assert sum(left is H1 for left in lefts) == 2
+    assert H1 == basis(1) and recurrence_engine.e0_raw(0, 1) is H1
+
+
 def test_seeded_products_match_reference():
     rng = random.Random(31)
     for _ in range(300):
@@ -330,6 +415,7 @@ def test_empty_operands():
     g = basis(-3) + 2 * basis(4)
     assert mul(zero, g) == zero
     assert mul(g, zero) == zero
+    assert mul(zero, basis(3)) == zero
     assert left_mul_h(5, zero) == zero
     empty = IntegerMultiset()
     m = IntegerMultiset([0, 2, 2])
@@ -389,13 +475,39 @@ def packed_calls(monkeypatch):
 
 
 @pytest.fixture
+def sparse_calls(monkeypatch):
+    """Records the operand sizes of every sparse product of the kernel."""
+    calls = []
+
+    def spy(a, b):
+        calls.append(len(a) * len(b))
+        return _sparse_product(a, b)
+
+    monkeypatch.setattr(tilde_ring, "_sparse_product", spy)
+    return calls
+
+
+@pytest.fixture
+def word_packs(monkeypatch):
+    """Records the number of fields of every word pack."""
+    calls = []
+
+    def spy(values):
+        calls.append(len(values))
+        return _word_pack(values)
+
+    monkeypatch.setattr(tilde_ring, "_word_pack", spy)
+    return calls
+
+
+@pytest.fixture
 def word_calls(monkeypatch):
     """Records (term pairs, packed) for every product mul offers the word route."""
     calls = []
 
-    def spy(a, b):
-        result = _word_mul(a, b)
-        calls.append((len(a) * len(b), result is not None))
+    def spy(g1, b):
+        result = _word_mul(g1, b)
+        calls.append((g1.support_size() * len(b), result is not None))
         return result
 
     monkeypatch.setattr(tilde_ring, "_word_mul", spy)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chebcone.multiset_cone import IntegerMultiset
 from chebcone.tilde_ring import (
     ChElement,
     TildeElement,
@@ -80,6 +81,28 @@ def test_shared_base_keeps_each_type_apart():
     assert str(x) == "h[0] - 3*h[2]"
     assert repr(g) == "TildeElement({0: 1, 2: -3})"
     assert x.all_nonnegative() is False and ChElement().all_nonnegative()
+
+
+def test_a_used_left_factor_is_indistinguishable_from_an_unused_copy():
+    g = TildeElement({k: k % 5 - 2 or 3 for k in range(-3, 4)})
+    unused = TildeElement(dict(g.items()))
+    mul(g, basis(2))  # one-term right factor: keeps the kernel
+    mul(g, TildeElement({k: 1 for k in range(20)}))  # word route: keeps it packed
+    assert g._kernel and g._word_kernel
+    assert g == unused and unused == g and hash(g) == hash(unused)
+    assert repr(g) == repr(unused)
+    assert repr(g) == "TildeElement({-3: 3, -2: 1, -1: 2, 0: -2, 1: -1, 2: 3, 3: 1})"
+    assert str(g) == str(unused)
+    assert {g, unused} == {unused} and len({g, unused}) == 1
+    assert {unused: "value"}[g] == "value" and {g: "value"}[unused] == "value"
+
+
+@pytest.mark.parametrize("value", [ChElement({0: 1, 2: 3}), IntegerMultiset.from_counts({0: 3})])
+def test_only_tilde_elements_keep_a_kernel(value):
+    for name in ("_kernel", "_word_kernel"):
+        assert not hasattr(type(value), name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, {})
 
 
 def test_left_mul_h():
