@@ -37,7 +37,6 @@ from .tilde_ring import (
     ChElement,
     TildeElement,
     basis,
-    ch_left_mul,
     fold_L,
     left_mul_h,
     mul,
@@ -60,7 +59,6 @@ __all__ = [
     "certify_cone",
     "certify_pair",
     "certify_positivity",
-    "ch_left_mul",
     "check_structure",
     "closed_element",
     "cone_subset_check",

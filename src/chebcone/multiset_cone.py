@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
-from .tilde_ring import SparseVector, TildeElement, _sparse_product, _wrap
+from .tilde_ring import SparseVector, TildeElement, _product, _wrap
 
 
 class IntegerMultiset(SparseVector):
@@ -78,8 +78,10 @@ def interval(a: int, b: int) -> IntegerMultiset:
 
 
 def msum(m1: IntegerMultiset, m2: IntegerMultiset) -> IntegerMultiset:
-    """Multiset sum: all pairwise element sums, multiplicities convolved."""
-    return IntegerMultiset.from_counts(_sparse_product(m1.items(), m2.items()))
+    """Multiset sum: all pairwise element sums, multiplicities convolved.
+    Products of positive multiplicities are positive, and _product drops
+    every zero, so the result needs no check."""
+    return _wrap(IntegerMultiset, _product(m1._coeffs, m2._coeffs))
 
 
 def munion(m1: IntegerMultiset, m2: IntegerMultiset) -> IntegerMultiset:

@@ -28,7 +28,7 @@ from .multiset_cone import (
     munion,
     to_tilde,
 )
-from .tilde_ring import H1, TildeElement, _left_action, _numerator, basis, fold_L, mul, w0, w1
+from .tilde_ring import H1, TildeElement, _product, basis, fold_L, mul, w0, w1
 
 VALID_I = (-1, 0, 1)
 VALID_J = (0, 1)
@@ -125,11 +125,11 @@ def _left_expand(weights: IntegerMultiset, addend: IntegerMultiset) -> IntegerMu
     multiset; a negative one would contradict the positivity lemma and is
     reported loudly.
     """
-    for i, d in fold_L(to_tilde(weights)).items():
+    left = to_tilde(weights)
+    for i, d in fold_L(left).items():
         if d < 0:
             raise ValueError(f"negative folded weight {d} at h[{i}]: not a multiset")
-    numerator = _numerator(weights.items()).items()
-    return IntegerMultiset.from_counts(_left_action(numerator, addend.items()))
+    return IntegerMultiset.from_counts(_product(left._coeffs, addend._coeffs, left))
 
 
 @lru_cache(maxsize=None)

@@ -10,31 +10,23 @@ shifts by -i, -i+2, ..., i; it is linear in both slots and, although
 nothing here relies on it, empirically associative.
 
 Reading h~[j] as x^j, the shifts of h[i] sum to the Chebyshev-U kernel
-(x^(i+2) - x^-i) / (x^2 - 1), so a left action is one sparse product
-with a numerator followed by an exact division by x^2 - 1 (see
-_left_action).  For mul the numerator is x^2 * g1(x) - g1(1/x), built
-straight from the left factor g1 with no fold, since the fold leaves it
-unchanged (see _numerator), and mul(g1, g2) = K * g2 for the shift kernel
-K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1).  A left factor keeps K once
-formed, so a one-term g2 = d * h~[j] gives K shifted by j, times d (see mul).
+x^-i + x^(-i+2) + ... + x^i = (x^(i+2) - x^-i) / (x^2 - 1), so mul(g1, g2)
+= K * g2 for the shift kernel K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1) of
+the left factor, whose numerator needs no fold (see _numerator).  Every
+left action (mul, left_mul_h and the closed-route expansion, which calls
+_product itself and never mul) and the multiset sum is one product L * g2
+of a left operand L, a shift kernel or a plain multiset, by _product.  A
+left factor keeps K once formed, so a one-term g2 = d * h~[j] gives K
+shifted by j, times d.
 
-Large products are one big-int multiply by Kronecker substitution
-(Schoenhage 1982; Harvey, arXiv:0712.4046): each operand is packed into
-one integer with a field of fixed width per exponent step.  There are two
-field encodings:
-
-- Words.  From WORD_MIN_TERM_OPS pairs of g1 and g2 terms on, while every
-  product slot fits a signed 64-bit word and there are at most
-  WORD_MAX_SLOTS of them, mul packs the dense numerator and g2 into 8-byte
-  fields with struct, divides the packed numerator exactly by 2^128 - 1
-  (x^2 - 1 at x = 2^64) to pack K, kept on g1 for its next product, and
-  makes one multiply K * g2, decoded by struct (see _word_mul).  No Python
-  loop runs over the slots.
-- Bytes.  Any other product of at least KRONECKER_MIN_TERM_OPS term
-  pairs, the multiset sums and left actions included, packs each sparse
-  operand with a field of bits_a + bits_b + bit_length(min(len)) + 1 bits
-  rounded up to whole bytes, where bits_a and bits_b are the largest
-  coefficient bit lengths of the two operands (see _kronecker_product).
+From MIN_TERM_OPS term pairs on, a product is one big-int multiply by
+Kronecker substitution (Schoenhage 1982; Harvey, arXiv:0712.4046): each
+operand is packed into one integer with a field of fixed width per
+exponent step, 8-byte words by struct while the slot bound fits 64 bits
+and whole bytes above that.  K is formed first at every width: the packed
+numerator is divided exactly by x^2 - 1 at x = B^(1/step) for the field
+base B, and the left factor keeps packed K for its next product at the
+same width and step.  Smaller products are the double loop over L.
 
 Both element types, and the multisets of multiset_cone, derive from
 SparseVector, which holds the storage, queries and additive arithmetic.
@@ -46,10 +38,9 @@ from __future__ import annotations
 
 import random
 import struct
+from functools import lru_cache
 from itertools import compress
-from typing import Collection, ItemsView, Mapping
-
-Terms = Collection[tuple[int, int]]  # sized, re-iterable (index, coefficient) pairs
+from typing import ItemsView, Mapping
 
 
 def _wrap(cls, data: dict[int, int]):
@@ -155,7 +146,7 @@ class SparseVector:
 class TildeElement(SparseVector):
     """Integer combination of h~[j] symbols, j ranging over all integers."""
 
-    __slots__ = ("_kernel", "_word_kernel")  # kept by mul for a left factor
+    __slots__ = ("_kernel", "_span", "_packed_kernel")  # kept by mul for a left factor
     symbol = "h~"
 
     def shift(self, k: int) -> "TildeElement":
@@ -222,131 +213,127 @@ def fold_L(g: TildeElement) -> ChElement:
     return _wrap(ChElement, {i: c for i, c in acc.items() if c})
 
 
-# mul shifts the kernel of g1 for a one-term g2 and offers the other
-# products of at least WORD_MIN_TERM_OPS pairs of g1 and g2 terms to the
-# word route (_word_mul).  Any other product of at least
-# KRONECKER_MIN_TERM_OPS term pairs goes through the byte-field multiply
-# (_kronecker_product), and the rest through the double loop.  Of the
-# 10,388 mul calls of `verify --seed 1`, 5,420 have a one-term g2, 3,761
-# take the word route and 1,207 the loop.
+# A product is packed when the double loop would make at least
+# MIN_TERM_OPS term products per operand that packing writes: n * len(b),
+# for n a bound on the terms of the left operand, against MIN_TERM_OPS for
+# a shift kernel, which its left factor packs once and keeps, and against
+# 2 * MIN_TERM_OPS for a plain left operand, packed with the right one on
+# every call.  The 5,729 products of
+# `verify --seed 1` that reach _product (4,923 module products with two
+# right terms or more, 606 multiset sums and 200 actions of h[i]), each
+# timed best of 12 rounds with the loop forced and with packing forced,
+# with CPython 3.11 on a 2-CPU Xeon host:
 #
-# Byte fields: timed with CPython 3.11 on a 2-CPU Xeon host over the
-# products that the chebcone commands make, they break even with the loop
-# at 384-512 term pairs.  Packing is 0.9-1.3x as fast below 1024, 1.7-5x as
-# fast from 1024 on, and up to 3x slower under 256, where its fixed cost of
-# some 40 us dominates.  The largest product of a default `verify` has 580
-# term pairs (of the numerator and g2), so none of them packs into bytes.
+#     pairs per packed operand   products   loop ms   packed ms   ratio
+#     0-7                             319       1.0         2.7    2.70
+#     8-15                            302       2.0         3.3    1.68
+#     16-23                           378       3.3         4.4    1.33
+#     24-31                           405       4.1         5.0    1.21
+#     32-63                         1,849      23.3        23.5    1.01
+#     64-127                        1,190      22.1        17.1    0.77
+#     128 and up                    1,286      38.9        21.3    0.55
 #
-# Words: mul over the 10,388 products of `verify --seed 1`, one-term g2
-# included, on the same host, best of 40 rounds per group, loop against
-# words (the host's speed varied by up to 1.5x between runs):
-#
-#     g1 x g2 terms   products   loop ms   words ms   ratio
-#     1-4               3,139      24.5      32.3      1.32
-#     5-8               2,210      22.1      30.9      1.40
-#     9-15                836      15.1      18.0      1.20
-#     16-31             1,615      44.8      36.2      0.81
-#     32-63             1,000      27.5      17.1      0.62
-#     64-127              954      53.6      22.3      0.42
-#     128-330             203      17.1       6.9      0.40
-#
-# Below 16 pairs the fixed cost of the packing calls loses.
-KRONECKER_MIN_TERM_OPS = 1024
-WORD_MIN_TERM_OPS = 16
+# Forcing either route moves cost between rows: a left factor packs its
+# kernel, or forms it as a dict, at its first product.  Replayed whole
+# with the threshold at 16, 32 and 48, the products took times within 3%
+# of each other, inside the spread between runs.
+MIN_TERM_OPS = 32
 
 
-def _sparse_product(a: Terms, b: Terms) -> dict[int, int]:
-    """Product of two sparse polynomials given as (exponent, coefficient) pairs,
-    with distinct exponents within each operand.
+def _product(a: dict[int, int], b: dict[int, int], g1: TildeElement | None = None) -> dict[int, int]:
+    """Nonzero coefficients of L * b for L = sum a[i] x^i, or for the shift
+    kernel L = K of the left factor g1 when g1 is given (a is then g1's
+    coefficients).
 
-    From KRONECKER_MIN_TERM_OPS term pairs on, where packing measured faster,
-    the product is one big-int multiply (_kronecker_product), and a cancelled
-    coefficient is then absent rather than zero.
+    With n a bound on the terms of L (len(a), or 2m + 1 for K below), the
+    product is one big-int multiply by Kronecker substitution once
+    n * len(b) reaches MIN_TERM_OPS for K, and twice that for a plain L:
+    each operand becomes one integer with a field of fixed width per
+    exponent step.  Below that, or if the operands span more than two
+    slots per pair of a and b terms, it is the double loop over L, with K
+    formed by _kernel.
+
+    The step is 2 when the exponents of L and of b each share one parity,
+    else 1.  A product slot sums at most min(n, len(b)) products of
+    coefficients below 2^bits_L and 2^bits_b, so it lies strictly between
+    -2^(w-1) and 2^(w-1) for w = bits_L + bits_b + bit_length(min(n,
+    len(b))) + 1 bits.  Fields are 8-byte words while w <= 64, else the
+    fewest whole bytes that hold w bits.
+
+    K is sum c * (x^-i + x^(-i+2) + ... + x^i) over the folded terms
+    c * h[i] of g1, so it spans -m..m for the largest index m that folds
+    onto some h[i], with the parity of g1's indices, and no coefficient of
+    K exceeds the sum of |g1|.  Its numerator (see _numerator) spans
+    -m..m + 2 and is a polynomial multiple of x^2 - 1, so packed with field
+    base B and step s it is an integer multiple of B^(2/s) - 1, and one
+    exact division leaves K packed.  g1 keeps m once found, and packed K
+    with its width and step, and reuses packed K only at both.
     """
-    if len(a) * len(b) >= KRONECKER_MIN_TERM_OPS:
-        packed = _kronecker_product(a, b)
-        if packed is not None:
-            return packed
+    if g1 is None:
+        n, packs = len(a), 2
+    else:
+        try:
+            m = g1._span
+        except AttributeError:
+            m = g1._span = max(max(a), -2 - min(a)) if a else -1
+            g1._packed_kernel = None  # until K is packed: cheaper than unset
+        n, packs = 2 * m + 1, 1  # K's terms, at most; K is packed once
+    if n * len(b) >= packs * MIN_TERM_OPS:
+        lo_a, hi_a = (min(a), max(a)) if g1 is None else (-m, m)
+        lo_b, hi_b = min(b), max(b)
+        if hi_a - lo_a + hi_b - lo_b < 2 * len(a) * len(b):
+            dense_b = _dense(b, lo_b, hi_b)
+            if g1 is None:
+                dense_a = _dense(a, lo_a, hi_a)
+                bits_a, mixed = max(map(abs, a.values())).bit_length(), any(dense_a[1::2])
+            else:
+                kept = g1._packed_kernel
+                if kept is None:
+                    numerator = _numerator_fields(a, m)
+                    bits_a = sum(map(abs, a.values())).bit_length()
+                    mixed = any(numerator[1::2])
+                else:
+                    numerator = None
+                    bits_a, mixed, kept_width, kept_step, kept = kept
+            step = 1 if mixed or any(dense_b[1::2]) else 2
+            bits = bits_a + max(map(abs, b.values())).bit_length()
+            bits += min(n, len(b)).bit_length() + 1
+            width = 8 if bits <= 64 else (bits + 7) // 8
+            if g1 is None:
+                left = _pack(dense_a, step, width)
+            elif kept is not None and kept_width == width and kept_step == step:
+                left = kept
+            else:
+                # numerator is None if K was packed at another width or
+                # step, and a list of 2m + 3 >= 1 fields otherwise
+                left = _pack(numerator or _numerator_fields(a, m), step, width)
+                left //= (1 << 16 * width // step) - 1
+                g1._packed_kernel = bits_a, mixed, width, step, left
+            product = left * _pack(dense_b, step, width)
+            slots = (hi_a - lo_a + hi_b - lo_b) // step + 1
+            return _unpack(product, lo_a + lo_b, step, slots, width)
     acc: dict[int, int] = {}
-    for i, c in a:
-        for j, d in b:
+    for i, c in (a if g1 is None else _kernel(g1)).items():
+        for j, d in b.items():
             k = i + j
             acc[k] = acc.get(k, 0) + c * d
-    return acc
+    return {k: c for k, c in acc.items() if c}
 
 
-def _kronecker_product(a: Terms, b: Terms) -> dict[int, int] | None:
-    """Nonzero coefficients of the product of two non-empty operands by
-    Kronecker substitution, or None if they are so sparse that decoding would
-    visit more slots than the double loop makes term products.
-
-    Each operand becomes one integer with a slot of `width` bytes per exponent
-    step; the step is 2 when each operand's exponents share one parity, else 1.
-    A product slot sums at most min(len(a), len(b)) products of coefficients
-    below 2^bits_a and 2^bits_b, so it lies strictly between -2^(w-1) and
-    2^(w-1) for w = bits_a + bits_b + bit_length(min(len)) + 1 bits.
-    """
-    exps_a, coeffs_a = zip(*a)
-    exps_b, coeffs_b = zip(*b)
-    lo_a, lo_b = min(exps_a), min(exps_b)
-    mixed = any((e ^ lo_a) & 1 for e in exps_a) or any((e ^ lo_b) & 1 for e in exps_b)
-    stride = 1 if mixed else 2
-    slots_a = (max(exps_a) - lo_a) // stride + 1
-    slots_b = (max(exps_b) - lo_b) // stride + 1
-    slots = slots_a + slots_b - 1
-    if slots > len(a) * len(b):
-        return None
-    bits = (
-        max(map(abs, coeffs_a)).bit_length()
-        + max(map(abs, coeffs_b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
-    width = (bits + 7) // 8
-    product = _kronecker_pack(a, lo_a, stride, slots_a, width) * _kronecker_pack(
-        b, lo_b, stride, slots_b, width
-    )
-    return _kronecker_unpack(product, lo_a + lo_b, stride, slots, width)
+def _kernel(g1: TildeElement) -> dict[int, int]:
+    """Nonzero coefficients of the shift kernel K of g1, which g1 keeps once
+    formed: its numerator divided exactly by x^2 - 1."""
+    try:
+        return g1._kernel
+    except AttributeError:
+        kernel = g1._kernel = _over_x2_minus_1(_numerator(g1._coeffs.items()))
+        return kernel
 
 
-def _kronecker_pack(terms: Terms, lo: int, stride: int, slots: int, width: int) -> int:
-    """The sum of c * 256^(width * (e - lo) / stride) over terms, each |c| < 256^width.
-
-    Positive and negative coefficients fill one byte buffer each, and the
-    second is subtracted from the first.
-    """
-    pos = bytearray(slots * width)
-    neg = bytearray(slots * width)
-    for e, c in terms:
-        at = (e - lo) // stride * width
-        if c > 0:
-            pos[at : at + width] = c.to_bytes(width, "little")
-        else:
-            neg[at : at + width] = (-c).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _kronecker_unpack(value: int, lo: int, stride: int, slots: int, width: int) -> dict[int, int]:
-    """Nonzero slots of a packed value, keyed lo, lo + stride, ...; each slot
-    must lie strictly between -2^(8 * width - 1) and 2^(8 * width - 1).
-
-    Adding 2^(8 * width - 1) to every slot makes each one non-negative and
-    below 2^(8 * width), so no slot borrows from the next and each decodes on
-    its own.
-    """
-    half = 1 << (8 * width - 1)
-    empty = half.to_bytes(width, "little")
-    raw = (value + int.from_bytes(empty * slots, "little")).to_bytes(slots * width, "little")
-    decoded = [
-        int.from_bytes(raw[at : at + width], "little") - half for at in range(0, len(raw), width)
-    ]
-    return {e: c for e, c in zip(range(lo, lo + stride * slots, stride), decoded) if c}
-
-
-def _numerator(terms: Terms) -> dict[int, int]:
+def _numerator(terms: ItemsView[int, int]) -> dict[int, int]:
     """Nonzero coefficients of x^2 * g(x) - g(1/x) for g = sum c * x^j over
     terms, which must hold distinct exponents and no zero coefficient:
-    the numerator of the left action of sum c * h~[j] (see _left_action).
+    (x^2 - 1) times the shift kernel of sum c * h~[j].
 
     It needs no fold: h~[-1] gives x - x, which cancels, and h~[j] for
     j < -1 gives x^(j+2) - x^-j = -(x^(i+2) - x^-i) with i = -j - 2, the
@@ -363,13 +350,15 @@ def _numerator(terms: Terms) -> dict[int, int]:
     return acc
 
 
-def _left_action(numerator: Terms, g: Terms) -> dict[int, int]:
-    """Coefficients of sum c * h[i] acting on g, given its numerator
-    sum c * (x^(i+2) - x^-i) as (exponent, coefficient) pairs.  The shift
-    kernel K = sum c * (x^-i + x^(-i+2) + ... + x^i) telescopes to
-    (x^2 - 1) * K = that numerator, so K * g is the sparse product of g
-    with the numerator, divided exactly by x^2 - 1."""
-    return _over_x2_minus_1(_sparse_product(g, numerator))
+def _numerator_fields(a: dict[int, int], m: int) -> list[int]:
+    """The coefficients of the numerator of sum a[j] h~[j] at exponents -m,
+    ..., m + 2, zero where _numerator has none, for m = max(max(a),
+    -2 - min(a)); for packing, where a dense list is cheaper to build."""
+    values = [0] * (2 * m + 3)
+    for j, c in a.items():
+        values[m + j + 2] += c
+        values[m - j] -= c
+    return values
 
 
 def _over_x2_minus_1(p: dict[int, int]) -> dict[int, int]:
@@ -394,137 +383,92 @@ def _over_x2_minus_1(p: dict[int, int]) -> dict[int, int]:
     return out
 
 
-# 2^63 in each of WORD_MAX_SLOTS 8-byte fields (8 KiB); its top n fields,
-# shifted down, are the mask of an n-field value, at a quarter of the cost
-# of building that mask from bytes.  The widest word product of a default
-# `verify` has 93 slots.
-WORD_MAX_SLOTS = 1024
-_FIELD_TOPS = int.from_bytes((1 << 63).to_bytes(8, "little") * WORD_MAX_SLOTS, "little")
+# Field masks of up to MASK_CACHE_BYTES are kept for the 64 latest shapes.
+# Small products mostly repeat a recent shape, and building the mask is
+# then most of a small pack: without the cache, `verify --seed 1` (42
+# shapes, 10,595 masks, none above 744 bytes) runs about 8% longer.  Larger
+# masks are rarely reused (`certify --n 7` builds 53 masks of 34 shapes, up
+# to 1.1 MB each), and keeping them raised its peak RSS by 9 MiB.
+MASK_CACHE_BYTES = 1024
 
 
-def _word_pack(values: list[int]) -> int:
-    """The sum of v * 2^(64 k) over the k-th value v, each |v| < 2^63, for
-    at most WORD_MAX_SLOTS values.
+def _field_tops(width: int, slots: int) -> int:
+    """2^(8 * width - 1) in each of slots fields of width bytes: the field
+    mask of _pack and _unpack."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
 
-    struct writes each value as a little-endian 8-byte field in two's
-    complement, the XOR with 2^63 in every field turns that into the
-    offset form v + 2^63, and subtracting the same mask leaves v in place.
+
+_tops = lru_cache(maxsize=64)(_field_tops)  # masks of up to MASK_CACHE_BYTES
+
+
+def _dense(terms: dict[int, int], lo: int, hi: int) -> list[int]:
+    """The coefficients of terms at exponents lo, lo + 1, ..., hi, zero
+    where absent."""
+    values = [0] * (hi - lo + 1)
+    for e, c in terms.items():
+        values[e - lo] = c
+    return values
+
+
+def _pack(values: list[int], step: int, width: int) -> int:
+    """The sum of v * B^k over the k-th value v of values[::step], for the
+    field base B = 256^width and each |v| < B / 2.
+
+    Each value becomes a little-endian field of width bytes in two's
+    complement, written by struct for 8-byte words and by int.to_bytes
+    otherwise; the XOR with B / 2 in every field turns that into the offset
+    form v + B / 2, and subtracting the same mask leaves v in place.
     """
+    if step > 1:
+        values = values[::step]
     n = len(values)
-    top = _FIELD_TOPS >> 64 * (WORD_MAX_SLOTS - n)
-    return (int.from_bytes(struct.pack(f"<{n}q", *values), "little") ^ top) - top
+    if width == 8:
+        raw = struct.pack(f"<{n}q", *values)
+    else:
+        raw = b"".join([v.to_bytes(width, "little", signed=True) for v in values])
+    top = (_tops if width * n <= MASK_CACHE_BYTES else _field_tops)(width, n)
+    return (int.from_bytes(raw, "little") ^ top) - top
 
 
-def _word_unpack(value: int, lo: int, slots: int) -> dict[int, int]:
-    """Nonzero 64-bit slots of a value packed as by _word_pack, keyed lo,
-    lo + 1, ...; each slot must lie strictly between -2^63 and 2^63, so
-    that adding 2^63 to every slot carries into no other, and there are at
-    most WORD_MAX_SLOTS of them."""
-    top = _FIELD_TOPS >> 64 * (WORD_MAX_SLOTS - slots)
-    decoded = struct.unpack(f"<{slots}q", ((value + top) ^ top).to_bytes(8 * slots, "little"))
-    return dict(zip(compress(range(lo, lo + slots), decoded), compress(decoded, decoded)))
-
-
-# x^2 - 1 at x = 2^64: dividing a packed numerator by it packs the kernel
-_X2_MINUS_1 = (1 << 128) - 1
-
-
-def _word_mul(g1: TildeElement, b: dict[int, int]) -> dict[int, int] | None:
-    """Nonzero coefficients of mul(g1, g2) for non-empty g1 and
-    g2 = sum b[j] x^j, as one word-packed product K * g2 of the shift
-    kernel K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1); or None if a product
-    slot might not fit a signed 64-bit word, if the dense operands would
-    hold more slots than the loop makes term products (two per term pair),
-    or if an operand or the product has more than WORD_MAX_SLOTS slots.
-
-    K is sum c * (x^-i + x^(-i+2) + ... + x^i) over the folded terms
-    c * h[i] of g1, so it spans -m..m for the largest index m that folds
-    onto some h[i], and no coefficient of K exceeds the sum of |g1|.
-    The numerator is a polynomial multiple of x^2 - 1, so at x = 2^64 its
-    packed value is an integer multiple of 2^128 - 1, and one exact integer
-    division leaves K packed.  The slot bound is that of _kronecker_product,
-    with that sum standing in for the largest coefficient of K.
-    """
-    a = g1._coeffs
-    try:
-        m, bits_a, kernel = g1._word_kernel
-    except AttributeError:
-        m = max(max(a), -2 - min(a))
-        bits_a = sum(map(abs, a.values())).bit_length()
-        kernel = None
-    if m < 0:
-        return {}  # g1 is a multiple of h~[-1], which folds to zero
-    lo = min(b)
-    slots_k = 2 * m + 1
-    slots_b = max(b) - lo + 1
-    slots = slots_k + slots_b - 1
-    if slots > 2 * len(a) * len(b) or max(slots, slots_k + 2) > WORD_MAX_SLOTS:
-        return None
-    bits = bits_a + max(map(abs, b.values())).bit_length() + min(slots_k, len(b)).bit_length() + 1
-    if bits > 64:
-        return None
-    if kernel is None:
-        numerator = [0] * (slots_k + 2)  # exponents -m .. m + 2
-        for j, c in a.items():
-            numerator[m + j + 2] += c
-            numerator[m - j] -= c
-        kernel = _word_pack(numerator) // _X2_MINUS_1
-        g1._word_kernel = m, bits_a, kernel
-    if not kernel:
-        return {}  # every folded weight cancels
-    dense = [0] * slots_b
-    for j, c in b.items():
-        dense[j - lo] = c
-    return _word_unpack(kernel * _word_pack(dense), lo - m, slots)
+def _unpack(value: int, lo: int, step: int, slots: int, width: int) -> dict[int, int]:
+    """Nonzero fields of a value packed as by _pack, keyed lo, lo + step,
+    ...; each field must lie strictly between -B / 2 and B / 2, so that
+    adding B / 2 to every field carries into no other."""
+    top = (_tops if width * slots <= MASK_CACHE_BYTES else _field_tops)(width, slots)
+    raw = ((value + top) ^ top).to_bytes(width * slots, "little")
+    if width == 8:
+        decoded = struct.unpack(f"<{slots}q", raw)
+    else:
+        decoded = [
+            int.from_bytes(raw[at : at + width], "little", signed=True)
+            for at in range(0, len(raw), width)
+        ]
+    keys = range(lo, lo + step * slots, step)
+    return dict(zip(compress(keys, decoded), compress(decoded, decoded)))
 
 
 def left_mul_h(i: int, g: TildeElement) -> TildeElement:
     """Act by h[i] on the left: the sum of shifts of g by -i, -i+2, ..., i,
-    that is (x^(i+2) - x^-i) * g divided exactly by x^2 - 1."""
+    that is the product of g with the shift kernel x^-i + ... + x^i of h[i]."""
     if i < 0:
         raise ValueError(f"left multiplier index must be >= 0, got {i}")
-    return _wrap(TildeElement, _left_action(((i + 2, 1), (-i, -1)), g._coeffs.items()))
+    return _wrap(TildeElement, _product(dict.fromkeys(range(-i, i + 1, 2), 1), g._coeffs))
 
 
 def mul(g1: TildeElement, g2: TildeElement) -> TildeElement:
     """Module product: the folded left factor acts termwise on the right,
-    as (x^2 * g1(x) - g1(1/x)) * g2 divided exactly by x^2 - 1.
+    as K * g2 for the shift kernel K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1).
 
-    A one-term g2 = d * h~[j] takes the shift kernel K of g1, shifted by j
-    and scaled by d; from WORD_MIN_TERM_OPS term pairs on, the product is
-    one word-packed multiply K * g2 when its slots fit (see _word_mul).
-    g1 keeps K, and packed K, once formed: elements are immutable, so
-    neither goes stale, and neither takes part in ==, hash, repr or str.
+    A one-term g2 = d * h~[j] takes K shifted by j and scaled by d; any
+    other product goes through _product.  g1 keeps K, and packed K, once
+    formed: elements are immutable, so neither goes stale, and neither
+    takes part in ==, hash, repr or str.
     """
-    a, b = g1._coeffs, g2._coeffs
+    b = g2._coeffs
     if len(b) == 1:
-        try:
-            kernel = g1._kernel
-        except AttributeError:
-            kernel = g1._kernel = _over_x2_minus_1(_numerator(a.items()))
         ((j, d),) = b.items()
-        return _wrap(TildeElement, {i + j: c * d for i, c in kernel.items()})
-    if len(a) * len(b) >= WORD_MIN_TERM_OPS:
-        product = _word_mul(g1, b)
-        if product is not None:
-            return _wrap(TildeElement, product)
-    return _wrap(TildeElement, _left_action(_numerator(a.items()).items(), b.items()))
-
-
-def ch_left_mul(i: int, x: ChElement) -> ChElement:
-    """Product h[i] * x inside the folded algebra.
-
-    Uses the closed interval rule h[i] h[j] = h[|i-j|] + h[|i-j|+2]
-    + ... + h[i+j]; independent of the h~ machinery by design, so the
-    two routes can be checked against each other.
-    """
-    if i < 0:
-        raise ValueError(f"left multiplier index must be >= 0, got {i}")
-    acc: dict[int, int] = {}
-    for j, c in x.items():
-        for m in range(abs(i - j), i + j + 1, 2):
-            acc[m] = acc.get(m, 0) + c
-    return ChElement(acc)
+        return _wrap(TildeElement, {i + j: c * d for i, c in _kernel(g1).items()})
+    return _wrap(TildeElement, _product(g1._coeffs, b, g1))
 
 
 def w0(g1: TildeElement, g2: TildeElement, g3: TildeElement) -> TildeElement:

@@ -121,27 +121,25 @@ def test_poly_arithmetic():
 
 def test_oracle_shares_no_product_primitive_with_the_kernel():
     # lmul is a plain convolution of its own; it must not reuse the
-    # kernel's sparse product, its big-int or word packing, or the
-    # telescoped action
+    # kernel's product, its packing or its shift kernel
     primitives = (
-        tilde_ring._sparse_product,
-        tilde_ring._kronecker_product,
-        tilde_ring._kronecker_pack,
-        tilde_ring._kronecker_unpack,
-        tilde_ring._left_action,
+        tilde_ring._product,
+        tilde_ring._kernel,
+        tilde_ring._numerator,
+        tilde_ring._numerator_fields,
         tilde_ring._over_x2_minus_1,
-        tilde_ring._word_mul,
-        tilde_ring._word_pack,
-        tilde_ring._word_unpack,
+        tilde_ring._dense,
+        tilde_ring._field_tops,
+        tilde_ring._tops,
+        tilde_ring._pack,
+        tilde_ring._unpack,
         tilde_ring._wrap,
         tilde_ring.SparseVector,
     )
     names = {primitive.__name__ for primitive in primitives} | {
-        "KRONECKER_MIN_TERM_OPS",
-        "WORD_MIN_TERM_OPS",
-        "WORD_MAX_SLOTS",
-        "_X2_MINUS_1",
-        "_FIELD_TOPS",
+        "MIN_TERM_OPS",
+        "MASK_CACHE_BYTES",
+        "_tops",  # the cached _field_tops, which keeps that name
     }
     source = inspect.getsource(laurent_oracle)
     for name in names:

@@ -1,20 +1,24 @@
-"""The telescoped left action against naive reference implementations.
+"""The left actions and the multiset sum against naive reference
+implementations.
 
 mul, left_mul_h, msum and the closed-route expansion all run on one
-sparse product plus an exact division by x^2 - 1.  The references below
-are the direct loops those functions used to be: one shifted copy of the
-right factor per index -i, -i+2, ..., i of every folded term.  Products
-of at least KRONECKER_MIN_TERM_OPS term pairs are packed into one big-int
-multiply; the large-operand cases below reach both sides of that constant.
-mul takes the word route (_word_mul) from WORD_MIN_TERM_OPS term pairs on
-while every product slot fits a signed 64-bit word; the word-route cases
-reach both sides of that constant and of that bound.  A one-term right
-factor takes the left factor's shift kernel, which the left factor keeps,
-as it keeps the packed kernel of the word route; the reuse cases run one
-left factor through every route in turn.
+product of a left operand with the right factor (tilde_ring._product): the
+left factor's shift kernel, or a plain multiset.  The references below are
+the direct loops those functions used to be: one shifted copy of the right
+factor per index -i, -i+2, ..., i of every folded term.  From
+MIN_TERM_OPS term pairs per packed operand on, a product is one big-int
+multiply with 8-byte fields while every product slot fits a signed 64-bit
+word, and whole-byte fields above that, at exponent step 2 when both
+operands have one parity; below that, and for operands too sparse to pack,
+it is the double loop.  The cases below reach both sides of the threshold,
+of the 64-bit bound and of the sparsity cut-off, and both steps.  A
+one-term right factor takes the left factor's shift kernel, which the left
+factor keeps, as it keeps the packed kernel with its width and step; the
+reuse cases run one left factor through every route in turn.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -27,23 +31,19 @@ from chebcone.multiset_cone import (
     random_cone_member,
     to_tilde,
 )
-from chebcone import recurrence_engine, tilde_ring
+from chebcone import multiset_cone, recurrence_engine, tilde_ring
 from chebcone.cli import main
 from chebcone.recurrence_engine import _left_expand
 from chebcone.tilde_ring import (
     H1,
-    KRONECKER_MIN_TERM_OPS,
-    WORD_MAX_SLOTS,
-    WORD_MIN_TERM_OPS,
+    MASK_CACHE_BYTES,
+    MIN_TERM_OPS,
     TildeElement,
-    _kronecker_pack,
-    _kronecker_product,
-    _kronecker_unpack,
     _numerator,
-    _sparse_product,
-    _word_mul,
-    _word_pack,
-    _word_unpack,
+    _numerator_fields,
+    _pack,
+    _product,
+    _unpack,
     basis,
     fold_L,
     left_mul_h,
@@ -151,7 +151,8 @@ def test_large_left_expand_matches_reference(weights, addend):
 @LARGE
 @given(st.integers(0, 12), st.integers(500, 560), st.integers(0, 2**70), st.sampled_from((1, 2)))
 def test_large_left_mul_h_matches_reference(i, size, seed, step):
-    # the numerator of h[i] has two terms, so g needs 512 terms to be packed
+    # the kernel of h[i] has i + 1 terms, so every g here is packed, with
+    # fields wider than 64 bits for coefficients near 2^64
     rng = random.Random(seed)
     g = TildeElement({step * k: rng.randint(-BIG, BIG) for k in range(size)})
     assert left_mul_h(i, g) == ref_left_mul_h(i, g)
@@ -196,8 +197,9 @@ word_elements = st.builds(
 ).map(TildeElement)
 
 
-def word_bits(g1: TildeElement, g2: TildeElement) -> int:
-    """The slot width _word_mul asks for: the sum of |g1| bounds the kernel."""
+def kernel_bits(g1: TildeElement, g2: TildeElement) -> int:
+    """The slot bound of K * g2: the sum of |g1| bounds the kernel, and K
+    has at most 2m + 1 terms for the largest folded index m."""
     a, b = dict(g1.items()), dict(g2.items())
     m = max(max(a), -2 - min(a))
     return (
@@ -208,15 +210,60 @@ def word_bits(g1: TildeElement, g2: TildeElement) -> int:
     )
 
 
+def width_for(bits: int) -> int:
+    return 8 if bits <= 64 else (bits + 7) // 8
+
+
+@contextmanager
+def recorded_routes():
+    """Records the route of every product: (step, width) of each packed
+    one, and "loop" for the rest."""
+    calls = []
+
+    def product(a, b, g1=None):
+        calls.append("loop")
+        return _product(a, b, g1)
+
+    def unpack(value, lo, step, slots, width):
+        calls[-1] = (step, width)
+        return _unpack(value, lo, step, slots, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tilde_ring, "_product", product)
+        mp.setattr(multiset_cone, "_product", product)
+        mp.setattr(recurrence_engine, "_product", product)
+        mp.setattr(tilde_ring, "_unpack", unpack)
+        yield calls
+
+
+@pytest.fixture
+def routes():
+    with recorded_routes() as calls:
+        yield calls
+
+
 @PROPERTY
 @given(st.lists(word_values, min_size=1, max_size=40),
        st.lists(st.integers(-(2**25), 2**25), min_size=1, max_size=40),
-       st.integers(-30, 30))
-def test_word_packed_product_matches_reference(u, v, lo):
+       st.integers(-30, 30), st.sampled_from((1, 2)))
+def test_word_packed_product_matches_reference(u, v, lo, step):
     # every slot sums at most 40 products below 2^56 in magnitude
+    expected = ref_product([(lo + step * k, c) for k, c in enumerate(u)],
+                           [(step * k, c) for k, c in enumerate(v)])
+    product = _pack(u, 1, 8) * _pack(v, 1, 8)
+    assert _unpack(product, lo, step, len(u) + len(v) - 1, 8) == expected
+
+
+@PROPERTY
+@given(st.lists(st.integers(-(2**100), 2**100), min_size=1, max_size=30),
+       st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=30),
+       st.integers(-30, 30), st.sampled_from((22, 23, 30)))
+def test_wide_packed_product_matches_reference(u, v, lo, width):
+    # every slot sums at most 30 products below 2^170 in magnitude
     expected = ref_product([(lo + k, c) for k, c in enumerate(u)], list(enumerate(v)))
-    product = _word_pack(u) * _word_pack(v)
-    assert _word_unpack(product, lo, len(u) + len(v) - 1) == expected
+    # step 2 packs every other value
+    product = _pack(u, 1, width) * _pack([x for c in v for x in (c, 0)], 2, width)
+    assert _unpack(product, lo, 1, len(u) + len(v) - 1, width) == expected
 
 
 @PROPERTY
@@ -225,9 +272,8 @@ def test_word_route_matches_reference(g1, g2):
     # 1 to 144 term pairs, one parity or mixed on each side
     expected = ref_mul(g1, g2)
     assert mul(g1, g2) == expected
-    if g1 and g2:  # mul offers the word route non-empty operands only
-        packed = _word_mul(g1, dict(g2.items()))
-        assert packed is None or packed == dict(expected.items())
+    if g2:
+        assert _product(dict(g1.items()), dict(g2.items()), g1) == dict(expected.items())
 
 
 @PROPERTY
@@ -243,15 +289,20 @@ def test_word_route_drops_every_cancelled_slot(g1, h):
 @PROPERTY
 @given(st.integers(3, 8), st.integers(-5, 0), st.integers(8, 20), st.integers(-9, 9),
        st.integers(22, 34), st.integers(22, 34), st.sampled_from((1, -1)))
-def test_word_route_on_both_sides_of_the_64_bit_bound(n1, lo1, n2, lo2, e1, e2, sign):
-    # coefficients near 2^e1 and 2^e2 ask for slots of about e1 + e2 + 10 bits
+def test_packed_route_on_both_sides_of_the_64_bit_bound(n1, lo1, n2, lo2, e1, e2, sign):
+    # coefficients near 2^e1 and 2^e2 ask for slots of about e1 + e2 + 10
+    # bits: 8-byte words up to 64 bits, whole bytes above; left factors
+    # with negative indices fold, and those whose kernel has too few terms
+    # for n2 right terms take the loop
     g1 = TildeElement(dict(dense(n1, lo=lo1, coeff=lambda k: (-1) ** k * (2**e1 - k))))
     g2 = TildeElement(dict(dense(n2, lo=lo2, coeff=lambda k: sign * (2**e2 + 3 * k))))
-    expected = ref_mul(g1, g2)
-    packed = _word_mul(g1, dict(g2.items()))
-    assert (packed is not None) == (word_bits(g1, g2) <= 64)
-    assert packed is None or packed == dict(expected.items())
-    assert mul(g1, g2) == expected
+    m = max(lo1 + n1 - 1, -2 - lo1)
+    with recorded_routes() as calls:
+        assert mul(g1, g2) == ref_mul(g1, g2)
+    if (2 * m + 1) * n2 >= MIN_TERM_OPS:
+        assert calls == [(1, width_for(kernel_bits(g1, g2)))]
+    else:
+        assert calls == ["loop"]
 
 
 @pytest.mark.parametrize("values", [
@@ -262,72 +313,114 @@ def test_word_route_on_both_sides_of_the_64_bit_bound(n1, lo1, n2, lo2, e1, e2, 
 ])
 def test_word_slots_at_the_limits_decode_on_their_own(values):
     expected = {-3 + k: v for k, v in enumerate(values) if v}
-    assert _word_unpack(_word_pack(values), -3, len(values)) == expected
+    assert _unpack(_pack(values, 1, 8), -3, 1, len(values), 8) == expected
     # times 1 and times -1 leave every slot in place, sign for sign
-    assert _word_unpack(_word_pack(values) * _word_pack([1]), -3, len(values)) == expected
+    assert _unpack(_pack(values, 1, 8) * _pack([1], 1, 8), -3, 1, len(values), 8) == expected
     negated = {k: -v for k, v in expected.items()}
-    assert _word_unpack(_word_pack(values) * _word_pack([0, -1]), -4, len(values) + 1) == negated
+    assert _unpack(_pack(values, 1, 8) * _pack([0, -1], 1, 8), -4, 1, len(values) + 1, 8) == negated
 
 
-def test_slot_sums_that_need_bit_63_fall_back_to_the_big_int_packer(word_calls, packed_calls):
+@pytest.mark.parametrize("width", [1, 2, 5, 8, 9])
+def test_slots_at_the_limits_of_their_width_decode_on_their_own(width):
+    top = 2 ** (8 * width - 1) - 1
+    values = [top, -top, -top, top, 0, 1, -1, top, 0, -top]
+    expected = {3 + 2 * k: v for k, v in enumerate(values) if v}
+    assert _unpack(_pack(values, 1, width), 3, 2, len(values), width) == expected
+    # step 2 packs the values at even positions only
+    assert _unpack(_pack(values, 2, width), 3, 4, 5, width) == {
+        3 + 4 * k: v for k, v in enumerate(values[::2]) if v
+    }
+
+
+def test_slot_sums_that_need_bit_63_take_wide_fields(routes):
     # K = sum over i = 0, 2, ..., 30 of x^-i + ... + x^i peaks at 16, and
-    # 32 right terms of 2^56 make slots of up to 192 * 2^56 > 2^63
+    # 32 right terms of 2^56 make slots of up to 192 * 2^56 > 2^63: the
+    # bound asks for 5 + 57 + 6 + 1 = 69 bits, so 9-byte fields
     g1 = TildeElement({j: 1 for j in range(0, 32, 2)})
     g2 = TildeElement(dict(dense(32, coeff=lambda k: 2**56)))
     product = mul(g1, g2)
     assert product == ref_mul(g1, g2)
     assert max(abs(c) for _, c in product.items()) >= 2**63
-    assert word_calls == [(16 * 32, False)]
-    assert packed_calls == [len(_numerator(g1.items())) * 32] == [KRONECKER_MIN_TERM_OPS]
+    assert routes == [(1, 9)]
 
 
-@pytest.mark.parametrize("size, packed", [
-    (WORD_MAX_SLOTS, True),
-    (WORD_MAX_SLOTS + 1, False),
-])
-def test_products_past_the_widest_mask_decline_the_word_route(size, packed, word_calls):
-    # h~[0] has the kernel 1, so the product has exactly the slots of g2
+@pytest.mark.parametrize("sign", [1, -1])
+def test_slot_sums_on_both_sides_of_the_64_bit_field(sign, routes):
+    # 15 terms a side of coefficients of 30 and 29 bits: 30 + 29 +
+    # bit_length(15) + 1 = 64 bits, so the middle slot, 15 * a * b, needs
+    # the sign bit of an 8-byte word; one more bit on the right asks for
+    # 9-byte fields
+    a = IntegerMultiset.from_counts(dict(dense(15, coeff=lambda k: 2**29 + 1)))
+    for right, width in ((2**28 + 3, 8), (2**29 + 3, 9)):
+        b = IntegerMultiset.from_counts(dict(dense(15, lo=-7, coeff=lambda k: right)))
+        assert msum(a, b) == ref_msum(a, b)
+        assert msum(a, b).mult(7) == 15 * (2**29 + 1) * right
+        g1 = TildeElement(dict(dense(15, coeff=lambda k: sign * (2**29 + 1))))
+        p = tilde_ring._product(dict(g1.items()), dict(b.items()))
+        assert p == ref_product(g1.items(), b.items())
+        assert p[7] == sign * 15 * (2**29 + 1) * right
+        assert routes[-2:] == [(1, width)] * 2
+
+
+@pytest.mark.parametrize("size", [MASK_CACHE_BYTES // 8, MASK_CACHE_BYTES // 8 + 1, 1025])
+def test_masks_on_both_sides_of_the_cache_bound(size, routes):
+    # h~[0] has the kernel 1, so the product has exactly the slots of g2;
+    # masks of up to MASK_CACHE_BYTES are kept, larger ones built per call
     g2 = TildeElement(dict(dense(size, lo=-500)))
-    assert mul(basis(0), g2) == g2 == ref_mul(basis(0), g2)
-    assert word_calls == [(size, packed)]
-    values = [(-1) ** k * (2**63 - 1 - k) for k in range(WORD_MAX_SLOTS)]
-    assert _word_unpack(_word_pack(values), 0, WORD_MAX_SLOTS) == dict(enumerate(values))
+    for _ in range(2):
+        assert mul(basis(0), g2) == g2 == ref_mul(basis(0), g2)
+    assert routes == [(1, 8)] * 2
+    values = [(-1) ** k * (2**63 - 1 - k) for k in range(size)]
+    assert _unpack(_pack(values, 1, 8), 0, 1, size, 8) == dict(enumerate(values))
+    for width in (1, 8, 9):
+        assert tilde_ring._field_tops(width, size) == sum(
+            1 << (8 * width * k + 8 * width - 1) for k in range(size)
+        )
+        if width * size <= MASK_CACHE_BYTES:
+            assert tilde_ring._tops(width, size) == tilde_ring._field_tops(width, size)
 
 
-@pytest.mark.parametrize("terms", [
-    {-1: 5},  # h~[-1] folds to zero
-    {3: 2, -5: 2},  # h~[j] + h~[-j-2] folds to zero
-    {0: 1, -2: 1, -1: -4},
-    {**{j: 3 for j in range(8)}, **{-j - 2: 3 for j in range(8)}},
+@pytest.mark.parametrize("terms, route", [
+    ({-1: 5}, "loop"),  # h~[-1] folds to zero, and its kernel is empty
+    ({3: 2, -5: 2}, (1, 8)),  # h~[j] + h~[-j-2] folds to zero
+    ({0: 1, -2: 1, -1: -4}, "loop"),  # a one-term bound on the kernel
+    ({**{j: 3 for j in range(8)}, **{-j - 2: 3 for j in range(8)}}, (1, 8)),
 ])
-def test_left_factors_with_a_zero_kernel_take_the_word_route(terms, word_calls):
+def test_left_factors_with_a_zero_kernel(terms, route, routes):
     g1 = TildeElement(terms)
     g2 = TildeElement(dict(dense(20, lo=-7)))
     assert mul(g1, g2) == TildeElement.zero() == ref_mul(g1, g2)
-    assert word_calls == [(len(terms) * 20, True)]
+    assert routes == [route]
 
 
-ROUTES = ("one-term", "small", "word", "wide", "bytes")
+ROUTES = ("one-term", "loop", "word", "word-2", "wide", "wide-2", "large")
 
 
 def right_factor(route: str, rng: random.Random) -> TildeElement:
     """A right factor that takes the given route of mul against a left
-    factor of at most 7 terms, each folding onto some h[i] with i <= 8."""
+    factor of at most 7 terms, each folding onto some h[i] with i <= 5, so
+    that the kernel has at most 11 terms; the -2 routes take step 2 when
+    the left factor has one parity."""
     lo = rng.randint(-12, 4)
     if route == "one-term":
         return TildeElement({lo: rng.choice((1, -1, rng.randint(2, BIG**2)))})
-    if route == "small":  # at most 7 x 2 term pairs: the loop
+    if route == "loop":  # at most 11 x 2 term pairs
         return TildeElement({lo: rng.randint(1, 9), lo + rng.randint(1, 5): -rng.randint(1, 9)})
-    if route == "word":  # at most 17 + 23 slots: within two per term pair
-        return TildeElement({lo + k: rng.randint(-(2**20), 2**20) for k in range(24)})
-    if route == "wide":  # one coefficient above 2^64 declines the word route
-        return TildeElement({lo + k: rng.randint(-9, 9) for k in range(17)} | {lo: BIG + 1})
-    # at least 2 x 520 pairs of numerator and right terms, fields above 64 bits
+    step = 2 if route.endswith("-2") else 1
+    if route.startswith("word"):  # at most 11 + 23 slots of small coefficients
+        return TildeElement({lo + step * k: rng.randint(-(2**20), 2**20) or 1 for k in range(24)})
+    if route.startswith("wide"):  # one coefficient above 2^64 asks for wide fields
+        g = {lo + step * k: rng.randint(-9, 9) or 1 for k in range(17)}
+        return TildeElement(g | {lo: BIG + 1})
+    # 520 terms of wide coefficients
     return TildeElement({lo + k: rng.randint(BIG, 2 * BIG) for k in range(520)})
 
 
 reused_left_factors = st.one_of(
-    st.dictionaries(st.integers(-10, 8), st.integers(-(2**20), 2**20), min_size=1, max_size=7),
+    st.dictionaries(st.integers(-7, 5), st.integers(-(2**20), 2**20), min_size=1, max_size=7),
+    st.dictionaries(st.integers(-3, 2), st.integers(-(2**20), 2**20), min_size=1, max_size=4).map(
+        lambda a: {2 * j: c for j, c in a.items()}  # one parity
+    ),
     st.sampled_from(({-1: 5}, {3: 2, -5: 2}, {})),  # fold to zero, and the empty element
 ).map(TildeElement)
 route_orders = st.lists(st.sampled_from(ROUTES), max_size=5).flatmap(
@@ -346,37 +439,61 @@ def test_a_reused_left_factor_matches_reference_on_every_route(g1, routes, seed)
 
 
 @pytest.mark.parametrize("route", ROUTES)
-def test_right_factors_take_their_route(route, word_calls, packed_calls):
-    g1 = TildeElement({8: 3, -10: 1, 0: -2, 5: 7, -4: 1, 2: 2, -1: 9})  # 7 terms, h[8] the widest
+def test_right_factors_take_their_route(route, routes):
+    # 7 even terms, h[4] the widest, so the kernel spans -4..4 in one parity
+    g1 = TildeElement({4: 3, -6: 1, 0: -2, 2: 7, -4: 1, -2: 2, 2 - 8: 9})
     g2 = right_factor(route, random.Random(5))
     assert mul(g1, g2) == ref_mul(g1, g2)
-    offered = {"word": [True], "wide": [False], "bytes": [False]}.get(route, [])
-    assert [packed for _, packed in word_calls] == offered
-    assert len(packed_calls) == (route == "bytes")
+    step = 2 if route.endswith("-2") else 1
+    width = width_for(kernel_bits(g1, g2)) if g2.support_size() > 1 else None
+    expected = {"one-term": [], "loop": ["loop"]}.get(route, [(step, width)])
+    assert routes == expected
+    assert (width == 8) == route.startswith("word") or route in ("one-term", "loop")
 
 
-def test_one_term_right_factors_take_neither_product(word_calls, sparse_calls):
-    # 20 x 1 term pairs would be offered the word route, 2 x 1 the loop
+def test_one_left_factor_at_every_width_and_step_matches_reference(routes):
+    # the kept packed kernel is valid at one width and step only; a reuse
+    # at another would read the fields of K in the wrong base
+    g1 = TildeElement({4: 3, -6: 1, 0: -2, 2: 7, -2: 5})
+    rng = random.Random(8)
+    order = ("word", "wide", "wide-2", "word-2", "word", "word-2", "wide-2", "wide", "word")
+    for route in order:
+        g2 = right_factor(route, rng)
+        assert mul(g1, g2) == ref_mul(g1, g2)
+    steps = [2 if route.endswith("-2") else 1 for route in order]
+    assert [step for step, _ in routes] == steps
+    assert [width == 8 for _, width in routes] == [r.startswith("word") for r in order]
+
+
+def test_one_term_right_factors_take_no_product(routes):
+    # 20 x 1 term pairs would be packed, 2 x 1 would take the loop
     many = TildeElement(dict(dense(20, lo=-9)))
     for g1 in (many, basis(3) - 2 * basis(-2), TildeElement.zero()):
         for g2 in (3 * basis(5), -basis(-2), (BIG + 1) * basis(0), 3 * basis(5)):
             assert mul(g1, g2) == ref_mul(g1, g2)
-    assert word_calls == [] and sparse_calls == []
+    assert routes == []
 
 
-def test_a_reused_left_factor_packs_its_kernel_once(word_calls, word_packs):
+def test_a_reused_left_factor_packs_its_kernel_once(monkeypatch, routes):
     # K of g1 spans -2..2, so its numerator packs into 2 * 2 + 3 fields
+    packs = []
+
+    def spy(values, step, width):
+        packs.append(len(values[::step]))
+        return _pack(values, step, width)
+
+    monkeypatch.setattr(tilde_ring, "_pack", spy)
     g1 = TildeElement(dict(dense(6, lo=-3)))
     g2 = TildeElement(dict(dense(20, lo=-7)))
     g3 = TildeElement(dict(dense(30, lo=2, coeff=lambda k: 2**20 - k)))
     assert mul(g1, g2) == ref_mul(g1, g2)
-    assert word_packs == [7, 20]
+    assert packs == [7, 20]
     assert mul(g1, g3) == ref_mul(g1, g3)
-    assert word_packs == [7, 20, 30]
+    assert packs == [7, 20, 30]
     # the packed kernel belongs to the element, not to its value
     assert mul(TildeElement(dict(g1.items())), g3) == ref_mul(g1, g3)
-    assert word_packs == [7, 20, 30, 7, 30]
-    assert word_calls == [(120, True), (180, True), (180, True)]
+    assert packs == [7, 20, 30, 7, 30]
+    assert routes == [(1, 8)] * 3
 
 
 def test_w1_passes_one_shared_h1(monkeypatch):
@@ -461,178 +578,157 @@ def dense(n: int, lo: int = 0, step: int = 1, coeff=lambda k: k % 7 - 3 or 5) ->
     return [(lo + step * k, coeff(k)) for k in range(n)]
 
 
-@pytest.fixture
-def packed_calls(monkeypatch):
-    """Records the operand sizes of every packed product."""
-    calls = []
-
-    def spy(a, b):
-        calls.append(len(a) * len(b))
-        return _kronecker_product(a, b)
-
-    monkeypatch.setattr(tilde_ring, "_kronecker_product", spy)
-    return calls
-
-
-@pytest.fixture
-def sparse_calls(monkeypatch):
-    """Records the operand sizes of every sparse product of the kernel."""
-    calls = []
-
-    def spy(a, b):
-        calls.append(len(a) * len(b))
-        return _sparse_product(a, b)
-
-    monkeypatch.setattr(tilde_ring, "_sparse_product", spy)
-    return calls
+def test_threshold_selects_the_packed_path_exactly_at_the_constant(routes):
+    # mul: 2 h~[0] + h~[-1] has a kernel of one term, and packs from
+    # MIN_TERM_OPS pairs of kernel and right terms on
+    g1 = 2 * basis(0) + basis(-1)
+    for size, route in ((MIN_TERM_OPS - 1, "loop"), (MIN_TERM_OPS, (1, 8))):
+        g2 = TildeElement(dict(dense(size, lo=-4)))
+        assert mul(g1, g2) == ref_mul(g1, g2)
+        assert routes[-1] == route
+    # a plain product packs both operands, so it packs from twice as many
+    # pairs on: msum of 2 and MIN_TERM_OPS terms, and h[1] acting on
+    # MIN_TERM_OPS terms through its two-term kernel
+    two = IntegerMultiset.from_counts({0: 1, 2: 3})
+    for size, route in ((MIN_TERM_OPS - 1, "loop"), (MIN_TERM_OPS, (2, 8))):
+        m = IntegerMultiset.from_counts(dict(dense(size, step=2, coeff=lambda k: k + 1)))
+        assert msum(two, m) == ref_msum(two, m)
+        assert routes[-1] == route
+        g = TildeElement(dict(dense(size, step=2)))
+        assert left_mul_h(1, g) == ref_left_mul_h(1, g)
+        assert routes[-1] == route
+    assert len(routes) == 6
 
 
-@pytest.fixture
-def word_packs(monkeypatch):
-    """Records the number of fields of every word pack."""
-    calls = []
-
-    def spy(values):
-        calls.append(len(values))
-        return _word_pack(values)
-
-    monkeypatch.setattr(tilde_ring, "_word_pack", spy)
-    return calls
-
-
-@pytest.fixture
-def word_calls(monkeypatch):
-    """Records (term pairs, packed) for every product mul offers the word route."""
-    calls = []
-
-    def spy(g1, b):
-        result = _word_mul(g1, b)
-        calls.append((g1.support_size() * len(b), result is not None))
-        return result
-
-    monkeypatch.setattr(tilde_ring, "_word_mul", spy)
-    return calls
-
-
-def test_threshold_selects_the_packed_path_exactly_at_the_constant(packed_calls, word_calls):
-    # mul: word route from WORD_MIN_TERM_OPS pairs of g1 and g2 terms on
-    g1 = basis(3) - 2 * basis(-2)
-    half = WORD_MIN_TERM_OPS // 2
-    assert WORD_MIN_TERM_OPS % 2 == 0
-    below = TildeElement(dict(dense(half - 1, lo=-4)))
-    at = TildeElement(dict(dense(half, lo=-4)))
-    assert mul(g1, below) == ref_mul(g1, below)
-    assert word_calls == []
-    assert mul(g1, at) == ref_mul(g1, at)
-    assert word_calls == [(WORD_MIN_TERM_OPS, True)]
-    assert packed_calls == []
-    # the other products: one big-int multiply from KRONECKER_MIN_TERM_OPS on
-    assert KRONECKER_MIN_TERM_OPS % 2 == 0
-    half = KRONECKER_MIN_TERM_OPS // 2
-    below = TildeElement(dict(dense(half - 1, step=2)))
-    at = TildeElement(dict(dense(half, step=2)))
-    # h[3] has the two-term numerator x^5 - x^-3
-    assert left_mul_h(3, below) == ref_left_mul_h(3, below)
-    assert packed_calls == []
-    assert left_mul_h(3, at) == ref_left_mul_h(3, at)
-    assert packed_calls == [KRONECKER_MIN_TERM_OPS]
-    a, b = dense(half), dense(2, lo=-1)
-    assert _sparse_product(a, b) == ref_product(a, b)
-    assert packed_calls == [KRONECKER_MIN_TERM_OPS] * 2
-
-
-def test_default_verify_never_packs(packed_calls, word_calls, capsys):
-    # the largest product of a default verify has 580 term pairs, so no
-    # product reaches the big-int packer; thousands of mul products take
-    # the word route, and only a few decline it, for sparsity (no field of
-    # a default verify needs more than 64 bits)
+def test_default_verify_packs_only_word_fields(capsys):
+    # thousands of products of a default verify are packed, all in 8-byte
+    # fields, the left expansions of its closed route among them
     for name in ("e0_raw", "e1_raw", "_penultimate_first_lines", "e0_closed", "e1_closed"):
         getattr(recurrence_engine, name).cache_clear()
-    assert main(["verify", "--seed", "0"]) == 0
+    recurrence_engine._self_sum.cache_clear()
+    with recorded_routes() as calls:
+        assert main(["verify", "--seed", "0"]) == 0
     capsys.readouterr()
-    assert packed_calls == []
-    assert all(pairs >= WORD_MIN_TERM_OPS for pairs, _ in word_calls)
-    assert sum(packed for _, packed in word_calls) > 3000
-    assert sum(not packed for _, packed in word_calls) < 20
+    packed = [route for route in calls if route != "loop"]
+    assert len(packed) > 3000
+    assert {width for _, width in packed} == {8}
 
 
-def test_one_term_times_many_terms(packed_calls):
-    many = dense(KRONECKER_MIN_TERM_OPS + 5, lo=-300, step=2)
-    one = [(7, -(3**50))]
-    assert nonzero(_sparse_product(one, many)) == ref_product(one, many)
-    assert nonzero(_sparse_product(many, one)) == ref_product(many, one)
-    assert len(packed_calls) == 2
+def test_cone_certificates_never_call_mul(monkeypatch, routes):
+    # the closed route and the cone decomposition reach _product directly
+    from chebcone import certifier
+
+    for name in ("e0_closed", "e1_closed"):
+        getattr(recurrence_engine, name).cache_clear()
+    recurrence_engine._self_sum.cache_clear()
+
+    def forbidden(g1, g2):
+        raise AssertionError("mul called")
+
+    for module in (tilde_ring, recurrence_engine, certifier):
+        monkeypatch.setattr(module, "mul", forbidden, raising=False)
+    for n in range(6):
+        for j in (0, 1):
+            certifier.document_json(certifier.certify_cone(n, j).to_document())
+    assert len([route for route in routes if route != "loop"]) >= 10
+
+
+def test_one_term_times_many_terms(routes):
+    many = dict(dense(2 * MIN_TERM_OPS + 5, lo=-300, step=2))
+    one = {7: -(3**50)}
+    assert tilde_ring._product(one, many) == ref_product(one.items(), many.items())
+    assert tilde_ring._product(many, one) == ref_product(many.items(), one.items())
+    # each operand has one parity, and 3^50 asks for 80 + 3 + 1 + 1 bits
+    assert routes == [(2, 11)] * 2
 
 
 def test_interior_cancellation_drops_every_zero():
     # (1 + x + ... + x^(n-1)) * (1 - x) = 1 - x^n: all interior slots cancel
-    n = KRONECKER_MIN_TERM_OPS
-    assert _kronecker_product(dense(n, coeff=lambda k: 1), [(0, 1), (1, -1)]) == {0: 1, n: -1}
+    n = 4 * MIN_TERM_OPS
+    assert _product(dict(dense(n, coeff=lambda k: 1)), {0: 1, 1: -1}) == {0: 1, n: -1}
     # a left factor whose fold cancels term by term acts as zero
     g1 = TildeElement({i: 1 for i in range(40)}) + TildeElement({-i - 2: 1 for i in range(40)})
     assert mul(g1, TildeElement(dict(dense(60)))) == TildeElement.zero()
 
 
-def test_all_negative_operands():
-    a = dense(40, lo=-11, step=2, coeff=lambda k: -(k + 1))
-    b = dense(30, lo=4, step=2, coeff=lambda k: -(2**70) - k)
-    p = _kronecker_product(a, b)
-    assert p == ref_product(a, b)
+def test_all_negative_operands(routes):
+    a = dict(dense(40, lo=-11, step=2, coeff=lambda k: -(k + 1)))
+    b = dict(dense(30, lo=4, step=2, coeff=lambda k: -(2**70) - k))
+    p = tilde_ring._product(a, b)
+    assert p == ref_product(a.items(), b.items())
     assert all(c > 0 for c in p.values())
+    assert routes == [(2, 11)]
 
 
-def test_mixed_parity_uses_step_one():
-    a = dense(40, lo=-5, step=2) + [(0, 9)]
-    b = dense(30, lo=3, step=2)
-    assert _kronecker_product(a, b) == ref_product(a, b)
-    assert _kronecker_product(b, a) == ref_product(b, a)
+def test_mixed_parity_uses_step_one(routes):
+    a = dict(dense(40, lo=-5, step=2))
+    b = dict(dense(30, lo=3, step=2, coeff=lambda k: 2**70 + k))
+    assert tilde_ring._product(a, b) == ref_product(a.items(), b.items())
+    assert tilde_ring._product(a | {0: 9}, b) == ref_product((a | {0: 9}).items(), b.items())
+    assert tilde_ring._product(b, a | {0: 9}) == ref_product(b.items(), (a | {0: 9}).items())
+    assert [step for step, _ in routes] == [2, 1, 1]
+    # a left factor of one parity against a right factor of both
+    g1 = TildeElement(a)
+    for g2 in (TildeElement(b), TildeElement(b | {0: 9})):
+        assert mul(g1, g2) == ref_mul(g1, g2)
+    assert [step for step, _ in routes[3:]] == [2, 1]
 
 
-def test_coefficients_above_2_to_the_200():
-    a = dense(35, lo=-20, coeff=lambda k: (-1) ** k * (2**200 + k))
-    b = dense(35, lo=1, step=1, coeff=lambda k: 2**201 - 3 * k)
-    p = _kronecker_product(a, b)
-    assert p == ref_product(a, b)
+@PROPERTY
+@given(st.dictionaries(st.integers(-9, 7), st.integers(-2, 2), min_size=2, max_size=9),
+       st.integers(-5, 5))
+def test_a_kernel_packs_at_step_two_exactly_when_its_numerator_has_one_parity(terms, lo):
+    # K has the parity of its numerator: odd-offset terms that fold to zero
+    # (h~[-1], or h~[j] against an equal h~[-j-2]) leave it of one parity
+    g1 = TildeElement(terms)
+    g2 = TildeElement(dict(dense(40, lo=lo, step=2)))
+    a = dict(g1.items())
+    with recorded_routes() as calls:
+        assert mul(g1, g2) == ref_mul(g1, g2)
+    if calls != ["loop"]:
+        m = max(max(a), -2 - min(a))
+        assert calls == [(1 if any(_numerator_fields(a, m)[1::2]) else 2, 8)]
+
+
+def test_coefficients_above_2_to_the_200(routes):
+    a = dict(dense(35, lo=-20, coeff=lambda k: (-1) ** k * (2**200 + k)))
+    b = dict(dense(35, lo=1, step=1, coeff=lambda k: 2**201 - 3 * k))
+    p = tilde_ring._product(a, b)
+    assert p == ref_product(a.items(), b.items())
     assert max(abs(c) for c in p.values()).bit_length() > 400
+    assert routes == [(1, 52)]
 
 
-@pytest.mark.parametrize("width", [1, 2, 5])
-def test_slots_at_the_limits_of_their_width_decode_on_their_own(width):
-    top = 2 ** (8 * width - 1) - 1
-    values = [top, -top, -top, top, 0, 1, -1, top, 0, -top]
-    terms = [(3 + 2 * k, v) for k, v in enumerate(values) if v]
-    value = _kronecker_pack(terms, 3, 2, len(values), width)
-    assert _kronecker_unpack(value, 3, 2, len(values), width) == dict(terms)
-
-
-def test_slot_sums_need_the_sign_bit():
-    # 15 terms of coefficient 3 on each side: 2 + 2 + bit_length(15) = 8 bits
-    # of magnitude, and the middle slot sums 15 * 3 * 3 = 135 > 2^7 - 1, so
-    # only the sign bit's second byte lets it decode
-    for sign in (1, -1):
-        a = dense(15, coeff=lambda k: sign * 3)
-        b = dense(15, lo=-7, coeff=lambda k: 3)
-        p = _kronecker_product(a, b)
-        assert p == ref_product(a, b)
-        assert p[7] == sign * 135
-
-
-def test_operands_too_sparse_to_pack_fall_back_to_the_loop(packed_calls):
-    a = [(k * 10**9, k + 1) for k in range(40)]
-    b = [(-k * 10**9 + 1, 2 - k) for k in range(40)]
-    assert _kronecker_product(a, b) is None
-    assert nonzero(_sparse_product(a, b)) == ref_product(a, b)
-    assert packed_calls == [1600]
+def test_operands_too_sparse_to_pack_fall_back_to_the_loop(routes):
+    a = {k * 10**9: k + 1 for k in range(40)}
+    b = {-k * 10**9 + 1: 2 - k for k in range(40) if k != 2}
+    assert tilde_ring._product(a, b) == ref_product(a.items(), b.items())
+    # h~[0] has the one-term kernel 1: MIN_TERM_OPS right terms 2 apart
+    # span 2 * MIN_TERM_OPS - 1 slots, within two per term pair, and 3
+    # apart 3 * MIN_TERM_OPS - 2, beyond
+    for gap, route in ((2, (2, 8)), (3, "loop")):
+        g2 = TildeElement({gap * k: k + 1 for k in range(MIN_TERM_OPS)})
+        assert mul(basis(0), g2) == g2 == ref_mul(basis(0), g2)
+        assert routes[-1] == route
+    assert routes[0] == "loop" and len(routes) == 3
 
 
 def test_numerator_needs_no_fold():
     # x^2 g(x) - g(1/x): h~[-1] cancels, and h~[j], h~[-j-2] share the
     # numerator terms of the folded h[j]
-    assert _numerator({-1: 7}.items()) == {}
-    assert _numerator({4: 3, -6: 3}.items()) == {}
-    assert _numerator({4: 3, -6: 1}.items()) == {6: 2, -4: -2}
-    assert _numerator({-5: 2}.items()) == {-3: 2, 5: -2}
-    assert _numerator({0: 1, -2: 1, -1: 4}.items()) == {}
+    cases = [
+        ({-1: 7}, {}),
+        ({4: 3, -6: 3}, {}),
+        ({4: 3, -6: 1}, {6: 2, -4: -2}),
+        ({-5: 2}, {-3: 2, 5: -2}),
+        ({0: 1, -2: 1, -1: 4}, {}),
+    ]
+    for a, expected in cases:
+        assert _numerator(a.items()) == expected
+        # the packed route's dense fields, at exponents -m .. m + 2
+        m = max(max(a), -2 - min(a))
+        fields = _numerator_fields(a, m)
+        assert {e - m: c for e, c in enumerate(fields) if c} == expected
 
 
 PARTNER_FACTORS = [
@@ -644,15 +740,18 @@ PARTNER_FACTORS = [
 
 @pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("terms", PARTNER_FACTORS)
-def test_mul_with_partner_indices_on_both_sides_of_the_threshold(terms, wide, word_calls):
+def test_mul_with_partner_indices_on_both_sides_of_the_threshold(terms, wide, routes):
     g1 = TildeElement(terms)
-    at = -(-WORD_MIN_TERM_OPS // len(terms))  # fewest right terms offered the word route
+    n = 2 * max(max(terms), -2 - min(terms)) + 1  # the kernel's terms, at most
+    at = -(-MIN_TERM_OPS // n)  # fewest right terms that pack
     # a coefficient of 2^64 on the right, or of 2^128 on the left, needs
-    # fields wider than 64 bits, and the product falls back to the loop
+    # fields wider than 64 bits
     fits = not wide and max(abs(c) for c in terms.values()) < BIG
-    filler = BIG if wide else 7
-    for size, offered in ((at - 1, False), (at, True)):
-        del word_calls[:]
-        g2 = TildeElement(dict(dense(size, lo=-size, coeff=lambda k: (k % 11 - 5) or filler)))
+    for size, packed in ((at - 1, False), (at, True)):
+        del routes[:]
+        coeff = lambda k: BIG if wide and k == 0 else (k % 11 - 5) or 7  # noqa: E731
+        g2 = TildeElement(dict(dense(size, lo=-size, coeff=coeff)))
         assert mul(g1, g2) == ref_mul(g1, g2)
-        assert word_calls == ([(size * len(terms), fits)] if offered else [])
+        assert len(routes) == 1
+        assert (routes[0] != "loop") == packed
+        assert not packed or (routes[0][1] == 8) == fits

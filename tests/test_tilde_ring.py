@@ -9,7 +9,6 @@ from chebcone.tilde_ring import (
     ChElement,
     TildeElement,
     basis,
-    ch_left_mul,
     fold_L,
     left_mul_h,
     mul,
@@ -87,8 +86,8 @@ def test_a_used_left_factor_is_indistinguishable_from_an_unused_copy():
     g = TildeElement({k: k % 5 - 2 or 3 for k in range(-3, 4)})
     unused = TildeElement(dict(g.items()))
     mul(g, basis(2))  # one-term right factor: keeps the kernel
-    mul(g, TildeElement({k: 1 for k in range(20)}))  # word route: keeps it packed
-    assert g._kernel and g._word_kernel
+    mul(g, TildeElement({k: 1 for k in range(20)}))  # packed route: keeps it packed
+    assert g._kernel and g._span == 3 and g._packed_kernel
     assert g == unused and unused == g and hash(g) == hash(unused)
     assert repr(g) == repr(unused)
     assert repr(g) == "TildeElement({-3: 3, -2: 1, -1: 2, 0: -2, 1: -1, 2: 3, 3: 1})"
@@ -99,7 +98,7 @@ def test_a_used_left_factor_is_indistinguishable_from_an_unused_copy():
 
 @pytest.mark.parametrize("value", [ChElement({0: 1, 2: 3}), IntegerMultiset.from_counts({0: 3})])
 def test_only_tilde_elements_keep_a_kernel(value):
-    for name in ("_kernel", "_word_kernel"):
+    for name in ("_kernel", "_span", "_packed_kernel"):
         assert not hasattr(type(value), name)
         with pytest.raises(AttributeError):
             setattr(value, name, {})
@@ -163,6 +162,17 @@ def test_mul_associative_empirically():
     for _ in range(50):
         a, b, c = (random_element(rng) for _ in range(3))
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+def ch_left_mul(i: int, x: ChElement) -> ChElement:
+    """Product h[i] * x inside the folded algebra, by the closed interval
+    rule h[i] h[j] = h[|i-j|] + h[|i-j|+2] + ... + h[i+j]: a reference for
+    the fold homomorphism, independent of the h~ machinery."""
+    acc: dict[int, int] = {}
+    for j, c in x.items():
+        for m in range(abs(i - j), i + j + 1, 2):
+            acc[m] = acc.get(m, 0) + c
+    return ChElement(acc)
 
 
 def test_fold_commutes_with_left_action():
