@@ -28,7 +28,7 @@ from .multiset_cone import (
     munion,
     to_tilde,
 )
-from .tilde_ring import H1, TildeElement, _product, basis, fold_L, mul, w0, w1
+from .tilde_ring import H1, TildeElement, _kernel, _product, basis, fold_L, mul, w0, w1
 
 VALID_I = (-1, 0, 1)
 VALID_J = (0, 1)
@@ -73,6 +73,7 @@ def e0_raw(n: int, i: int = 0) -> TildeElement:
     return mul(e1, mul(e0, e0)) + mul(e0, e0e1) - mul(e1, mul(H1, e0e1))
 
 
+@lru_cache(maxsize=None)
 def leading_extra_term(n: int) -> TildeElement:
     """The literal extra summand of the slot -1 leading recurrence at depth n."""
     em1 = e0_raw(n, -1)
@@ -129,7 +130,7 @@ def _left_expand(weights: IntegerMultiset, addend: IntegerMultiset) -> IntegerMu
     for i, d in fold_L(left).items():
         if d < 0:
             raise ValueError(f"negative folded weight {d} at h[{i}]: not a multiset")
-    return IntegerMultiset.from_counts(_product(left._coeffs, addend._coeffs, left))
+    return IntegerMultiset.from_counts(_product(_kernel(left), addend._coeffs))
 
 
 @lru_cache(maxsize=None)

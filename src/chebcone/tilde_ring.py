@@ -12,21 +12,19 @@ nothing here relies on it, empirically associative.
 Reading h~[j] as x^j, the shifts of h[i] sum to the Chebyshev-U kernel
 x^-i + x^(-i+2) + ... + x^i = (x^(i+2) - x^-i) / (x^2 - 1), so mul(g1, g2)
 = K * g2 for the shift kernel K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1) of
-the left factor, whose numerator needs no fold (see _numerator).  Every
-left action (mul, left_mul_h and the closed-route expansion, which calls
-_product itself and never mul) and the multiset sum is one product L * g2
-of a left operand L, a shift kernel or a plain multiset, by _product.  A
-left factor keeps K once formed, so a one-term g2 = d * h~[j] gives K
-shifted by j, times d.
+the left factor, whose numerator needs no fold (see _numerator).  K is
+formed one way, by _kernel, and the left factor keeps it as a dict.  A
+one-term g2 = d * h~[j] gives K shifted by j, times d.
 
-From MIN_TERM_OPS term pairs on, a product is one big-int multiply by
-Kronecker substitution (Schoenhage 1982; Harvey, arXiv:0712.4046): each
-operand is packed into one integer with a field of fixed width per
-exponent step, 8-byte words by struct while the slot bound fits 64 bits
-and whole bytes above that.  K is formed first at every width: the packed
-numerator is divided exactly by x^2 - 1 at x = B^(1/step) for the field
-base B, and the left factor keeps packed K for its next product at the
-same width and step.  Smaller products are the double loop over L.
+Every other product is one product of two plain {exponent: coefficient}
+maps, by _product: K and g2 for mul and the closed-route expansion (which
+calls _product itself and never mul), the kernel of h[i] and g for
+left_mul_h, and two multisets for the multiset sum.  From MIN_TERM_OPS
+term products on it is one big-int multiply by Kronecker substitution
+(Schoenhage 1982; Harvey, arXiv:0712.4046): each map is packed into one
+integer with a field of fixed width per exponent step, 8-byte words by
+struct while the slot bound fits 64 bits and whole bytes above that.
+Smaller products are the double loop.
 
 Both element types, and the multisets of multiset_cone, derive from
 SparseVector, which holds the storage, queries and additive arithmetic.
@@ -146,7 +144,7 @@ class SparseVector:
 class TildeElement(SparseVector):
     """Integer combination of h~[j] symbols, j ranging over all integers."""
 
-    __slots__ = ("_kernel", "_span", "_packed_kernel")  # kept by mul for a left factor
+    __slots__ = ("_kernel",)  # the shift kernel, kept by a left factor once formed
     symbol = "h~"
 
     def shift(self, k: int) -> "TildeElement":
@@ -213,107 +211,58 @@ def fold_L(g: TildeElement) -> ChElement:
     return _wrap(ChElement, {i: c for i, c in acc.items() if c})
 
 
-# A product is packed when the double loop would make at least
-# MIN_TERM_OPS term products per operand that packing writes: n * len(b),
-# for n a bound on the terms of the left operand, against MIN_TERM_OPS for
-# a shift kernel, which its left factor packs once and keeps, and against
-# 2 * MIN_TERM_OPS for a plain left operand, packed with the right one on
-# every call.  The 5,729 products of
-# `verify --seed 1` that reach _product (4,923 module products with two
-# right terms or more, 606 multiset sums and 200 actions of h[i]), each
-# timed best of 12 rounds with the loop forced and with packing forced,
-# with CPython 3.11 on a 2-CPU Xeon host:
+# A product is packed from MIN_TERM_OPS term products on, len(a) * len(b).
+# The 5,777 products of `verify --seed 1` that reach _product (4,962
+# module products whose right factor is not one term, 606 multiset sums,
+# 200 actions of h[i] and 9 closed-route expansions), less the 30 too
+# sparse to pack, each timed best of 20 rounds with the loop forced and
+# with packing forced, with CPython 3.11.7 on a 2-CPU Xeon host:
 #
-#     pairs per packed operand   products   loop ms   packed ms   ratio
-#     0-7                             319       1.0         2.7    2.70
-#     8-15                            302       2.0         3.3    1.68
-#     16-23                           378       3.3         4.4    1.33
-#     24-31                           405       4.1         5.0    1.21
-#     32-63                         1,849      23.3        23.5    1.01
-#     64-127                        1,190      22.1        17.1    0.77
-#     128 and up                    1,286      38.9        21.3    0.55
+#     term products   products   loop ms   packed ms   ratio
+#     0-15                 661       2.4         7.0    2.99
+#     16-31              1,123       8.1        15.7    1.94
+#     32-63              1,892      20.7        29.5    1.43
+#     64-79                438       7.0         7.6    1.09
+#     80-87                114       2.0         2.0    1.01
+#     88-95                144       2.6         2.4    0.93
+#     96-127               419       9.2         7.6    0.83
+#     128 and up           956      32.8        19.4    0.59
 #
-# Forcing either route moves cost between rows: a left factor packs its
-# kernel, or forms it as a dict, at its first product.  Replayed whole
-# with the threshold at 16, 32 and 48, the products took times within 3%
-# of each other, inside the spread between runs.
-MIN_TERM_OPS = 32
+# Replayed whole, interleaved, with the threshold at 64, 72, 80, 88, 96
+# and 112, the products took times within 2% of each other.
+MIN_TERM_OPS = 88
 
 
-def _product(a: dict[int, int], b: dict[int, int], g1: TildeElement | None = None) -> dict[int, int]:
-    """Nonzero coefficients of L * b for L = sum a[i] x^i, or for the shift
-    kernel L = K of the left factor g1 when g1 is given (a is then g1's
-    coefficients).
+def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Nonzero coefficients of A * B for A = sum a[i] x^i and B = sum b[j] x^j.
 
-    With n a bound on the terms of L (len(a), or 2m + 1 for K below), the
-    product is one big-int multiply by Kronecker substitution once
-    n * len(b) reaches MIN_TERM_OPS for K, and twice that for a plain L:
-    each operand becomes one integer with a field of fixed width per
-    exponent step.  Below that, or if the operands span more than two
-    slots per pair of a and b terms, it is the double loop over L, with K
-    formed by _kernel.
+    From MIN_TERM_OPS term products on, len(a) * len(b), the product is one
+    big-int multiply by Kronecker substitution: each operand becomes one
+    integer with a field of fixed width per exponent step.  Below that, or
+    if the operands span more than two slots per term product, it is the
+    double loop.
 
-    The step is 2 when the exponents of L and of b each share one parity,
-    else 1.  A product slot sums at most min(n, len(b)) products of
-    coefficients below 2^bits_L and 2^bits_b, so it lies strictly between
-    -2^(w-1) and 2^(w-1) for w = bits_L + bits_b + bit_length(min(n,
+    The step is 2 when the exponents of a and of b each share one parity,
+    else 1.  A product slot sums at most min(len(a), len(b)) products of
+    coefficients below 2^bits_a and 2^bits_b, so it lies strictly between
+    -2^(w-1) and 2^(w-1) for w = bits_a + bits_b + bit_length(min(len(a),
     len(b))) + 1 bits.  Fields are 8-byte words while w <= 64, else the
     fewest whole bytes that hold w bits.
-
-    K is sum c * (x^-i + x^(-i+2) + ... + x^i) over the folded terms
-    c * h[i] of g1, so it spans -m..m for the largest index m that folds
-    onto some h[i], with the parity of g1's indices, and no coefficient of
-    K exceeds the sum of |g1|.  Its numerator (see _numerator) spans
-    -m..m + 2 and is a polynomial multiple of x^2 - 1, so packed with field
-    base B and step s it is an integer multiple of B^(2/s) - 1, and one
-    exact division leaves K packed.  g1 keeps m once found, and packed K
-    with its width and step, and reuses packed K only at both.
     """
-    if g1 is None:
-        n, packs = len(a), 2
-    else:
-        try:
-            m = g1._span
-        except AttributeError:
-            m = g1._span = max(max(a), -2 - min(a)) if a else -1
-            g1._packed_kernel = None  # until K is packed: cheaper than unset
-        n, packs = 2 * m + 1, 1  # K's terms, at most; K is packed once
-    if n * len(b) >= packs * MIN_TERM_OPS:
-        lo_a, hi_a = (min(a), max(a)) if g1 is None else (-m, m)
-        lo_b, hi_b = min(b), max(b)
-        if hi_a - lo_a + hi_b - lo_b < 2 * len(a) * len(b):
-            dense_b = _dense(b, lo_b, hi_b)
-            if g1 is None:
-                dense_a = _dense(a, lo_a, hi_a)
-                bits_a, mixed = max(map(abs, a.values())).bit_length(), any(dense_a[1::2])
-            else:
-                kept = g1._packed_kernel
-                if kept is None:
-                    numerator = _numerator_fields(a, m)
-                    bits_a = sum(map(abs, a.values())).bit_length()
-                    mixed = any(numerator[1::2])
-                else:
-                    numerator = None
-                    bits_a, mixed, kept_width, kept_step, kept = kept
-            step = 1 if mixed or any(dense_b[1::2]) else 2
-            bits = bits_a + max(map(abs, b.values())).bit_length()
-            bits += min(n, len(b)).bit_length() + 1
+    ops = len(a) * len(b)
+    if ops >= MIN_TERM_OPS:
+        lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
+        span = hi_a - lo_a + hi_b - lo_b
+        if span < 2 * ops:
+            dense_a, dense_b = _dense(a, lo_a, hi_a), _dense(b, lo_b, hi_b)
+            step = 1 if any(dense_a[1::2]) or any(dense_b[1::2]) else 2
+            bits = max(map(abs, a.values())).bit_length() + max(map(abs, b.values())).bit_length()
+            bits += min(len(a), len(b)).bit_length() + 1
             width = 8 if bits <= 64 else (bits + 7) // 8
-            if g1 is None:
-                left = _pack(dense_a, step, width)
-            elif kept is not None and kept_width == width and kept_step == step:
-                left = kept
-            else:
-                # numerator is None if K was packed at another width or
-                # step, and a list of 2m + 3 >= 1 fields otherwise
-                left = _pack(numerator or _numerator_fields(a, m), step, width)
-                left //= (1 << 16 * width // step) - 1
-                g1._packed_kernel = bits_a, mixed, width, step, left
-            product = left * _pack(dense_b, step, width)
-            slots = (hi_a - lo_a + hi_b - lo_b) // step + 1
-            return _unpack(product, lo_a + lo_b, step, slots, width)
+            product = _pack(dense_a, step, width) * _pack(dense_b, step, width)
+            return _unpack(product, lo_a + lo_b, step, span // step + 1, width)
     acc: dict[int, int] = {}
-    for i, c in (a if g1 is None else _kernel(g1)).items():
+    for i, c in a.items():
         for j, d in b.items():
             k = i + j
             acc[k] = acc.get(k, 0) + c * d
@@ -321,8 +270,9 @@ def _product(a: dict[int, int], b: dict[int, int], g1: TildeElement | None = Non
 
 
 def _kernel(g1: TildeElement) -> dict[int, int]:
-    """Nonzero coefficients of the shift kernel K of g1, which g1 keeps once
-    formed: its numerator divided exactly by x^2 - 1."""
+    """Nonzero coefficients of the shift kernel K of g1: its numerator
+    divided exactly by x^2 - 1, the one way K is formed.  g1 keeps K once
+    formed, for every later product with g1 on the left."""
     try:
         return g1._kernel
     except AttributeError:
@@ -348,17 +298,6 @@ def _numerator(terms: ItemsView[int, int]) -> dict[int, int]:
         else:
             del acc[-j]  # present, since c was nonzero
     return acc
-
-
-def _numerator_fields(a: dict[int, int], m: int) -> list[int]:
-    """The coefficients of the numerator of sum a[j] h~[j] at exponents -m,
-    ..., m + 2, zero where _numerator has none, for m = max(max(a),
-    -2 - min(a)); for packing, where a dense list is cheaper to build."""
-    values = [0] * (2 * m + 3)
-    for j, c in a.items():
-        values[m + j + 2] += c
-        values[m - j] -= c
-    return values
 
 
 def _over_x2_minus_1(p: dict[int, int]) -> dict[int, int]:
@@ -460,15 +399,16 @@ def mul(g1: TildeElement, g2: TildeElement) -> TildeElement:
     as K * g2 for the shift kernel K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1).
 
     A one-term g2 = d * h~[j] takes K shifted by j and scaled by d; any
-    other product goes through _product.  g1 keeps K, and packed K, once
-    formed: elements are immutable, so neither goes stale, and neither
-    takes part in ==, hash, repr or str.
+    other g2 is multiplied by K through _product.  g1 keeps K once formed:
+    elements are immutable, so it never goes stale, and it takes no part
+    in ==, hash, repr or str.
     """
+    kernel = _kernel(g1)
     b = g2._coeffs
     if len(b) == 1:
         ((j, d),) = b.items()
-        return _wrap(TildeElement, {i + j: c * d for i, c in _kernel(g1).items()})
-    return _wrap(TildeElement, _product(g1._coeffs, b, g1))
+        return _wrap(TildeElement, {i + j: c * d for i, c in kernel.items()})
+    return _wrap(TildeElement, _product(kernel, b))
 
 
 def w0(g1: TildeElement, g2: TildeElement, g3: TildeElement) -> TildeElement:

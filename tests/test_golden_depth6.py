@@ -2,7 +2,7 @@
 reach the packed route with fields wider than 64 bits.
 
 `tests/test_golden.py` stops at depth 3, where every product of the
-closed route is small.  `certify --n 6` packs 23 products, 13 of them in
+closed route is small.  `certify --n 6` packs 20 products, 13 of them in
 fields wider than 64 bits, all at exponent step 2, so this digest pins
 the output bytes of that route.  The digests were recorded before the
 byte-field packer was folded into the one packed route.  Files are

@@ -126,7 +126,6 @@ def test_oracle_shares_no_product_primitive_with_the_kernel():
         tilde_ring._product,
         tilde_ring._kernel,
         tilde_ring._numerator,
-        tilde_ring._numerator_fields,
         tilde_ring._over_x2_minus_1,
         tilde_ring._dense,
         tilde_ring._field_tops,

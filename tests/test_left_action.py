@@ -2,21 +2,22 @@
 implementations.
 
 mul, left_mul_h, msum and the closed-route expansion all run on one
-product of a left operand with the right factor (tilde_ring._product): the
-left factor's shift kernel, or a plain multiset.  The references below are
-the direct loops those functions used to be: one shifted copy of the right
-factor per index -i, -i+2, ..., i of every folded term.  From
-MIN_TERM_OPS term pairs per packed operand on, a product is one big-int
+product of two plain maps (tilde_ring._product): a left operand, the left
+factor's shift kernel or a plain multiset, times the right factor.  The
+references below are the direct loops those functions used to be: one
+shifted copy of the right factor per index -i, -i+2, ..., i of every
+folded term.  From MIN_TERM_OPS term products on, a product is one big-int
 multiply with 8-byte fields while every product slot fits a signed 64-bit
 word, and whole-byte fields above that, at exponent step 2 when both
 operands have one parity; below that, and for operands too sparse to pack,
 it is the double loop.  The cases below reach both sides of the threshold,
 of the 64-bit bound and of the sparsity cut-off, and both steps.  A
 one-term right factor takes the left factor's shift kernel, which the left
-factor keeps, as it keeps the packed kernel with its width and step; the
-reuse cases run one left factor through every route in turn.
+factor keeps; the reuse cases run one left factor through every route in
+turn.
 """
 
+import math
 import random
 from contextlib import contextmanager
 
@@ -39,8 +40,8 @@ from chebcone.tilde_ring import (
     MASK_CACHE_BYTES,
     MIN_TERM_OPS,
     TildeElement,
+    _kernel,
     _numerator,
-    _numerator_fields,
     _pack,
     _product,
     _unpack,
@@ -61,6 +62,15 @@ def ref_mul(g1: TildeElement, g2: TildeElement) -> TildeElement:
             for j, d in g2.items():
                 acc[j + k] = acc.get(j + k, 0) + c * d
     return TildeElement(acc)
+
+
+def ref_kernel(g1: TildeElement) -> dict[int, int]:
+    """The shift kernel of g1: x^-i + x^(-i+2) + ... + x^i per folded h[i]."""
+    acc: dict[int, int] = {}
+    for i, c in fold_L(g1).items():
+        for k in range(-i, i + 1, 2):
+            acc[k] = acc.get(k, 0) + c
+    return nonzero(acc)
 
 
 def ref_left_mul_h(i: int, g: TildeElement) -> TildeElement:
@@ -165,6 +175,12 @@ def test_mul_matches_reference(g1, g2):
 
 
 @PROPERTY
+@given(elements)
+def test_kernel_matches_reference(g1):
+    assert _kernel(g1) == ref_kernel(g1)
+
+
+@PROPERTY
 @given(st.integers(0, 12), elements)
 def test_left_mul_h_matches_reference(i, g):
     assert left_mul_h(i, g) == ref_left_mul_h(i, g)
@@ -198,14 +214,13 @@ word_elements = st.builds(
 
 
 def kernel_bits(g1: TildeElement, g2: TildeElement) -> int:
-    """The slot bound of K * g2: the sum of |g1| bounds the kernel, and K
-    has at most 2m + 1 terms for the largest folded index m."""
-    a, b = dict(g1.items()), dict(g2.items())
-    m = max(max(a), -2 - min(a))
+    """The slot bound of K * g2: a slot sums at most min(len(K), len(g2))
+    products of a kernel and a right coefficient."""
+    a, b = ref_kernel(g1), dict(g2.items())
     return (
-        sum(abs(c) for c in a.values()).bit_length()
+        max(abs(c) for c in a.values()).bit_length()
         + max(abs(c) for c in b.values()).bit_length()
-        + min(2 * m + 1, len(b)).bit_length()
+        + min(len(a), len(b)).bit_length()
         + 1
     )
 
@@ -220,9 +235,9 @@ def recorded_routes():
     one, and "loop" for the rest."""
     calls = []
 
-    def product(a, b, g1=None):
+    def product(a, b):
         calls.append("loop")
-        return _product(a, b, g1)
+        return _product(a, b)
 
     def unpack(value, lo, step, slots, width):
         calls[-1] = (step, width)
@@ -273,7 +288,7 @@ def test_word_route_matches_reference(g1, g2):
     expected = ref_mul(g1, g2)
     assert mul(g1, g2) == expected
     if g2:
-        assert _product(dict(g1.items()), dict(g2.items()), g1) == dict(expected.items())
+        assert _product(_kernel(g1), dict(g2.items())) == dict(expected.items())
 
 
 @PROPERTY
@@ -296,10 +311,9 @@ def test_packed_route_on_both_sides_of_the_64_bit_bound(n1, lo1, n2, lo2, e1, e2
     # for n2 right terms take the loop
     g1 = TildeElement(dict(dense(n1, lo=lo1, coeff=lambda k: (-1) ** k * (2**e1 - k))))
     g2 = TildeElement(dict(dense(n2, lo=lo2, coeff=lambda k: sign * (2**e2 + 3 * k))))
-    m = max(lo1 + n1 - 1, -2 - lo1)
     with recorded_routes() as calls:
         assert mul(g1, g2) == ref_mul(g1, g2)
-    if (2 * m + 1) * n2 >= MIN_TERM_OPS:
+    if len(ref_kernel(g1)) * n2 >= MIN_TERM_OPS:
         assert calls == [(1, width_for(kernel_bits(g1, g2)))]
     else:
         assert calls == ["loop"]
@@ -333,9 +347,9 @@ def test_slots_at_the_limits_of_their_width_decode_on_their_own(width):
 
 
 def test_slot_sums_that_need_bit_63_take_wide_fields(routes):
-    # K = sum over i = 0, 2, ..., 30 of x^-i + ... + x^i peaks at 16, and
-    # 32 right terms of 2^56 make slots of up to 192 * 2^56 > 2^63: the
-    # bound asks for 5 + 57 + 6 + 1 = 69 bits, so 9-byte fields
+    # K = sum over i = 0, 2, ..., 30 of x^-i + ... + x^i peaks at 16 over
+    # 31 terms, and 32 right terms of 2^56 make slots of up to 192 * 2^56 >
+    # 2^63: the bound asks for 5 + 57 + 5 + 1 = 68 bits, so 9-byte fields
     g1 = TildeElement({j: 1 for j in range(0, 32, 2)})
     g2 = TildeElement(dict(dense(32, coeff=lambda k: 2**56)))
     product = mul(g1, g2)
@@ -380,17 +394,18 @@ def test_masks_on_both_sides_of_the_cache_bound(size, routes):
             assert tilde_ring._tops(width, size) == tilde_ring._field_tops(width, size)
 
 
-@pytest.mark.parametrize("terms, route", [
-    ({-1: 5}, "loop"),  # h~[-1] folds to zero, and its kernel is empty
-    ({3: 2, -5: 2}, (1, 8)),  # h~[j] + h~[-j-2] folds to zero
-    ({0: 1, -2: 1, -1: -4}, "loop"),  # a one-term bound on the kernel
-    ({**{j: 3 for j in range(8)}, **{-j - 2: 3 for j in range(8)}}, (1, 8)),
+@pytest.mark.parametrize("terms", [
+    {-1: 5},  # h~[-1] folds to zero
+    {3: 2, -5: 2},  # h~[j] + h~[-j-2] folds to zero
+    {0: 1, -2: 1, -1: -4},
+    {**{j: 3 for j in range(8)}, **{-j - 2: 3 for j in range(8)}},
 ])
-def test_left_factors_with_a_zero_kernel(terms, route, routes):
+def test_left_factors_with_a_zero_kernel(terms, routes):
+    # the kernel is empty, so the product makes no term pair and loops
     g1 = TildeElement(terms)
     g2 = TildeElement(dict(dense(20, lo=-7)))
     assert mul(g1, g2) == TildeElement.zero() == ref_mul(g1, g2)
-    assert routes == [route]
+    assert _kernel(g1) == {} and routes == ["loop"]
 
 
 ROUTES = ("one-term", "loop", "word", "word-2", "wide", "wide-2", "large")
@@ -398,19 +413,20 @@ ROUTES = ("one-term", "loop", "word", "word-2", "wide", "wide-2", "large")
 
 def right_factor(route: str, rng: random.Random) -> TildeElement:
     """A right factor that takes the given route of mul against a left
-    factor of at most 7 terms, each folding onto some h[i] with i <= 5, so
-    that the kernel has at most 11 terms; the -2 routes take step 2 when
-    the left factor has one parity."""
+    factor of at most 7 terms of up to 2^20, each folding onto some h[i]
+    with i <= 5, whose kernel has 2 to 11 terms; the -2 routes take step 2
+    when the left factor has one parity."""
     lo = rng.randint(-12, 4)
+    size = MIN_TERM_OPS // 2  # packs against a kernel of 2 terms or more
     if route == "one-term":
         return TildeElement({lo: rng.choice((1, -1, rng.randint(2, BIG**2)))})
-    if route == "loop":  # at most 11 x 2 term pairs
+    if route == "loop":  # at most 11 x 2 term products
         return TildeElement({lo: rng.randint(1, 9), lo + rng.randint(1, 5): -rng.randint(1, 9)})
     step = 2 if route.endswith("-2") else 1
-    if route.startswith("word"):  # at most 11 + 23 slots of small coefficients
-        return TildeElement({lo + step * k: rng.randint(-(2**20), 2**20) or 1 for k in range(24)})
+    if route.startswith("word"):  # slots of at most 23 + 21 + 4 + 1 bits
+        return TildeElement({lo + step * k: rng.randint(-(2**20), 2**20) or 1 for k in range(size)})
     if route.startswith("wide"):  # one coefficient above 2^64 asks for wide fields
-        g = {lo + step * k: rng.randint(-9, 9) or 1 for k in range(17)}
+        g = {lo + step * k: rng.randint(-9, 9) or 1 for k in range(size)}
         return TildeElement(g | {lo: BIG + 1})
     # 520 terms of wide coefficients
     return TildeElement({lo + k: rng.randint(BIG, 2 * BIG) for k in range(520)})
@@ -452,8 +468,7 @@ def test_right_factors_take_their_route(route, routes):
 
 
 def test_one_left_factor_at_every_width_and_step_matches_reference(routes):
-    # the kept packed kernel is valid at one width and step only; a reuse
-    # at another would read the fields of K in the wrong base
+    # one kept kernel, packed anew at each width and step in turn
     g1 = TildeElement({4: 3, -6: 1, 0: -2, 2: 7, -2: 5})
     rng = random.Random(8)
     order = ("word", "wide", "wide-2", "word-2", "word", "word-2", "wide-2", "wide", "word")
@@ -472,28 +487,6 @@ def test_one_term_right_factors_take_no_product(routes):
         for g2 in (3 * basis(5), -basis(-2), (BIG + 1) * basis(0), 3 * basis(5)):
             assert mul(g1, g2) == ref_mul(g1, g2)
     assert routes == []
-
-
-def test_a_reused_left_factor_packs_its_kernel_once(monkeypatch, routes):
-    # K of g1 spans -2..2, so its numerator packs into 2 * 2 + 3 fields
-    packs = []
-
-    def spy(values, step, width):
-        packs.append(len(values[::step]))
-        return _pack(values, step, width)
-
-    monkeypatch.setattr(tilde_ring, "_pack", spy)
-    g1 = TildeElement(dict(dense(6, lo=-3)))
-    g2 = TildeElement(dict(dense(20, lo=-7)))
-    g3 = TildeElement(dict(dense(30, lo=2, coeff=lambda k: 2**20 - k)))
-    assert mul(g1, g2) == ref_mul(g1, g2)
-    assert packs == [7, 20]
-    assert mul(g1, g3) == ref_mul(g1, g3)
-    assert packs == [7, 20, 30]
-    # the packed kernel belongs to the element, not to its value
-    assert mul(TildeElement(dict(g1.items())), g3) == ref_mul(g1, g3)
-    assert packs == [7, 20, 30, 7, 30]
-    assert routes == [(1, 8)] * 3
 
 
 def test_w1_passes_one_shared_h1(monkeypatch):
@@ -578,31 +571,32 @@ def dense(n: int, lo: int = 0, step: int = 1, coeff=lambda k: k % 7 - 3 or 5) ->
     return [(lo + step * k, coeff(k)) for k in range(n)]
 
 
+def term_counts(n: int) -> tuple[int, int]:
+    """Sizes d <= s of two operands with d * s == n, d as large as possible."""
+    d = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return d, n // d
+
+
 def test_threshold_selects_the_packed_path_exactly_at_the_constant(routes):
-    # mul: 2 h~[0] + h~[-1] has a kernel of one term, and packs from
-    # MIN_TERM_OPS pairs of kernel and right terms on
-    g1 = 2 * basis(0) + basis(-1)
-    for size, route in ((MIN_TERM_OPS - 1, "loop"), (MIN_TERM_OPS, (1, 8))):
-        g2 = TildeElement(dict(dense(size, lo=-4)))
-        assert mul(g1, g2) == ref_mul(g1, g2)
-        assert routes[-1] == route
-    # a plain product packs both operands, so it packs from twice as many
-    # pairs on: msum of 2 and MIN_TERM_OPS terms, and h[1] acting on
-    # MIN_TERM_OPS terms through its two-term kernel
-    two = IntegerMultiset.from_counts({0: 1, 2: 3})
-    for size, route in ((MIN_TERM_OPS - 1, "loop"), (MIN_TERM_OPS, (2, 8))):
-        m = IntegerMultiset.from_counts(dict(dense(size, step=2, coeff=lambda k: k + 1)))
-        assert msum(two, m) == ref_msum(two, m)
-        assert routes[-1] == route
-        g = TildeElement(dict(dense(size, step=2)))
-        assert left_mul_h(1, g) == ref_left_mul_h(1, g)
-        assert routes[-1] == route
+    # one rule for every product: it packs from MIN_TERM_OPS term products
+    # on, d * s here, for the kernel of h~[d - 1] times s right terms, a
+    # multiset sum of d and s elements, and h[d - 1] acting on s terms
+    for ops, route in ((MIN_TERM_OPS - 1, "loop"), (MIN_TERM_OPS, (2, 8))):
+        d, s = term_counts(ops)
+        g = TildeElement(dict(dense(s, step=2)))
+        assert len(_kernel(basis(d - 1))) * len(g.items()) == ops
+        assert mul(basis(d - 1), g) == ref_mul(basis(d - 1), g)
+        m1, m2 = (IntegerMultiset.from_counts(dict(dense(k, step=2, coeff=lambda k: k + 1)))
+                  for k in (d, s))
+        assert msum(m1, m2) == ref_msum(m1, m2)
+        assert left_mul_h(d - 1, g) == ref_left_mul_h(d - 1, g)
+        assert routes[-3:] == [route] * 3
     assert len(routes) == 6
 
 
 def test_default_verify_packs_only_word_fields(capsys):
-    # thousands of products of a default verify are packed, all in 8-byte
-    # fields, the left expansions of its closed route among them
+    # over a thousand products of a default verify are packed, all in
+    # 8-byte fields, the left expansions of its closed route among them
     for name in ("e0_raw", "e1_raw", "_penultimate_first_lines", "e0_closed", "e1_closed"):
         getattr(recurrence_engine, name).cache_clear()
     recurrence_engine._self_sum.cache_clear()
@@ -610,7 +604,7 @@ def test_default_verify_packs_only_word_fields(capsys):
         assert main(["verify", "--seed", "0"]) == 0
     capsys.readouterr()
     packed = [route for route in calls if route != "loop"]
-    assert len(packed) > 3000
+    assert len(packed) > 1000
     assert {width for _, width in packed} == {8}
 
 
@@ -674,22 +668,6 @@ def test_mixed_parity_uses_step_one(routes):
     assert [step for step, _ in routes[3:]] == [2, 1]
 
 
-@PROPERTY
-@given(st.dictionaries(st.integers(-9, 7), st.integers(-2, 2), min_size=2, max_size=9),
-       st.integers(-5, 5))
-def test_a_kernel_packs_at_step_two_exactly_when_its_numerator_has_one_parity(terms, lo):
-    # K has the parity of its numerator: odd-offset terms that fold to zero
-    # (h~[-1], or h~[j] against an equal h~[-j-2]) leave it of one parity
-    g1 = TildeElement(terms)
-    g2 = TildeElement(dict(dense(40, lo=lo, step=2)))
-    a = dict(g1.items())
-    with recorded_routes() as calls:
-        assert mul(g1, g2) == ref_mul(g1, g2)
-    if calls != ["loop"]:
-        m = max(max(a), -2 - min(a))
-        assert calls == [(1 if any(_numerator_fields(a, m)[1::2]) else 2, 8)]
-
-
 def test_coefficients_above_2_to_the_200(routes):
     a = dict(dense(35, lo=-20, coeff=lambda k: (-1) ** k * (2**200 + k)))
     b = dict(dense(35, lo=1, step=1, coeff=lambda k: 2**201 - 3 * k))
@@ -725,10 +703,6 @@ def test_numerator_needs_no_fold():
     ]
     for a, expected in cases:
         assert _numerator(a.items()) == expected
-        # the packed route's dense fields, at exponents -m .. m + 2
-        m = max(max(a), -2 - min(a))
-        fields = _numerator_fields(a, m)
-        assert {e - m: c for e, c in enumerate(fields) if c} == expected
 
 
 PARTNER_FACTORS = [
@@ -742,7 +716,7 @@ PARTNER_FACTORS = [
 @pytest.mark.parametrize("terms", PARTNER_FACTORS)
 def test_mul_with_partner_indices_on_both_sides_of_the_threshold(terms, wide, routes):
     g1 = TildeElement(terms)
-    n = 2 * max(max(terms), -2 - min(terms)) + 1  # the kernel's terms, at most
+    n = len(ref_kernel(g1))
     at = -(-MIN_TERM_OPS // n)  # fewest right terms that pack
     # a coefficient of 2^64 on the right, or of 2^128 on the left, needs
     # fields wider than 64 bits

@@ -171,6 +171,16 @@ def test_check_structure_depth_zero():
     assert in_cone(e1_closed(0), cone_center(0, 1))
 
 
+def test_check_structure_forms_each_extra_term_once():
+    # check_structure(3) reads leading_extra_term(n) for n < 3, and so does
+    # e0_raw(n + 1, -1): from cleared caches, one miss and one hit per n
+    for fn in (e0_raw, e1_raw, leading_extra_term):
+        fn.cache_clear()
+    assert all(r.passed for r in check_structure(3))
+    info = leading_extra_term.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+
+
 def structure_records(n_max):
     """The check_structure records for depths 0..n_max, as the multiset,
     cone and shift suites of verify report them."""
