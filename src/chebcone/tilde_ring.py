@@ -212,11 +212,11 @@ def fold_L(g: TildeElement) -> ChElement:
 
 
 # A product is packed from MIN_TERM_OPS term products on, len(a) * len(b).
-# The 5,777 products of `verify --seed 1` that reach _product (4,962
-# module products whose right factor is not one term, 606 multiset sums,
-# 200 actions of h[i] and 9 closed-route expansions), less the 30 too
-# sparse to pack, each timed best of 20 rounds with the loop forced and
-# with packing forced, with CPython 3.11.7 on a 2-CPU Xeon host:
+# The 5,777 products that reached _product in `verify --seed 1` when this
+# was set (4,962 module products whose right factor is not one term, 606
+# multiset sums, 200 actions of h[i], 9 closed-route expansions), less the
+# 30 too sparse to pack, each timed best of 20 rounds with the loop forced
+# and with packing forced, with CPython 3.11.7 on a 2-CPU Xeon host:
 #
 #     term products   products   loop ms   packed ms   ratio
 #     0-15                 661       2.4         7.0    2.99
@@ -420,16 +420,16 @@ def w0(g1: TildeElement, g2: TildeElement, g3: TildeElement) -> TildeElement:
 def w1(g1: TildeElement, g2: TildeElement, g3: TildeElement) -> TildeElement:
     """Companion trilinear form; equals w0 followed by a downward shift.
 
+        w1 = shift(g1,-1)*g2*g3 + g1*g2*shift(g3,-1)
+             - shift(g1,-1)*h~[1]*g2*shift(g3,-1)
+
     The subtracted term carries an extra h~[1] left factor: without it
     the identity w1 = shift(w0, -1) fails already on basis triples.
-    Unparenthesised products group right to left throughout.
+    Unparenthesised products group right to left.  mul is linear in its
+    right factor and commutes with shifting it, so four products form w1.
     """
-    s1 = g1.shift(-1)
-    g2s3 = mul(g2, g3.shift(-1))
-    a = mul(s1, mul(g2, g3))
-    b = mul(g1, g2s3)
-    c = mul(s1, mul(H1, g2s3))
-    return a + b - c
+    g23 = mul(g2, g3)
+    return mul(g1.shift(-1), g23 - mul(H1, g23).shift(-1)) + mul(g1, g23).shift(-1)
 
 
 def random_element(

@@ -106,9 +106,12 @@ def test_criterion_03_w_shift_identity():
 
 def test_criterion_04_raw_equals_closed_through_depth_four():
     with criterion(4, "raw recurrences equal closed multiset forms for n <= 4, under 5min"):
-        # clear the memo caches so the timing covers the full computation
-        for fn in (e0_raw, e1_raw, e0_closed, e1_closed):
-            fn.cache_clear()
+        # clear every memo cache of the engine (the families, the extra term,
+        # the penultimate first lines and the sumsets M + M) so the timing
+        # covers the full computation
+        for fn in vars(recurrence_engine).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
         start = time.perf_counter()
         for n in range(5):
             assert e0_raw(n, 0) == to_tilde(e0_closed(n))

@@ -1,7 +1,7 @@
 """What a fresh interpreter loads: `import chebcone.cli` must not pull in
-`dataclasses` or the verification suites, which only `verify` imports, nor
-`array`, `decimal` or `numpy`, which no product needs.
-Also what the package exports.
+`dataclasses`, the verification suites or the Laurent oracle, which only
+`verify` imports, nor `array`, `decimal` or `numpy`, which no product needs.
+The package root defines only `__version__`, so importing it loads no submodule.
 
 The import tests run in subprocesses because the other test modules have
 already imported the suites into this one.
@@ -11,8 +11,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-
-import chebcone
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -25,7 +23,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_loads_neither_dataclasses_nor_suites():
     proc = _python("-c", "import sys, chebcone.cli; "
-                   "print(sorted({'dataclasses', 'chebcone.suites'} & set(sys.modules)))")
+                   "print(sorted({'dataclasses', 'chebcone.suites', 'chebcone.laurent_oracle'}"
+                   " & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -46,9 +45,11 @@ def test_verify_imports_the_suites_on_demand():
                                 "(suites=lemmas; n=auto; trials=auto; seed=0)\n")
 
 
-def test_package_exports_are_sorted_unique_and_resolve():
-    names = chebcone.__all__
-    assert names == sorted(names)
-    assert len(set(names)) == len(names)
-    missing = [name for name in names if not hasattr(chebcone, name)]
-    assert missing == []
+
+def test_package_root_defines_only_version_and_loads_no_submodule():
+    proc = _python("-c", "import sys, chebcone; "
+                   "print(sorted(m for m in sys.modules if m.startswith('chebcone.')), "
+                   "sorted(n for n in vars(chebcone) if not n.startswith('__')), "
+                   "chebcone.__version__)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] [] 0.1.0\n"

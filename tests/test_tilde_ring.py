@@ -198,19 +198,31 @@ def test_w0_examples():
     assert w0(TildeElement.zero(), h(2), h(3)) == TildeElement.zero()
 
 
+def ref_w1(g1: TildeElement, g2: TildeElement, g3: TildeElement) -> TildeElement:
+    """Test-only reference: w1 read literally off its formula, six products."""
+    s1, s3 = g1.shift(-1), g3.shift(-1)
+    return mul(s1, mul(g2, g3)) + mul(g1, mul(g2, s3)) - mul(s1, mul(basis(1), mul(g2, s3)))
+
+
 def test_w1_examples():
     h = basis
     assert w1(h(2), h(2), h(2)) == w0(h(2), h(2), h(2)).shift(-1)
     assert w1(h(2), h(2), h(2)) == h(1) + h(3) + h(5)
     assert w1(TildeElement.zero(), h(2), h(3)) == TildeElement.zero()
     assert w1(h(1), h(2), h(1)) == w0(h(1), h(2), h(1)).shift(-1)
+    for j1 in range(-3, 4):
+        for j2 in range(-3, 4):
+            for j3 in range(-3, 4):
+                assert w1(h(j1), h(j2), h(j3)) == ref_w1(h(j1), h(j2), h(j3))
 
 
 def test_w1_is_shifted_w0_on_random_triples():
     rng = random.Random(5)
     for _ in range(100):
         g1, g2, g3 = (random_element(rng) for _ in range(3))
-        assert w1(g1, g2, g3) == w0(g1, g2, g3).shift(-1)
+        w = w1(g1, g2, g3)
+        assert w == w0(g1, g2, g3).shift(-1)
+        assert w == ref_w1(g1, g2, g3)
 
 
 def test_rendering():
