@@ -2,7 +2,8 @@
 suites, emit certificate files and growth tables.
 
 Exit codes are exactly 0 for success, 1 for a failed assertion or an
-invalid certificate, and 2 for a usage error.  All randomized work is
+invalid certificate, and 2 for a usage error or an --out that cannot be
+written.  All randomized work is
 driven by the --seed flag, and identical (command, seed, n) invocations
 produce byte-identical output.
 """
@@ -278,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.command == "certify":
             return cmd_certify(cfg)
         return cmd_stats(cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"chebcone: {exc}\n")
         return 2
 

@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
-from .tilde_ring import SparseVector, TildeElement, _product, _wrap
+from .tilde_ring import SparseVector, TildeElement, _product, _symmetric_runs, _wrap
 
 
 class IntegerMultiset(SparseVector):
@@ -190,23 +190,12 @@ class ConeDecomposition(_ConeParts):
 
     def recompose(self) -> IntegerMultiset:
         """Union of the parts.  The intervals of radius >= k cover c - k and
-        c + k once each, so coverage is one suffix sum of the radius counts
-        per parity, taken from the largest radius down."""
+        c + k once each, so coverage is the symmetric runs of the radius
+        counts, one suffix sum per parity, shifted by the center c."""
         c = self.center
-        acc: dict[int, int] = {}
+        acc = {c + k: cnt for k, cnt in _symmetric_runs(self.radii).items()}
         for v, cnt in self.singletons:
             acc[v] = acc.get(v, 0) + cnt
-        per_radius: dict[int, int] = {}
-        for r, cnt in self.radii:
-            per_radius[r] = per_radius.get(r, 0) + cnt
-        covered = [0, 0]  # intervals of radius >= k with the parity of k
-        for k in range(max(per_radius, default=0), -1, -1):
-            covered[k & 1] += per_radius.get(k, 0)
-            cnt = covered[k & 1]
-            if cnt:
-                acc[c - k] = acc.get(c - k, 0) + cnt
-                if k:
-                    acc[c + k] = acc.get(c + k, 0) + cnt
         return IntegerMultiset.from_counts(acc)
 
 

@@ -28,7 +28,7 @@ from .multiset_cone import (
     munion,
     to_tilde,
 )
-from .tilde_ring import H1, TildeElement, _kernel, _product, basis, fold_L, mul, w0, w1
+from .tilde_ring import H1, TildeElement, _product, _symmetric_runs, basis, fold_L, mul, w0, w1
 
 VALID_I = (-1, 0, 1)
 VALID_J = (0, 1)
@@ -118,19 +118,19 @@ def _penultimate_first_lines(n: int) -> TildeElement:
 
 
 def _left_expand(weights: IntegerMultiset, addend: IntegerMultiset) -> IntegerMultiset:
-    """Multiset of fold_L(to_tilde(weights)) acting on to_tilde(addend).
+    """Multiset of fold_L(weights) acting on addend, each read as an element.
 
     Each folded coefficient d at index i contributes d copies of the
-    sumset [-i, i] + addend: in all, one left action of weights on addend.
-    Folded coefficients must be non-negative for the result to be a
-    multiset; a negative one would contradict the positivity lemma and is
-    reported loudly.
+    sumset [-i, i] + addend: in all, the symmetric runs of the fold, as in
+    ConeDecomposition.recompose, times addend.  Folded coefficients must
+    be non-negative for the result to be a multiset; a negative one would
+    contradict the positivity lemma and is reported loudly.
     """
-    left = to_tilde(weights)
-    for i, d in fold_L(left).items():
+    folded = fold_L(weights).items()
+    for i, d in folded:
         if d < 0:
             raise ValueError(f"negative folded weight {d} at h[{i}]: not a multiset")
-    return IntegerMultiset.from_counts(_product(_kernel(left), addend._coeffs))
+    return IntegerMultiset.from_counts(_product(_symmetric_runs(folded), addend._coeffs))
 
 
 @lru_cache(maxsize=None)

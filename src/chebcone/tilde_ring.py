@@ -9,12 +9,14 @@ factor and letting each h[i] act as the operator sum of the index
 shifts by -i, -i+2, ..., i; it is linear in both slots and, although
 nothing here relies on it, empirically associative.
 
-Reading h~[j] as x^j, the shifts of h[i] sum to the Chebyshev-U kernel
-x^-i + x^(-i+2) + ... + x^i = (x^(i+2) - x^-i) / (x^2 - 1), so mul(g1, g2)
-= K * g2 for the shift kernel K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1) of
-the left factor, whose numerator needs no fold (see _numerator).  K is
-formed one way, by _kernel, and the left factor keeps it as a dict.  A
-one-term g2 = d * h~[j] gives K shifted by j, times d.
+Reading h~[j] as x^j, the shifts of h[i] sum to the Chebyshev-U run
+x^-i + x^(-i+2) + ... + x^i, so mul(g1, g2) = K * g2 for the shift kernel
+K of the left factor: the sum of the runs of its fold, weighted by the
+folded coefficients.  Per parity, the coefficient of K at -k and at k is
+the sum of the folded coefficients at i >= k, one suffix sum, the rule by
+which a cone decomposition recomposes.  _symmetric_runs forms every such
+sum, and _kernel applies it to the fold; the left factor keeps K as a
+dict.  A one-term g2 = d * h~[j] gives K shifted by j, times d.
 
 Every other product is one product of two plain {exponent: coefficient}
 maps, by _product: K and g2 for mul and the closed-route expansion (which
@@ -38,7 +40,7 @@ import random
 import struct
 from functools import lru_cache
 from itertools import compress
-from typing import ItemsView, Mapping
+from typing import ItemsView, Iterable, Mapping
 
 
 def _wrap(cls, data: dict[int, int]):
@@ -194,8 +196,8 @@ def basis(j: int) -> TildeElement:
 H1 = basis(1)  # h~[1], one left factor for every recurrence, so its kernel forms once
 
 
-def fold_L(g: TildeElement) -> ChElement:
-    """Fold onto non-negative indices.
+def fold_L(g: SparseVector) -> ChElement:
+    """Fold the coefficients of g onto non-negative indices.
 
     h~[i] maps to h[i] for i >= 0, to zero for i == -1, and to -h[-i-2]
     for i < -1; extended linearly.
@@ -270,55 +272,36 @@ def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 def _kernel(g1: TildeElement) -> dict[int, int]:
-    """Nonzero coefficients of the shift kernel K of g1: its numerator
-    divided exactly by x^2 - 1, the one way K is formed.  g1 keeps K once
-    formed, for every later product with g1 on the left."""
+    """Nonzero coefficients of the shift kernel K of g1: the symmetric runs
+    of its fold, the one way K is formed.  g1 keeps K once formed, for
+    every later product with g1 on the left."""
     try:
         return g1._kernel
     except AttributeError:
-        kernel = g1._kernel = _over_x2_minus_1(_numerator(g1._coeffs.items()))
+        kernel = g1._kernel = _symmetric_runs(fold_L(g1).items())
         return kernel
 
 
-def _numerator(terms: ItemsView[int, int]) -> dict[int, int]:
-    """Nonzero coefficients of x^2 * g(x) - g(1/x) for g = sum c * x^j over
-    terms, which must hold distinct exponents and no zero coefficient:
-    (x^2 - 1) times the shift kernel of sum c * h~[j].
+def _symmetric_runs(weights: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Nonzero coefficients of sum c * (x^-r + x^(-r+2) + ... + x^r) over
+    the pairs (r, c) of weights, each r >= 0.
 
-    It needs no fold: h~[-1] gives x - x, which cancels, and h~[j] for
-    j < -1 gives x^(j+2) - x^-j = -(x^(i+2) - x^-i) with i = -j - 2, the
-    numerator of its fold -h[i].  So the coefficient at i + 2 >= 2 is the
-    folded weight of h[i], the one at -i <= 0 its negative, and none is at 1.
+    Per parity, the coefficient at -k and at k is the sum of c over r >= k.
+    That suffix sum is taken from the largest r down, and each run of one
+    value is written once, so the cost follows the output and not the
+    largest r.  The pairs (-1, 0) and (-2, 0) close the last run of each
+    parity.
     """
-    acc = {j + 2: c for j, c in terms}  # distinct, and nonzero for nonzero c
-    for j, c in terms:
-        c = acc.get(-j, 0) - c
-        if c:
-            acc[-j] = c
-        else:
-            del acc[-j]  # present, since c was nonzero
-    return acc
-
-
-def _over_x2_minus_1(p: dict[int, int]) -> dict[int, int]:
-    """Nonzero coefficients of R = P / (x^2 - 1) for a multiple P = sum
-    p[k] x^k of x^2 - 1: R[k] = R[k-2] - P[k] from the lowest index up,
-    written one run of constant R per parity at a time."""
     out: dict[int, int] = {}
-    r0 = r1 = k0 = k1 = 0  # R and the index where its run began: even, odd
-    for k in sorted(p):
-        if k & 1:
-            if r1:
-                for x in range(k1, k, 2):
-                    out[x] = r1
-            r1 -= p[k]
-            k1 = k
-        else:
-            if r0:
-                for x in range(k0, k, 2):
-                    out[x] = r0
-            r0 -= p[k]
-            k0 = k
+    suffix = [0, 0]  # sum of c over the radii passed, per parity
+    top = [0, 0]  # the radius last passed, per parity
+    for r, c in sorted(weights, reverse=True) + [(-1, 0), (-2, 0)]:
+        p = r & 1
+        if suffix[p]:
+            for k in range(r + 2, top[p] + 1, 2):
+                out[k] = out[-k] = suffix[p]
+        suffix[p] += c
+        top[p] = r
     return out
 
 
@@ -391,12 +374,12 @@ def left_mul_h(i: int, g: TildeElement) -> TildeElement:
     that is the product of g with the shift kernel x^-i + ... + x^i of h[i]."""
     if i < 0:
         raise ValueError(f"left multiplier index must be >= 0, got {i}")
-    return _wrap(TildeElement, _product(dict.fromkeys(range(-i, i + 1, 2), 1), g._coeffs))
+    return _wrap(TildeElement, _product(_symmetric_runs([(i, 1)]), g._coeffs))
 
 
 def mul(g1: TildeElement, g2: TildeElement) -> TildeElement:
     """Module product: the folded left factor acts termwise on the right,
-    as K * g2 for the shift kernel K = (x^2 * g1(x) - g1(1/x)) / (x^2 - 1).
+    as K * g2 for the shift kernel K, the symmetric runs of fold_L(g1).
 
     A one-term g2 = d * h~[j] takes K shifted by j and scaled by d; any
     other g2 is multiplied by K through _product.  g1 keeps K once formed:

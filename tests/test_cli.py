@@ -69,6 +69,23 @@ def test_compute_out_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "h~[2] + h~[4] + h~[6]"
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--n", "1", "--out", "{missing}/x.txt"),
+    ("verify", "--suite", "shift", "--n", "1", "--out", "{missing}/v.txt"),
+    ("certify", "--n", "1", "--out", "{file}"),
+])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    existing = tmp_path / "file"
+    existing.write_text("kept\n")
+    paths = {"missing": tmp_path / "missing" / "dir", "file": existing}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("chebcone: ") and err.count("\n") == 1
+    assert existing.read_text() == "kept\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_single_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "w-theorem", "--trials", "50",
                        "--seed", "3")
