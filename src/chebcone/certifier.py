@@ -20,9 +20,8 @@ from .recurrence_engine import (
     VALID_I,
     _check_indices,
     closed_element,
+    closed_witnesses,
     cone_center,
-    e0_closed,
-    e1_closed,
 )
 from .tilde_ring import fold_L
 
@@ -218,24 +217,28 @@ class ConeCertificate(NamedTuple):
 def certify_cone(n: int, j: int) -> ConeCertificate:
     """Decompose the depth-n witness of order j and validate recomposition."""
     _check_indices(n, 0, j)
-    witness = e0_closed(n) if j == 0 else e1_closed(n)
+    witness = closed_witnesses(n)[j]
     center = cone_center(n, j)
     # decompose_cone raises with a witness offset if membership fails,
     # which would falsify the structural theorems upstream
     decomposition = decompose_cone(witness, center)
-    return ConeCertificate(
-        n=n,
-        j=j,
-        center=center,
-        decomposition=decomposition,
-        recomposition_ok=decomposition.recompose() == witness,
-    )
+    return ConeCertificate(n=n, j=j, center=center, decomposition=decomposition,
+                           recomposition_ok=decomposition.recompose() == witness)
 
 
 def check_positivity_implication(
     cone_cert: ConeCertificate, pos_certs: list[PositivityCertificate]
 ) -> None:
     """A valid cone certificate at center >= 0 forces every positivity verdict.
+
+    Let M lie in R(c) with c >= 0, and let i >= 0; the folded coefficient
+    at i is m(i) - m(-i-2).  Below c, M has no singleton, and its
+    intervals, all centered at c, make m rise toward c on each parity.
+    If i <= c, that gives m(-i-2) <= m(i).  If i > c, it gives
+    m(-i-2) <= m(2c-i), and the intervals' symmetry about c gives
+    m(2c-i) <= m(i).  The other slots are M shifted by -1, plus the
+    leading witness shifted by -2 at j = 1, slot -1: both lie in R(c - 1)
+    (positivity_cone_bound), and c - 1 >= 0 as every center is >= 1.
 
     Raises RuntimeError when the implication is violated, which would
     mean the two certificate routes disagree.

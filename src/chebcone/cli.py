@@ -2,8 +2,8 @@
 suites, emit certificate files and growth tables.
 
 Exit codes are exactly 0 for success, 1 for a failed assertion or an
-invalid certificate, and 2 for a usage error or an --out that cannot be
-written.  All randomized work is
+invalid certificate, and 2 for a usage error, an --out that cannot be
+written or a depth beyond the recursion limit.  All randomized work is
 driven by the --seed flag, and identical (command, seed, n) invocations
 produce byte-identical output.
 """
@@ -281,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_stats(cfg)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"chebcone: {exc}\n")
+        return 2
+    except RecursionError:
+        sys.stderr.write(f"chebcone: depth {cfg.n} is beyond the recursion limit\n")
         return 2
 
 

@@ -9,7 +9,9 @@ with slot index i in {-1, 0, 1}.  Each family is computed two ways:
   depth n+1, which would not terminate; reading them one level down
   matches the base cases and every downstream identity);
 * closed: an integer multiset witness M(n, j) with to_tilde(M) equal to
-  the i = 0 raw element, built by sumset-then-left-multiply expansions.
+  the i = 0 raw element.  closed_step forms the depth n+1 pair from the
+  depth-n pair alone, by sumset-then-left-multiply expansions, and
+  closed_witnesses, the route's one cache, applies it once per depth.
 
 check_structure replays the structural identities tying the two routes
 together and emits one pass/fail record per assertion.
@@ -117,72 +119,69 @@ def _penultimate_first_lines(n: int) -> TildeElement:
     return w1(e0, e0, p0 + e0.shift(-1)) + w1(e0, p0, e0)
 
 
-def _left_expand(weights: IntegerMultiset, addend: IntegerMultiset) -> IntegerMultiset:
-    """Multiset of fold_L(weights) acting on addend, each read as an element.
+def _left_expand(weights: IntegerMultiset,
+                 *addends: IntegerMultiset) -> tuple[IntegerMultiset, ...]:
+    """Multisets of fold_L(weights) acting on each addend, read as elements.
 
     Each folded coefficient d at index i contributes d copies of the
     sumset [-i, i] + addend: in all, the symmetric runs of the fold, as in
-    ConeDecomposition.recompose, times addend.  Folded coefficients must
-    be non-negative for the result to be a multiset; a negative one would
-    contradict the positivity lemma and is reported loudly.
+    ConeDecomposition.recompose, times addend; the runs are formed once
+    for all addends.  A negative folded coefficient would contradict the
+    positivity lemma and leave no multiset, so it is reported loudly.
     """
     folded = fold_L(weights).items()
     for i, d in folded:
         if d < 0:
             raise ValueError(f"negative folded weight {d} at h[{i}]: not a multiset")
-    return IntegerMultiset.from_counts(_product(_symmetric_runs(folded), addend._coeffs))
+    runs = _symmetric_runs(folded)
+    return tuple(IntegerMultiset.from_counts(_product(runs, a._coeffs)) for a in addends)
+
+
+def closed_step(m0: IntegerMultiset,
+                m1: IntegerMultiset) -> tuple[IntegerMultiset, IntegerMultiset]:
+    """The depth n+1 witness pair from the depth-n pair (m0, m1).
+
+    The leading witness is m0 acting on m0 + m0.  The penultimate one is
+    the union of m0 acting on m0 + (m0 - 1), twice m0 acting on m0 + m1,
+    and m1 acting on m0 + m0; its first term is the new leading witness
+    shifted by -1, since shifts commute with sumsets and the left action.
+    """
+    self_sum = msum(m0, m0)
+    lead, cross = _left_expand(m0, self_sum, msum(m0, m1))
+    (tail,) = _left_expand(m1, self_sum)
+    return lead, munion(munion(lead.shifted(-1), munion(cross, cross)), tail)
 
 
 @lru_cache(maxsize=None)
-def _self_sum(n: int) -> IntegerMultiset:
-    """The sumset M + M of the depth-n leading witness, which both
-    depth n+1 witnesses expand."""
-    m = e0_closed(n)
-    return msum(m, m)
-
-
-@lru_cache(maxsize=None)
-def e0_closed(n: int) -> IntegerMultiset:
-    """Closed multiset witness of the depth-n leading element (slot 0):
-    to_tilde of it is that element, and it lies in R(cone_center(n, 0))."""
+def closed_witnesses(n: int) -> tuple[IntegerMultiset, IntegerMultiset]:
+    """The depth-n witnesses of the slot-0 elements, indexed by order j:
+    to_tilde of each is that element, and it lies in R(cone_center(n, j))."""
     _check_indices(n, 0, 0)
     if n == 0:
-        return IntegerMultiset([2])
-    return _left_expand(e0_closed(n - 1), _self_sum(n - 1))
+        return IntegerMultiset([2]), IntegerMultiset()
+    return closed_step(*closed_witnesses(n - 1))
 
 
-@lru_cache(maxsize=None)
+def e0_closed(n: int) -> IntegerMultiset:
+    """The depth-n leading witness, in R(cone_center(n, 0))."""
+    return closed_witnesses(n)[0]
+
+
 def e1_closed(n: int) -> IntegerMultiset:
-    """Closed multiset witness of the depth-n penultimate-leading element
-    (slot 0), in R(cone_center(n, 1)).
-
-    With m0 and m1 the depth n-1 witnesses, it is the union of m0 acting
-    on m0 + (m0 - 1), twice m0 acting on m0 + m1, and m1 acting on
-    m0 + m0.  The first term is the depth-n leading witness shifted by
-    -1, since shifts commute with sumsets and with the left action.
-    """
-    _check_indices(n, 0, 1)
-    if n == 0:
-        return IntegerMultiset()
-    m0 = e0_closed(n - 1)
-    m1 = e1_closed(n - 1)
-    t1 = e0_closed(n).shifted(-1)
-    t2 = _left_expand(m0, msum(m0, m1))  # counted twice below
-    t3 = _left_expand(m1, _self_sum(n - 1))
-    return munion(munion(t1, munion(t2, t2)), t3)
+    """The depth-n penultimate-leading witness, in R(cone_center(n, 1))."""
+    return closed_witnesses(n)[1]
 
 
 def closed_element(n: int, i: int, j: int) -> TildeElement:
     """Element of slot i derived from the closed witnesses via the shift ladder."""
     _check_indices(n, i, j)
-    base = to_tilde(e0_closed(n) if j == 0 else e1_closed(n))
+    pair = closed_witnesses(n)
+    base = to_tilde(pair[j])
     if i == 0:
         return base
-    if j == 0:
-        return base.shift(-1)  # slots 1 and -1 coincide for the leading family
-    if i == 1:
+    if j == 0 or i == 1:  # slots 1 and -1 coincide for the leading family
         return base.shift(-1)
-    return base.shift(-1) + to_tilde(e0_closed(n)).shift(-2)
+    return base.shift(-1) + to_tilde(pair[0]).shift(-2)
 
 
 def raw_element(n: int, i: int, j: int) -> TildeElement:
@@ -202,11 +201,10 @@ class GrowthRow(NamedTuple):
 def growth_stats(n: int) -> tuple[GrowthRow, GrowthRow]:
     """Support and coefficient-mass statistics of the slot-0 elements at
     depth n, read from the closed witnesses."""
-    rows = []
-    for j in VALID_J:
-        g = closed_element(n, 0, j)
-        rows.append(GrowthRow(n, j, g.support_size(), g.min_index(), g.max_index(), g.mass()))
-    return rows[0], rows[1]
+    return tuple(
+        GrowthRow(n, j, g.support_size(), g.min_index(), g.max_index(), g.mass())
+        for j, g in enumerate(map(to_tilde, closed_witnesses(n)))
+    )
 
 
 def _diff_detail(lhs: TildeElement, rhs: TildeElement) -> str:
@@ -251,7 +249,7 @@ def check_structure(n_max: int) -> tuple[CheckResult, ...]:
                 "" if extra.is_zero() else f"extra term nonzero: {extra}",
             )
 
-        for j, m in ((0, e0_closed(n)), (1, e1_closed(n))):
+        for j, m in enumerate(closed_witnesses(n)):
             element_eq(f"closed/raw-equals-closed(n={n},j={j})", raw_element(n, 0, j), to_tilde(m))
             c = cone_center(n, j)
             try:
@@ -260,12 +258,7 @@ def check_structure(n_max: int) -> tuple[CheckResult, ...]:
                 record(f"cone/membership(n={n},j={j})", False, f"not in R({c})")
                 continue
             ok = decomposition.recompose() == m
-            record(
-                f"cone/membership(n={n},j={j})",
-                ok,
-                f"center {c}, decomposition recomposes"
-                if ok
-                else f"decomposition at center {c} does not recompose",
-            )
+            record(f"cone/membership(n={n},j={j})", ok, f"center {c}, decomposition recomposes"
+                   if ok else f"decomposition at center {c} does not recompose")
 
     return tuple(results)

@@ -86,6 +86,14 @@ def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("mode", ["raw", "closed"])
+def test_depth_beyond_the_recursion_limit_is_usage_error(mode, capsys):
+    code, out, err = run(capsys, "compute", "--n", "5000", "--mode", mode)
+    assert code == 2
+    assert out == ""
+    assert err == "chebcone: depth 5000 is beyond the recursion limit\n"
+
+
 def test_verify_single_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "w-theorem", "--trials", "50",
                        "--seed", "3")

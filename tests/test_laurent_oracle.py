@@ -52,6 +52,15 @@ def test_evaluate_factors_through_fold():
         assert evaluate(g) == evaluate(TildeElement(dict(fold_L(g).items())))
 
 
+def test_kernel_is_the_evaluation():
+    # g times h~[0] is g's shift kernel, which read as a Laurent polynomial
+    # is the oracle's evaluation of g, computed by separate code
+    rng = random.Random(26)
+    for _ in range(500):
+        g = random_element(rng)
+        assert dict(mul(g, basis(0)).items()) == dict(evaluate(g).items())
+
+
 def test_cross_check_examples():
     assert cross_check(basis(2), basis(4))
     assert cross_check(basis(-1), 3 * basis(5) - basis(-7))

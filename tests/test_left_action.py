@@ -154,7 +154,7 @@ def test_large_msum_matches_reference(m1, m2):
 @LARGE
 @given(large_weights, large_multisets)
 def test_large_left_expand_matches_reference(weights, addend):
-    assert _left_expand(weights, addend) == ref_left_expand(weights, addend)
+    assert _left_expand(weights, addend) == (ref_left_expand(weights, addend),)
 
 
 @LARGE
@@ -209,16 +209,17 @@ def test_msum_matches_reference(m1, m2):
 
 
 @PROPERTY
-@given(multisets, multisets)
-def test_left_expand_matches_reference(weights, addend):
+@given(multisets, multisets, multisets)
+def test_left_expand_matches_reference(weights, addend, other):
+    # one call expands every addend with the same runs
     try:
-        expected = ref_left_expand(weights, addend)
+        expected = (ref_left_expand(weights, addend), ref_left_expand(weights, other))
     except ValueError as exc:
         with pytest.raises(ValueError, match="negative folded weight") as info:
-            _left_expand(weights, addend)
+            _left_expand(weights, addend, other)
         assert str(info.value) == str(exc)
     else:
-        assert _left_expand(weights, addend) == expected
+        assert _left_expand(weights, addend, other) == expected
 
 
 word_values = st.integers(-(2**31) + 1, 2**31 - 1)
@@ -533,7 +534,7 @@ def test_seeded_expansions_of_cone_members_match_reference():
     for _ in range(100):
         weights = random_cone_member(rng, rng.randint(0, 6))
         addend = random_cone_member(rng, rng.randint(-6, 6))
-        assert _left_expand(weights, addend) == ref_left_expand(weights, addend)
+        assert _left_expand(weights, addend) == (ref_left_expand(weights, addend),)
         assert msum(weights, addend) == ref_msum(weights, addend)
 
 
@@ -548,8 +549,9 @@ def test_empty_operands():
     m = IntegerMultiset([0, 2, 2])
     assert msum(empty, m) == empty
     assert msum(m, empty) == empty
-    assert _left_expand(empty, m) == empty
-    assert _left_expand(m, empty) == empty
+    assert _left_expand(empty, m) == (empty,)
+    assert _left_expand(m, empty) == (empty,)
+    assert _left_expand(m) == ()
 
 
 def test_left_factors_that_fold_to_zero():
@@ -557,7 +559,7 @@ def test_left_factors_that_fold_to_zero():
     assert mul(basis(-1), g) == TildeElement.zero()
     assert mul(basis(0) + basis(-2), g) == TildeElement.zero()
     assert mul(basis(3) + basis(-5), g) == TildeElement.zero()
-    assert _left_expand(IntegerMultiset([-1, -1]), IntegerMultiset([4])).is_empty()
+    assert _left_expand(IntegerMultiset([-1, -1]), IntegerMultiset([4]))[0].is_empty()
 
 
 def test_identity_and_mixed_parity():
@@ -614,9 +616,8 @@ def test_threshold_selects_the_packed_path_exactly_at_the_constant(routes):
 def test_default_verify_packs_only_word_fields(capsys):
     # over a thousand products of a default verify are packed, all in
     # 8-byte fields, the left expansions of its closed route among them
-    for name in ("e0_raw", "e1_raw", "_penultimate_first_lines", "e0_closed", "e1_closed"):
+    for name in ("e0_raw", "e1_raw", "_penultimate_first_lines", "closed_witnesses"):
         getattr(recurrence_engine, name).cache_clear()
-    recurrence_engine._self_sum.cache_clear()
     with recorded_routes() as calls:
         assert main(["verify", "--seed", "0"]) == 0
     capsys.readouterr()
@@ -629,9 +630,7 @@ def test_cone_certificates_never_call_mul(monkeypatch, routes):
     # the closed route and the cone decomposition reach _product directly
     from chebcone import certifier
 
-    for name in ("e0_closed", "e1_closed"):
-        getattr(recurrence_engine, name).cache_clear()
-    recurrence_engine._self_sum.cache_clear()
+    recurrence_engine.closed_witnesses.cache_clear()
 
     def forbidden(g1, g2):
         raise AssertionError("mul called")

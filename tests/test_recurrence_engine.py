@@ -1,16 +1,28 @@
 """Unit tests for the coefficient-family recurrences and witnesses."""
 
+import json
 from functools import lru_cache
 
 import pytest
 
-from chebcone.multiset_cone import IntegerMultiset, in_cone, msum, munion, to_tilde
-from chebcone import recurrence_engine, suites
+from chebcone.certifier import ConeCertificate
+from chebcone.cli import main
+from chebcone.multiset_cone import (
+    IntegerMultiset,
+    decompose_cone,
+    in_cone,
+    msum,
+    munion,
+    to_tilde,
+)
+from chebcone import multiset_cone, recurrence_engine, suites, tilde_ring
 from chebcone.recurrence_engine import (
     _left_expand,
     CheckResult,
     check_structure,
     closed_element,
+    closed_step,
+    closed_witnesses,
     cone_center,
     e0_closed,
     e0_raw,
@@ -102,15 +114,69 @@ def ref_closed(n):
     if n == 0:
         return IntegerMultiset([2]), IntegerMultiset()
     m0, m1 = ref_closed(n - 1)
-    t1 = _left_expand(m0, msum(m0, m0.shifted(-1)))
-    t2 = _left_expand(m0, msum(m0, m1))
-    t3 = _left_expand(m1, msum(m0, m0))
-    return _left_expand(m0, msum(m0, m0)), munion(munion(t1, munion(t2, t2)), t3)
+    (t1,) = _left_expand(m0, msum(m0, m0.shifted(-1)))
+    (t2,) = _left_expand(m0, msum(m0, m1))
+    (t3,) = _left_expand(m1, msum(m0, m0))
+    return _left_expand(m0, msum(m0, m0))[0], munion(munion(t1, munion(t2, t2)), t3)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_closed_witnesses_match_the_three_term_expansion(n):
-    assert (e0_closed(n), e1_closed(n)) == ref_closed(n)
+    assert (e0_closed(n), e1_closed(n)) == closed_witnesses(n) == ref_closed(n)
+    # the step alone, from the reference's previous depth
+    assert n == 0 or closed_step(*ref_closed(n - 1)) == ref_closed(n)
+
+
+@pytest.fixture(scope="module")
+def depth_five_cones(tmp_path_factory):
+    out = tmp_path_factory.mktemp("certify") / "certs"
+    assert main(["certify", "--n", "5", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_step_resumes_from_cone_documents(k, depth_five_cones):
+    # a depth's two cone documents hold all that the next depth needs
+    m0, m1 = (
+        ConeCertificate.from_document(
+            json.loads((depth_five_cones / f"cone_n{k}_j{j}.json").read_text())
+        ).decomposition.recompose()
+        for j in (0, 1)
+    )
+    assert (m0, m1) == closed_witnesses(k)
+    assert closed_step(m0, m1) == closed_witnesses(k + 1)
+
+
+def test_closed_route_folds_each_witness_once_per_depth(monkeypatch):
+    # depths 1..6 fold and run two witnesses each; five products per depth:
+    # two sumsets and three expansions
+    counts = {"runs": 0, "products": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(recurrence_engine, "_symmetric_runs",
+                        counting("runs", tilde_ring._symmetric_runs))
+    for module in (recurrence_engine, multiset_cone):
+        monkeypatch.setattr(module, "_product", counting("products", tilde_ring._product))
+    closed_witnesses.cache_clear()
+    closed_witnesses(6)
+    assert counts == {"runs": 12, "products": 30}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_leading_witness_laws(n):
+    # symmetric about its center, dense on one parity from
+    # 2^(n+2) - 2*3^n to 2*3^n, one singleton at the center except at n = 1
+    m, c = e0_closed(n), cone_center(n, 0)
+    counts = dict(m.items())
+    assert {2 * c - x: k for x, k in counts.items()} == counts
+    assert sorted(counts) == list(range(2 ** (n + 2) - 2 * 3**n, 2 * 3**n + 1, 2))
+    singletons = decompose_cone(m, c).singletons
+    assert [v for v, _ in singletons] == ([] if n == 1 else [c])
 
 
 def test_depth_six_raw_equals_closed_and_max_index_law():
