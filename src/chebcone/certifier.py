@@ -3,17 +3,17 @@
 Two document kinds are produced: a positivity certificate listing every
 folded coefficient of a family element together with a sign verdict,
 and a cone certificate carrying the interval/singleton decomposition of
-a closed-form witness plus a recomposition verdict.  Coefficients and
-part counts serialize as decimal strings, never as machine integers:
-depth 4 values exceed 64-bit range and JSON number semantics are not
-trustworthy there.  Key order in emitted documents is fixed so that
-regenerated suites diff cleanly.
+a closed-form witness plus a recomposition verdict.  Records hold ints;
+documents carry them as decimal strings, as depth 4 values exceed 64-bit
+range, written by the one encoder encode_listing and parsed once by
+_listing.  Key order in emitted documents is fixed so that regenerated
+suites diff cleanly.
 """
 
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .multiset_cone import ConeDecomposition, decompose_cone
 from .recurrence_engine import (
@@ -63,43 +63,49 @@ def _int_fields(doc: dict, kind: str, *keys: str) -> list[int]:
     return values
 
 
-def _listing(doc: dict, key: str) -> tuple[tuple[int, str], ...]:
-    """The named listing of [index, value] pairs, which must be canonical:
-    int indices strictly increasing, and each value an int written as its
-    own str."""
+def encode_listing(pairs: Iterable[tuple[int, int]]) -> list[list]:
+    """The document form of (index, int) pairs: [index, "decimal"] entries."""
+    return [[idx, str(c)] for idx, c in pairs]
+
+
+def _listing(doc: dict, key: str) -> tuple[tuple[int, int], ...]:
+    """The named listing parsed into (index, int) pairs.  It must be
+    canonical: int indices strictly increasing, and each entry exactly
+    what encode_listing writes for its parsed pair."""
     listing = _field(doc, key)
     if type(listing) is not list:
         raise ValueError(f"{key} must be a list, got {type(listing).__name__}")
-    pairs: list[tuple[int, str]] = []
+    pairs: list[tuple[int, int]] = []
     for entry in listing:
         if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is int
-                and type(entry[1]) is str and entry[1] == str(int(entry[1]))
-                and (not pairs or entry[0] > pairs[-1][0])):
+                and type(entry[1]) is str and (not pairs or entry[0] > pairs[-1][0])
+                and encode_listing([(entry[0], value := int(entry[1]))]) == [entry]):
             raise ValueError(f"{key} entry {entry!r} is not canonical")
-        pairs.append((entry[0], entry[1]))
+        pairs.append((entry[0], value))
     return tuple(pairs)
 
 
 class PositivityCertificate(NamedTuple):
     """Folded coefficient listing with a sign verdict.
 
-    `coefficients` holds (index, decimal string) pairs sorted by index;
-    `mass` is the decimal coefficient sum; `cone_bound` records the cone
-    center that explains why the verdict had to come out non-negative.
-    from_document rejects a document with a depth, slot or order out of
-    range, a listing that is not canonical, a cone_bound other than
-    positivity_cone_bound(n, i, j), or a verdict, mass or max_index that
-    disagrees with its own listing or is not of its type.  Every malformed
-    document, a missing field or a non-object included, raises ValueError.
+    `coefficients` holds (index, int) pairs sorted by index, from which
+    from_listing alone derives the verdict, max index and `mass` (their
+    sum); `cone_bound` records the cone center that explains why the
+    verdict had to come out non-negative.  from_document rejects a
+    document with a depth, slot or order out of range, a listing that is
+    not canonical, a cone_bound other than positivity_cone_bound(n, i, j),
+    or a verdict, mass or max_index that disagrees with its own listing or
+    is not of its type.  Every malformed document, a missing field or a
+    non-object included, raises ValueError.
     """
 
     n: int
     i: int
     j: int
-    coefficients: tuple[tuple[int, str], ...]
+    coefficients: tuple[tuple[int, int], ...]
     all_nonnegative: bool
     max_index: int | None
-    mass: str
+    mass: int
     cone_bound: int
 
     def to_document(self) -> dict:
@@ -110,22 +116,21 @@ class PositivityCertificate(NamedTuple):
             "i": self.i,
             "j": self.j,
             "cone_bound": self.cone_bound,
-            "coefficients": [[idx, c] for idx, c in self.coefficients],
+            "coefficients": encode_listing(self.coefficients),
             "all_nonnegative": self.all_nonnegative,
             "max_index": self.max_index,
-            "mass": self.mass,
+            "mass": str(self.mass),
         }
 
     @classmethod
     def from_listing(
-        cls, n: int, i: int, j: int, coefficients: tuple[tuple[int, str], ...], cone_bound: int
+        cls, n: int, i: int, j: int, coefficients: tuple[tuple[int, int], ...], cone_bound: int
     ) -> "PositivityCertificate":
         """Certificate whose verdict, mass and max index are read off the listing."""
-        values = [int(c) for _, c in coefficients]
         return cls(n=n, i=i, j=j, coefficients=coefficients,
-                   all_nonnegative=all(v >= 0 for v in values),
+                   all_nonnegative=all(c >= 0 for _, c in coefficients),
                    max_index=max((idx for idx, _ in coefficients), default=None),
-                   mass=str(sum(values)), cone_bound=cone_bound)
+                   mass=sum(c for _, c in coefficients), cone_bound=cone_bound)
 
     @classmethod
     def from_document(cls, doc: dict) -> "PositivityCertificate":
@@ -135,11 +140,12 @@ class PositivityCertificate(NamedTuple):
         if bound.bit_length() < n or bound != positivity_cone_bound(n, i, j):
             raise ValueError(f"cone_bound {bound} is not the bound of ({n}, {i}, {j})")
         coefficients = _listing(doc, "coefficients")
-        if "0" in dict(coefficients).values() or (coefficients and coefficients[0][0] < 0):
+        if 0 in dict(coefficients).values() or (coefficients and coefficients[0][0] < 0):
             raise ValueError("coefficients listing holds a zero or a negative index")
         cert = cls.from_listing(n, i, j, coefficients, bound)
+        derived = cert.to_document()
         for key in ("all_nonnegative", "max_index", "mass"):
-            value, stated = getattr(cert, key), _field(doc, key)
+            value, stated = derived[key], _field(doc, key)
             if type(stated) is not type(value) or stated != value:
                 raise ValueError(f"{key} {stated!r} disagrees with the coefficient listing")
         return cert
@@ -150,19 +156,10 @@ def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
 
     The element is read from the closed route (closed_element); that it
     equals the raw recurrence's is what verify's closed/ and shift/
-    checks establish.  The verdict, mass and max index are computed from
-    the folded ints; only from_document reads them off the listing's
-    decimal strings.
+    checks establish.
     """
-    folded = fold_L(closed_element(n, i, j))
-    terms = folded.terms()
-    return PositivityCertificate(
-        n=n, i=i, j=j,
-        coefficients=tuple((idx, str(c)) for idx, c in terms),
-        all_nonnegative=folded.all_nonnegative(),
-        max_index=folded.max_index(),
-        mass=str(sum(c for _, c in terms)),
-        cone_bound=positivity_cone_bound(n, i, j),
+    return PositivityCertificate.from_listing(
+        n, i, j, tuple(fold_L(closed_element(n, i, j)).terms()), positivity_cone_bound(n, i, j)
     )
 
 
@@ -191,8 +188,8 @@ class ConeCertificate(NamedTuple):
             "n": self.n,
             "j": self.j,
             "center": self.center,
-            "singletons": [[v, str(cnt)] for v, cnt in self.decomposition.singletons],
-            "radii": [[r, str(cnt)] for r, cnt in self.decomposition.radii],
+            "singletons": encode_listing(self.decomposition.singletons),
+            "radii": encode_listing(self.decomposition.radii),
             "recomposition_ok": self.recomposition_ok,
         }
 
@@ -205,8 +202,8 @@ class ConeCertificate(NamedTuple):
             raise ValueError(f"center {center} is not 2^{n + 1} - {j}")
         decomposition = ConeDecomposition(
             center=center,
-            singletons=tuple((v, int(cnt)) for v, cnt in _listing(doc, "singletons")),
-            radii=tuple((r, int(cnt)) for r, cnt in _listing(doc, "radii")),
+            singletons=_listing(doc, "singletons"),
+            radii=_listing(doc, "radii"),
         )
         ok = _field(doc, "recomposition_ok")
         if type(ok) is not bool:

@@ -3,9 +3,11 @@ suites, emit certificate files and growth tables.
 
 Exit codes are exactly 0 for success, 1 for a failed assertion or an
 invalid certificate, and 2 for a usage error, an --out that cannot be
-written or a depth beyond the recursion limit.  All randomized work is
-driven by the --seed flag, and identical (command, seed, n) invocations
-produce byte-identical output.
+written or a depth beyond the recursion limit.  Every command refuses an
+--n above MAX_DEPTH before it builds anything: depth 9 coefficients reach
+~5,900 digits, past the 4,300-digit int-to-str limit of decimal output.
+All randomized work is driven by the --seed flag, and identical
+(command, seed, n) invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .certifier import certify_pair, document_json
+from .certifier import certify_pair, document_json, encode_listing
 from .recurrence_engine import (
     VALID_I,
     VALID_J,
@@ -26,6 +28,7 @@ from .recurrence_engine import (
 )
 from .tilde_ring import fold_L
 
+MAX_DEPTH = 8
 FORMATS = ("text", "json", "tsv")
 MODES = ("raw", "closed", "both")
 # the suites module is imported by `verify` alone, so its names live here
@@ -42,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="print one family element and its fold")
-    p_compute.add_argument("--n", type=int, required=True, help="recursion depth, >= 0")
+    p_compute.add_argument("--n", type=int, required=True, help=f"depth, 0 to {MAX_DEPTH}")
     p_compute.add_argument("--i", type=int, choices=VALID_I, default=0, help="slot index")
     p_compute.add_argument("--j", type=int, choices=VALID_J, default=0,
                            help="0 = leading, 1 = penultimate leading")
@@ -62,14 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None)
 
     p_certify = sub.add_parser("certify", help="write certificate documents")
-    p_certify.add_argument("--n", type=int, default=3, help="maximum depth, >= 0")
+    p_certify.add_argument("--n", type=int, default=3, help=f"maximum depth, 0 to {MAX_DEPTH}")
     p_certify.add_argument("--format", choices=("json",), default="json",
                            help="certificate documents are always JSON")
     p_certify.add_argument("--out", default="certificates",
                            help="output directory (default: certificates)")
 
     p_stats = sub.add_parser("stats", help="growth table for the family elements")
-    p_stats.add_argument("--n", type=int, default=3, help="maximum depth, >= 0")
+    p_stats.add_argument("--n", type=int, default=3, help=f"maximum depth, 0 to {MAX_DEPTH}")
     p_stats.add_argument("--format", choices=FORMATS, default="text")
     p_stats.add_argument("--out", default=None)
 
@@ -81,10 +84,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
-
-
-def _terms_doc(terms: list[tuple[int, int]]) -> list[list]:
-    return [[idx, str(c)] for idx, c in terms]
 
 
 def cmd_compute(cfg: argparse.Namespace) -> int:
@@ -109,9 +108,9 @@ def cmd_compute(cfg: argparse.Namespace) -> int:
             "i": cfg.i,
             "j": cfg.j,
             "mode": cfg.mode,
-            "element": _terms_doc(g.terms()),
+            "element": encode_listing(g.terms()),
             "element_text": str(g),
-            "fold": _terms_doc(folded.terms()),
+            "fold": encode_listing(folded.terms()),
             "fold_text": str(folded),
         }
         text = json.dumps(doc, indent=1) + "\n"
@@ -271,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     cfg = parser.parse_args(argv)
     if cfg.n is not None and cfg.n < 0:
         parser.error("--n must be >= 0")
+    if cfg.n is not None and cfg.n > MAX_DEPTH:
+        parser.error(f"--n must be <= {MAX_DEPTH}: deeper coefficients pass the 4,300-digit "
+                     "int-to-str limit of decimal output (ROADMAP item 6)")
     try:
         if cfg.command == "compute":
             return cmd_compute(cfg)

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from chebcone import recurrence_engine
-from chebcone.cli import main
+from chebcone import certifier, cli, recurrence_engine
+from chebcone.cli import MAX_DEPTH, main
 
 
 def run(capsys, *argv):
@@ -86,12 +86,56 @@ def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+DEPTH_BOUND_ERROR = (
+    f"chebcone: error: --n must be <= {MAX_DEPTH}: deeper coefficients pass the "
+    "4,300-digit int-to-str limit of decimal output (ROADMAP item 6)\n"
+)
+
+
+def usage_error(capsys, *argv):
+    """The stdout and stderr of a run that must end in a usage error."""
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == 2
+    out = capsys.readouterr()
+    return out.out, out.err
+
+
 @pytest.mark.parametrize("mode", ["raw", "closed"])
 def test_depth_beyond_the_recursion_limit_is_usage_error(mode, capsys):
-    code, out, err = run(capsys, "compute", "--n", "5000", "--mode", mode)
-    assert code == 2
+    # the depth bound refuses it before the recursion limit is reached
+    out, err = usage_error(capsys, "compute", "--n", "5000", "--mode", mode)
     assert out == ""
-    assert err == "chebcone: depth 5000 is beyond the recursion limit\n"
+    assert err.endswith(DEPTH_BOUND_ERROR)
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "--n", "5000"),
+    ("certify", "--n", "9", "--out", "{out}"),
+    ("verify", "--n", "9"),
+    ("compute", "--n", "9"),
+])
+def test_depth_above_the_bound_is_refused_before_any_work(argv, monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise RuntimeError("a depth was built")
+
+    for name in ("closed_witnesses", "e0_raw", "e1_raw"):
+        monkeypatch.setattr(recurrence_engine, name, refuse)
+    monkeypatch.setattr(certifier, "closed_witnesses", refuse)
+    out_dir = tmp_path / "certs"
+    out, err = usage_error(capsys, *(a.format(out=out_dir) for a in argv))
+    assert out == ""
+    assert err.endswith(DEPTH_BOUND_ERROR)
+    assert not out_dir.exists()
+
+
+def test_stats_accepts_the_depth_bound(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "growth_stats", lambda n: built.append(n) or [])
+    code, out, _ = run(capsys, "stats", "--n", str(MAX_DEPTH))
+    assert code == 0
+    assert built == list(range(MAX_DEPTH + 1))
+    assert out.startswith("n  j  support")
 
 
 def test_verify_single_suite_passes(capsys):

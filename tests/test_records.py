@@ -27,8 +27,8 @@ RECORDS = {
     ),
     "PositivityCertificate": (
         lambda: certify_positivity(1, 0, 0),
-        "PositivityCertificate(n=1, i=0, j=0, coefficients=((2, '1'), (4, '1'), "
-        "(6, '1')), all_nonnegative=True, max_index=6, mass='3', cone_bound=4)",
+        "PositivityCertificate(n=1, i=0, j=0, coefficients=((2, 1), (4, 1), "
+        "(6, 1)), all_nonnegative=True, max_index=6, mass=3, cone_bound=4)",
     ),
     "ConeCertificate": (
         lambda: certify_cone(1, 1),
