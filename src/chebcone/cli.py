@@ -2,10 +2,10 @@
 suites, emit certificate files and growth tables.
 
 Exit codes are exactly 0 for success, 1 for a failed assertion or an
-invalid certificate, and 2 for a usage error, an --out that cannot be
-written or a depth beyond the recursion limit.  Every command refuses an
---n above MAX_DEPTH before it builds anything: depth 9 coefficients reach
-~5,900 digits, past the 4,300-digit int-to-str limit of decimal output.
+invalid certificate, and 2 for a usage error or an --out that cannot be
+written.  Every command refuses an --n above MAX_DEPTH before it builds
+anything: depth 9 coefficients reach ~5,900 digits, past the 4,300-digit
+int-to-str limit of decimal output.
 All randomized work is driven by the --seed flag, and identical
 (command, seed, n) invocations produce byte-identical output.
 """
@@ -16,17 +16,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .certifier import certify_pair, document_json, encode_listing
-from .recurrence_engine import (
-    VALID_I,
-    VALID_J,
-    CheckResult,
-    closed_element,
-    growth_stats,
-    raw_element,
-)
+from .recurrence_engine import VALID_I, VALID_J, closed_element, growth_stats, raw_element
 from .tilde_ring import fold_L
+
+if TYPE_CHECKING:
+    from .suites import CheckResult
 
 MAX_DEPTH = 8
 FORMATS = ("text", "json", "tsv")
@@ -283,9 +280,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_stats(cfg)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"chebcone: {exc}\n")
-        return 2
-    except RecursionError:
-        sys.stderr.write(f"chebcone: depth {cfg.n} is beyond the recursion limit\n")
         return 2
 
 

@@ -101,38 +101,20 @@ def interval_sum_decompose(a1: int, b1: int, a2: int, b2: int) -> list[tuple[int
     return [(a1 + a2 + 2 * j, b1 + b2 - 2 * j) for j in range(half + 1)]
 
 
-def _cone_violation(m: IntegerMultiset, c: int) -> tuple[int, str] | None:
-    """First offset at which the cone profile fails, or None.
-
-    The profile condition, per offset i >= 0 along each parity class:
-    mult(c-i-2) <= mult(c-i) <= mult(c+i).  Past offset c - min(m) both
-    left multiplicities are zero, so neither inequality can fail there,
-    and the sweep stops at that offset.
-    """
-    counts = m._coeffs
-    if not counts:
-        return None
-    mult = counts.get
-    for i in range(c - min(counts) + 1):
-        left_outer = mult(c - i - 2, 0)
-        left_inner = mult(c - i, 0)
-        right = mult(c + i, 0)
-        if left_outer > left_inner:
-            return (i, f"mult({c - i - 2})={left_outer} > mult({c - i})={left_inner}")
-        if left_inner > right:
-            return (i, f"mult({c - i})={left_inner} > mult({c + i})={right}")
-    return None
-
-
 def in_cone(m: IntegerMultiset, c: int) -> bool:
     """Membership in the cone centered at c.
 
     True iff for every i >= 0 the multiplicity at c-i-2 is at most the
     multiplicity at c-i, which is at most the multiplicity at c+i.
     Equivalently, m is a union of singletons at or above c and even-step
-    intervals [c-n, c+n]; decompose_cone produces that form.
+    intervals [c-n, c+n]; the verdict is whether decompose_cone, whose
+    sweep tests that profile, produces that form.
     """
-    return _cone_violation(m, c) is None
+    try:
+        decompose_cone(m, c)
+    except ConeMembershipError:
+        return False
+    return True
 
 
 class ConeMembershipError(ValueError):
@@ -147,9 +129,10 @@ class ConeMembershipError(ValueError):
 
 def cone_subset_check(c: int, m: IntegerMultiset) -> bool:
     """Given membership at center c+1, confirm membership at center c."""
-    violation = _cone_violation(m, c + 1)
-    if violation is not None:
-        raise ConeMembershipError(c + 1, violation[0], "precondition: " + violation[1])
+    try:
+        decompose_cone(m, c + 1)
+    except ConeMembershipError as exc:
+        raise ConeMembershipError(c + 1, exc.offset, "precondition: " + exc.detail) from None
     return in_cone(m, c)
 
 
@@ -200,40 +183,42 @@ class ConeDecomposition(_ConeParts):
 
 
 def decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
-    """Canonical cone certificate for m at center c.
+    """Canonical cone certificate for m at center c, from one sweep.
 
-    Radii are read off the left profile: the number of intervals with
-    radius >= k equals mult(c-k), so an exact radius-k count is
-    mult(c-k) - mult(c-k-2).  Intervals are the only parts reaching
-    below c, which makes this decomposition unique; whatever remains
-    after removing them sits at or above c and becomes the singleton
-    list.  Once the profile check has passed, the intervals cover c + k
-    exactly mult(c-k) times for k >= 1 and c exactly mult(c-2) times, so
-    the singletons come from one pass over the support.  Raises
-    ConeMembershipError with a witness offset if m is not a member.
+    At each offset i from 0 to c - min(m), along each parity class, the
+    sweep tests the profile mult(c-i-2) <= mult(c-i) <= mult(c+i) and
+    raises ConeMembershipError with the offset and the failing pair if
+    it does not hold; past that offset both left multiplicities are zero,
+    so neither inequality can fail.  Intervals are the only parts
+    reaching below c, which makes the decomposition unique: those of
+    radius >= i and of the parity of i number mult(c-i), so the exact
+    radius-i count is mult(c-i) - mult(c-i-2).  They cover c + i
+    mult(c-i) times for i >= 1 and c mult(c-2) times, and what they leave
+    is the singleton count.  Values past the sweep are singletons as
+    they stand.
     """
-    violation = _cone_violation(m, c)
-    if violation is not None:
-        raise ConeMembershipError(c, violation[0], violation[1])
-
-    radii: list[tuple[int, int]] = []
-    lo = m.min_element()
-    k_max = c - lo if (lo is not None and lo < c) else 0
-    for k in range(1, k_max + 1):
-        exact = m.mult(c - k) - m.mult(c - k - 2)
-        if exact:
-            radii.append((k, exact))
-
-    singles = []
-    for x, cnt in m.counts():
-        if x < c:
-            continue
-        cnt -= m.mult(2 * c - x if x > c else c - 2)
-        if cnt < 0:
-            # cannot happen once the profile check passed
-            raise ConeMembershipError(c, x - c, f"residue {cnt} at {x}")
-        if cnt > 0:
-            singles.append((x, cnt))
+    counts = m._coeffs
+    mult = counts.get
+    top = c - min(counts) if counts else -1
+    radii, singles = [], []
+    for i in range(top + 1):
+        left_outer = mult(c - i - 2, 0)
+        left_inner = mult(c - i, 0)
+        right = mult(c + i, 0)
+        if left_outer > left_inner:
+            raise ConeMembershipError(
+                c, i, f"mult({c - i - 2})={left_outer} > mult({c - i})={left_inner}")
+        if left_inner > right:
+            raise ConeMembershipError(c, i, f"mult({c - i})={left_inner} > mult({c + i})={right}")
+        if i == 0:
+            residue = right - left_outer
+        else:
+            if left_inner > left_outer:
+                radii.append((i, left_inner - left_outer))
+            residue = right - left_inner
+        if residue:
+            singles.append((c + i, residue))
+    singles.extend((x, cnt) for x, cnt in m.counts() if x > c + top)
     return ConeDecomposition(center=c, singletons=tuple(singles), radii=tuple(radii))
 
 

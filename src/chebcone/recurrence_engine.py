@@ -13,8 +13,8 @@ with slot index i in {-1, 0, 1}.  Each family is computed two ways:
   depth-n pair alone, by sumset-then-left-multiply expansions, and
   closed_witnesses, the route's one cache, applies it once per depth.
 
-check_structure replays the structural identities tying the two routes
-together and emits one pass/fail record per assertion.
+The structural identities tying the two routes together are checked by
+the shift, cone and multiset suites of `verify`, which read these caches.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .multiset_cone import (
-    ConeMembershipError,
-    IntegerMultiset,
-    decompose_cone,
-    msum,
-    munion,
-    to_tilde,
-)
+from .multiset_cone import IntegerMultiset, msum, munion, to_tilde
 from .tilde_ring import H1, TildeElement, _product, _symmetric_runs, basis, fold_L, mul, w0, w1
 
 VALID_I = (-1, 0, 1)
@@ -39,12 +32,6 @@ VALID_J = (0, 1)
 def cone_center(n: int, j: int) -> int:
     """Center of the cone the depth-n witness of order j lives in."""
     return 2 ** (n + 1) - j
-
-
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 def _check_indices(n: int, i: int, j: int) -> None:
@@ -205,60 +192,3 @@ def growth_stats(n: int) -> tuple[GrowthRow, GrowthRow]:
         GrowthRow(n, j, g.support_size(), g.min_index(), g.max_index(), g.mass())
         for j, g in enumerate(map(to_tilde, closed_witnesses(n)))
     )
-
-
-def _diff_detail(lhs: TildeElement, rhs: TildeElement) -> str:
-    d = lhs - rhs
-    head = d.terms()[:4]
-    return f"difference has {d.support_size()} terms, first {head}"
-
-
-def check_structure(n_max: int) -> tuple[CheckResult, ...]:
-    """Replay every structural identity for depths 0..n_max.
-
-    Covers the shift ladder for both families, raw versus closed
-    agreement, cone membership of both witnesses with recomposition,
-    and the vanishing of the literal extra term of the slot -1 leading
-    recurrence (checked at the depths that feed recursions up to n_max).
-    """
-    results: list[CheckResult] = []
-
-    def record(name: str, passed: bool, detail: str = "") -> None:
-        results.append(CheckResult(name, passed, detail))
-
-    def element_eq(name: str, lhs: TildeElement, rhs: TildeElement) -> None:
-        ok = lhs == rhs
-        record(name, ok, "" if ok else _diff_detail(lhs, rhs))
-
-    for n in range(n_max + 1):
-        element_eq(f"shift/leading-slot1(n={n})", e0_raw(n, 1), e0_raw(n, 0).shift(-1))
-        element_eq(f"shift/leading-slot-1(n={n})", e0_raw(n, -1), e0_raw(n, 1))
-        element_eq(
-            f"shift/penultimate-slot1(n={n})", e1_raw(n, 1), e1_raw(n, 0).shift(-1)
-        )
-        element_eq(
-            f"shift/penultimate-slot-1(n={n})",
-            e1_raw(n, -1),
-            e1_raw(n, 0).shift(-1) + e0_raw(n, 0).shift(-2),
-        )
-        if n < n_max:
-            extra = leading_extra_term(n)
-            record(
-                f"shift/extra-term-zero(n={n})",
-                extra.is_zero(),
-                "" if extra.is_zero() else f"extra term nonzero: {extra}",
-            )
-
-        for j, m in enumerate(closed_witnesses(n)):
-            element_eq(f"closed/raw-equals-closed(n={n},j={j})", raw_element(n, 0, j), to_tilde(m))
-            c = cone_center(n, j)
-            try:
-                decomposition = decompose_cone(m, c)
-            except ConeMembershipError:
-                record(f"cone/membership(n={n},j={j})", False, f"not in R({c})")
-                continue
-            ok = decomposition.recompose() == m
-            record(f"cone/membership(n={n},j={j})", ok, f"center {c}, decomposition recomposes"
-                   if ok else f"decomposition at center {c} does not recompose")
-
-    return tuple(results)

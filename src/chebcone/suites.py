@@ -1,6 +1,7 @@
 """Named verification suites behind the `verify` command.
 
-Every suite returns a list of CheckResult records; nothing raises on a
+Every suite builds its own list of CheckResult records, reading the
+recurrence engine's caches for the family elements; nothing raises on a
 failed identity, so a run always produces the full report.  Randomized
 suites draw from a Random seeded with the user seed plus the suite
 label, which makes reports byte-reproducible.
@@ -10,19 +11,25 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import laurent_oracle as oracle
 from . import multiset_cone as mc
 from . import recurrence_engine as engine
-from .certifier import certify_pair
-from .recurrence_engine import CheckResult
-from .tilde_ring import basis, fold_L, left_mul_h, mul, random_element, w0, w1
+from .certifier import certify_cone, certify_pair
+from .tilde_ring import TildeElement, basis, fold_L, left_mul_h, mul, random_element, w0, w1
 
 DEFAULT_DEPTH = 3
 DEFAULT_TRIALS = 200
 DEFAULT_CROSS_TRIALS = 500
 DEFAULT_PAIR_BOUND = 8
 DEFAULT_TRIPLE_BOUND = 6
+
+
+class CheckResult(NamedTuple):
+    name: str
+    passed: bool
+    detail: str = ""
 
 
 def _rng(seed: int, label: str) -> random.Random:
@@ -33,6 +40,15 @@ def _exhaustive(name: str, failures: list, total: int, scope: str) -> CheckResul
     if failures:
         return CheckResult(name, False, f"{len(failures)} of {total} failed, first at {failures[0]}")
     return CheckResult(name, True, f"{scope}, {total} cases")
+
+
+def _agreement(name: str, lhs: TildeElement, rhs: TildeElement) -> CheckResult:
+    """Whether two elements are equal, with the head of their difference if not."""
+    if lhs == rhs:
+        return CheckResult(name, True)
+    d = lhs - rhs
+    return CheckResult(name, False, f"difference has {d.support_size()} terms, "
+                                    f"first {d.terms()[:4]}")
 
 
 def _product_identities(prefix: str, basis_of, product, pair_bound: int,
@@ -138,11 +154,11 @@ def suite_w_theorem(trials: int = DEFAULT_TRIALS, seed: int = 0) -> list[CheckRe
     ]
 
 
-def suite_multiset(structure: tuple[CheckResult, ...], trials: int = DEFAULT_TRIALS,
+def suite_multiset(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
                    seed: int = 0) -> list[CheckResult]:
     """Multiset-calculus lemmas on seeded random instances, plus the
-    raw-versus-closed agreement of the recurrence families, read from the
-    check_structure records."""
+    raw-versus-closed agreement of both recurrence families at every
+    depth up to `depth`."""
     results = []
     rng = _rng(seed, "multiset")
 
@@ -211,20 +227,51 @@ def suite_multiset(structure: tuple[CheckResult, ...], trials: int = DEFAULT_TRI
             bad.append((t, c))
     results.append(_exhaustive("multiset/decompose-roundtrip", bad, trials, "random members"))
 
-    results.extend(r for r in structure if r.name.startswith("closed/"))
+    for n in range(depth + 1):
+        for j, m in enumerate(engine.closed_witnesses(n)):
+            results.append(_agreement(f"closed/raw-equals-closed(n={n},j={j})",
+                                      engine.raw_element(n, 0, j), mc.to_tilde(m)))
     return results
 
 
-def suite_cone(structure: tuple[CheckResult, ...]) -> list[CheckResult]:
-    """Cone membership of both witness families, with recomposing
-    certificates, read from the check_structure records."""
-    return [r for r in structure if r.name.startswith("cone/")]
+def suite_cone(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
+    """Cone membership of both witness families at every depth up to
+    `depth`, each read from its cone certificate, which must recompose."""
+    results = []
+    for n in range(depth + 1):
+        for j in engine.VALID_J:
+            name = f"cone/membership(n={n},j={j})"
+            try:
+                cert = certify_cone(n, j)
+            except mc.ConeMembershipError as exc:
+                results.append(CheckResult(name, False, f"not in R({exc.center})"))
+                continue
+            c, ok = cert.center, cert.recomposition_ok
+            detail = (f"center {c}, decomposition recomposes" if ok
+                      else f"decomposition at center {c} does not recompose")
+            results.append(CheckResult(name, ok, detail))
+    return results
 
 
-def suite_shift(structure: tuple[CheckResult, ...]) -> list[CheckResult]:
-    """Shift-ladder identities between slots, plus the vanishing extra
-    term, read from the check_structure records."""
-    return [r for r in structure if r.name.startswith("shift/")]
+def suite_shift(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
+    """Shift-ladder identities between the slots of both raw families at
+    every depth up to `depth`, plus the vanishing of the literal extra
+    term of the slot -1 leading recurrence at the depths that feed them."""
+    e0, e1 = engine.e0_raw, engine.e1_raw
+    results = []
+    for n in range(depth + 1):
+        results += [
+            _agreement(f"shift/leading-slot1(n={n})", e0(n, 1), e0(n, 0).shift(-1)),
+            _agreement(f"shift/leading-slot-1(n={n})", e0(n, -1), e0(n, 1)),
+            _agreement(f"shift/penultimate-slot1(n={n})", e1(n, 1), e1(n, 0).shift(-1)),
+            _agreement(f"shift/penultimate-slot-1(n={n})", e1(n, -1),
+                       e1(n, 0).shift(-1) + e0(n, 0).shift(-2)),
+        ]
+        if n < depth:
+            extra = engine.leading_extra_term(n)
+            results.append(CheckResult(f"shift/extra-term-zero(n={n})", extra.is_zero(),
+                                       "" if extra.is_zero() else f"extra term nonzero: {extra}"))
+    return results
 
 
 def suite_positivity(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
@@ -310,12 +357,9 @@ def run_suites(names: list[str], depth: int | None, trials: int | None,
                seed: int = 0) -> list[tuple[str, list[CheckResult]]]:
     """Run the named suites with shared defaults and return (name, results)
     pairs.  `depth` is the recurrence depth only: the lemma sweep always
-    runs at its default bounds.  The multiset, cone and shift suites share
-    one check_structure run."""
+    runs at its default bounds."""
     d = DEFAULT_DEPTH if depth is None else depth
     t, cross_t = (DEFAULT_TRIALS, DEFAULT_CROSS_TRIALS) if trials is None else (trials, trials)
-    structural = {"multiset", "cone", "shift"} & set(names)
-    structure = engine.check_structure(d) if structural else ()
     out: list[tuple[str, list[CheckResult]]] = []
     for name in names:
         if name == "lemmas":
@@ -323,11 +367,11 @@ def run_suites(names: list[str], depth: int | None, trials: int | None,
         elif name == "w-theorem":
             res = suite_w_theorem(t, seed)
         elif name == "multiset":
-            res = suite_multiset(structure, t, seed)
+            res = suite_multiset(d, t, seed)
         elif name == "cone":
-            res = suite_cone(structure)
+            res = suite_cone(d)
         elif name == "shift":
-            res = suite_shift(structure)
+            res = suite_shift(d)
         elif name == "positivity":
             res = suite_positivity(d)
         elif name == "cross":

@@ -30,7 +30,7 @@ from chebcone.recurrence_engine import (
     e1_raw,
     leading_extra_term,
 )
-from chebcone import recurrence_engine
+from chebcone import recurrence_engine, suites
 from chebcone.tilde_ring import (
     TildeElement,
     basis,
@@ -271,6 +271,7 @@ def test_criterion_10_hand_checked_anchors():
 def test_acceptance_summary():
     # every criterion above uses exact integer arithmetic; this summary
     # exists so a bare `pytest tests/test_acceptance.py` shows the tally
-    results = recurrence_engine.check_structure(4)
+    pairs = suites.run_suites(["multiset", "cone", "shift"], 4, None)
+    results = [r for _, suite_results in pairs for r in suite_results]
     assert all(r.passed for r in results)
     print(f"ACCEPTANCE structural replay: {len(results)} checks, all passed")

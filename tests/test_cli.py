@@ -101,19 +101,12 @@ def usage_error(capsys, *argv):
     return out.out, out.err
 
 
-@pytest.mark.parametrize("mode", ["raw", "closed"])
-def test_depth_beyond_the_recursion_limit_is_usage_error(mode, capsys):
-    # the depth bound refuses it before the recursion limit is reached
-    out, err = usage_error(capsys, "compute", "--n", "5000", "--mode", mode)
-    assert out == ""
-    assert err.endswith(DEPTH_BOUND_ERROR)
-
-
 @pytest.mark.parametrize("argv", [
     ("stats", "--n", "5000"),
     ("certify", "--n", "9", "--out", "{out}"),
     ("verify", "--n", "9"),
     ("compute", "--n", "9"),
+    ("compute", "--n", "5000", "--mode", "closed"),
 ])
 def test_depth_above_the_bound_is_refused_before_any_work(argv, monkeypatch, tmp_path, capsys):
     def refuse(*args):

@@ -10,7 +10,6 @@ from chebcone.multiset_cone import (
     ConeDecomposition,
     ConeMembershipError,
     IntegerMultiset,
-    _cone_violation,
     cone_subset_check,
     decompose_cone,
     in_cone,
@@ -235,8 +234,9 @@ def ref_recompose(d: ConeDecomposition) -> IntegerMultiset:
 
 
 def ref_decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
-    """decompose_cone as it used to be: each radius subtracted from a residue."""
-    violation = _cone_violation(m, c)
+    """decompose_cone as it used to be: the profile checked by a sweep of its
+    own, then each radius subtracted from a residue."""
+    violation = ref_cone_violation(m, c)
     if violation is not None:
         raise ConeMembershipError(c, violation[0], violation[1])
     residue = dict(m.items())
@@ -257,6 +257,18 @@ def ref_decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
         if cnt > 0:
             singles.append((x, cnt))
     return ConeDecomposition(center=c, singletons=tuple(singles), radii=tuple(radii))
+
+
+def cone_violation(m: IntegerMultiset, c: int) -> tuple[int, str] | None:
+    """decompose_cone's (offset, detail) for m at c, or None if it decomposes,
+    after checking that in_cone gives the same verdict."""
+    try:
+        decompose_cone(m, c)
+    except ConeMembershipError as exc:
+        assert exc.center == c and not in_cone(m, c)
+        return exc.offset, exc.detail
+    assert in_cone(m, c)
+    return None
 
 
 CONE_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -284,7 +296,8 @@ def centred_multisets(draw):
 
 
 def ref_cone_violation(m: IntegerMultiset, c: int) -> tuple[int, str] | None:
-    """_cone_violation as it used to be: the sweep bound read off the sorted support."""
+    """First (offset, detail) at which the cone profile fails, or None, with
+    the sweep bound read off the sorted support."""
     if m.is_empty():
         return None
     bound = max(abs(x - c) for x in m.support()) + 2
@@ -305,7 +318,7 @@ def test_cone_violation_matches_reference(case, offset):
     # offset 0 keeps the drawn center, where unperturbed cases are members;
     # far offsets leave the support on one side of the center
     m, c = case
-    assert _cone_violation(m, c + offset) == ref_cone_violation(m, c + offset)
+    assert cone_violation(m, c + offset) == ref_cone_violation(m, c + offset)
 
 
 def test_cone_violation_reference_cases_cover_members_and_nonmembers():
@@ -316,10 +329,26 @@ def test_cone_violation_reference_cases_cover_members_and_nonmembers():
         m = random_cone_member(rng, c)
         for center in (c - 9, c - 1, c, c + 1, c + 9):
             expected = ref_cone_violation(m, center)
-            assert _cone_violation(m, center) == expected
+            assert cone_violation(m, center) == expected
             verdicts.add(expected is None)
     assert verdicts == {True, False}
-    assert _cone_violation(IntegerMultiset(), 5) is None
+    assert cone_violation(IntegerMultiset(), 5) is None
+
+
+@CONE_PROPERTY
+@given(centred_multisets(), st.integers(-3, 3))
+def test_cone_subset_check_precondition_matches_reference(case, offset):
+    # the precondition is membership at c + 1, reported at that center
+    m, c = case
+    c += offset
+    expected = ref_cone_violation(m, c + 1)
+    if expected is None:
+        assert cone_subset_check(c, m) is (ref_cone_violation(m, c) is None)
+        return
+    with pytest.raises(ConeMembershipError) as info:
+        cone_subset_check(c, m)
+    assert (info.value.center, info.value.offset, info.value.detail) == (
+        c + 1, expected[0], "precondition: " + expected[1])
 
 
 @CONE_PROPERTY

@@ -10,7 +10,8 @@ import pytest
 
 from chebcone.certifier import ConeCertificate, certify_cone, certify_positivity
 from chebcone.multiset_cone import ConeDecomposition, decompose_cone
-from chebcone.recurrence_engine import CheckResult, e0_closed, growth_stats
+from chebcone.recurrence_engine import e0_closed, growth_stats
+from chebcone.suites import CheckResult
 
 RECORDS = {
     "CheckResult": (

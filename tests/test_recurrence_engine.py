@@ -15,11 +15,9 @@ from chebcone.multiset_cone import (
     munion,
     to_tilde,
 )
-from chebcone import multiset_cone, recurrence_engine, suites, tilde_ring
+from chebcone import certifier, multiset_cone, recurrence_engine, suites, tilde_ring
 from chebcone.recurrence_engine import (
     _left_expand,
-    CheckResult,
-    check_structure,
     closed_element,
     closed_step,
     closed_witnesses,
@@ -32,6 +30,7 @@ from chebcone.recurrence_engine import (
     leading_extra_term,
     raw_element,
 )
+from chebcone.suites import CheckResult
 from chebcone.tilde_ring import TildeElement, basis, w0, w1
 
 
@@ -221,45 +220,44 @@ def test_witness_cone_centers():
     assert cone_center(3, 1) == 15
 
 
-def test_check_structure_small():
-    results = check_structure(1)
-    assert type(results) is tuple
+def structure_records(n_max):
+    """The records of the multiset, cone and shift suites for depths
+    0..n_max, at one random trial, as verify reports them."""
+    pairs = suites.run_suites(["multiset", "cone", "shift"], n_max, 1)
+    return [r for _, results in pairs for r in results]
+
+
+def test_structural_suites_small():
+    results = structure_records(1)
     assert all(r.passed for r in results)
     names = {r.name for r in results}
     assert "shift/leading-slot1(n=1)" in names
     assert "cone/membership(n=1,j=1)" in names
+    assert "closed/raw-equals-closed(n=1,j=0)" in names
     assert all(isinstance(r, CheckResult) for r in results)
 
 
-def test_check_structure_depth_zero():
-    assert all(r.passed for r in check_structure(0))
+def test_structural_suites_depth_zero():
+    assert all(r.passed for r in structure_records(0))
     # the empty witness is vacuously a member at its asserted center
     assert in_cone(e1_closed(0), cone_center(0, 1))
 
 
-def test_check_structure_forms_each_extra_term_once():
-    # check_structure(3) reads leading_extra_term(n) for n < 3, and so does
+def test_shift_suite_forms_each_extra_term_once():
+    # suite_shift(3) reads leading_extra_term(n) for n < 3, and so does
     # e0_raw(n + 1, -1): from cleared caches, one miss and one hit per n
     for fn in (e0_raw, e1_raw, leading_extra_term):
         fn.cache_clear()
-    assert all(r.passed for r in check_structure(3))
+    assert all(r.passed for r in suites.suite_shift(3))
     info = leading_extra_term.cache_info()
     assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
-
-
-def structure_records(n_max):
-    """The check_structure records for depths 0..n_max, as the multiset,
-    cone and shift suites of verify report them."""
-    pairs = suites.run_suites(["multiset", "cone", "shift"], n_max, 1)
-    return [r for name, results in pairs for r in results if name != "multiset"
-            or r.name.startswith("closed/")]
 
 
 def failed(records):
     return [r for r in records if not r.passed]
 
 
-def test_check_structure_reports_a_raw_closed_difference(monkeypatch):
+def test_structural_suites_report_a_raw_closed_difference(monkeypatch):
     real = recurrence_engine.raw_element
 
     def off_by_one_term(n, i, j):
@@ -273,10 +271,10 @@ def test_check_structure_reports_a_raw_closed_difference(monkeypatch):
     ]
 
 
-def test_check_structure_reports_a_witness_outside_its_cone(monkeypatch):
+def test_structural_suites_report_a_witness_outside_its_cone(monkeypatch):
     # {2, 4, 6} lies in R(4) but not in R(5): offset 3 meets mult(2) > mult(8)
-    real = recurrence_engine.cone_center
-    monkeypatch.setattr(recurrence_engine, "cone_center",
+    real = certifier.cone_center
+    monkeypatch.setattr(certifier, "cone_center",
                         lambda n, j: real(n, j) + ((n, j) == (1, 0)))
     records = structure_records(1)
     assert failed(records) == [CheckResult("cone/membership(n=1,j=0)", False, "not in R(5)")]
@@ -284,14 +282,14 @@ def test_check_structure_reports_a_witness_outside_its_cone(monkeypatch):
                        "center 3, decomposition recomposes") in records
 
 
-def test_check_structure_reports_a_decomposition_that_does_not_recompose(monkeypatch):
-    real = recurrence_engine.decompose_cone
+def test_structural_suites_report_a_decomposition_that_does_not_recompose(monkeypatch):
+    real = certifier.decompose_cone
 
     def with_extra_singleton(m, c):
         d = real(m, c)
         return d._replace(singletons=d.singletons + ((100, 1),)) if c == 8 else d
 
-    monkeypatch.setattr(recurrence_engine, "decompose_cone", with_extra_singleton)
+    monkeypatch.setattr(certifier, "decompose_cone", with_extra_singleton)
     assert failed(structure_records(2)) == [
         CheckResult("cone/membership(n=2,j=0)", False,
                     "decomposition at center 8 does not recompose"),

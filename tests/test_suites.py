@@ -1,12 +1,12 @@
 """The shared product-identity sweep against the nested loops it replaced,
-and the single structure report behind the verify command."""
+and what each structural suite behind the verify command reads."""
 
 import sys
 import tracemalloc
 
 import pytest
 
-from chebcone import multiset_cone, recurrence_engine, suites
+from chebcone import certifier, multiset_cone, recurrence_engine, suites
 from chebcone.cli import main
 from chebcone.laurent_oracle import eval_basis, lmul
 from chebcone.suites import _product_identities
@@ -170,30 +170,30 @@ def test_sweep_keeps_few_rows_alive(prefix):
     assert peak < SWEEP_PEAK_BOUND
 
 
-def test_verify_builds_one_structure_report(capsys, monkeypatch):
-    calls = []
-    real = recurrence_engine.check_structure
-
-    def counted(n_max):
-        calls.append(n_max)
-        return real(n_max)
-
-    monkeypatch.setattr(recurrence_engine, "check_structure", counted)
-    assert main(["verify"]) == 0
-    assert "88 checks, 88 passed" in capsys.readouterr().out
-    assert calls == [3]
+RAW_ROUTE = ("e0_raw", "e1_raw", "raw_element")
 
 
-def test_verify_without_structure_suites_builds_no_report(capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(recurrence_engine, "check_structure", calls.append)
-    assert main(["verify", "--suite", "lemmas,cross", "--n", "2"]) == 0
-    capsys.readouterr()
-    assert calls == []
+@pytest.mark.parametrize("argv, refused, checks", [
+    (("--suite", "cone", "--n", "4"), RAW_ROUTE, 10),
+    (("--suite", "shift", "--n", "4"), ("closed_witnesses",), 24),
+    (("--suite", "lemmas,cross", "--n", "2"), RAW_ROUTE + ("closed_witnesses",), 5),
+], ids=["cone", "shift", "lemmas-cross"])
+def test_verify_suite_builds_only_the_route_it_checks(argv, refused, checks, capsys,
+                                                      monkeypatch):
+    # the cone suite reads the closed witnesses alone, the shift suite the
+    # raw elements alone, and the lemma and cross suites neither
+    def refuse(*args):
+        raise RuntimeError("a refused route was built")
+
+    for name in refused:
+        monkeypatch.setattr(recurrence_engine, name, refuse)
+        if hasattr(certifier, name):
+            monkeypatch.setattr(certifier, name, refuse)
+    assert main(["verify", *argv]) == 0
+    assert f"{checks} checks, {checks} passed" in capsys.readouterr().out
 
 
 def test_decompose_roundtrip_recomposes_once_per_trial(monkeypatch):
-    report = recurrence_engine.check_structure(1)
     calls = []
     real = multiset_cone.ConeDecomposition.recompose
 
@@ -204,6 +204,6 @@ def test_decompose_roundtrip_recomposes_once_per_trial(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(multiset_cone.ConeDecomposition, "recompose", counted)
-    results = suites.suite_multiset(report, trials=30, seed=5)
+    results = suites.suite_multiset(1, trials=30, seed=5)
     assert all(r.passed for r in results)
     assert len(calls) == 30
