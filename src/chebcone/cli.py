@@ -244,19 +244,9 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
     else:
         sep = "\t" if cfg.format == "tsv" else "  "
         lines = [sep.join(("n", "j", "support", "min_index", "max_index", "mass"))]
+        # the fields of a GrowthRow are the columns, in order
         for r in rows:
-            lines.append(
-                sep.join(
-                    (
-                        str(r.n),
-                        str(r.j),
-                        str(r.support_size),
-                        "" if r.min_index is None else str(r.min_index),
-                        "" if r.max_index is None else str(r.max_index),
-                        str(r.mass),
-                    )
-                )
-            )
+            lines.append(sep.join("" if v is None else str(v) for v in r))
         text = "\n".join(lines) + "\n"
     _emit(text, cfg.out)
     return 0

@@ -25,8 +25,9 @@ left_mul_h, and two multisets for the multiset sum.  From MIN_TERM_OPS
 term products on it is one big-int multiply by Kronecker substitution
 (Schoenhage 1982; Harvey, arXiv:0712.4046): each map is packed into one
 integer with a field of fixed width per exponent step, 8-byte words by
-struct while the slot bound fits 64 bits and whole bytes above that.
-Smaller products are the double loop.
+struct while the slot bound fits 64 bits and whole bytes above that, and
+one field mask per product offsets every field.  Smaller products are the
+double loop.
 
 Both element types, and the multisets of multiset_cone, derive from
 SparseVector, which holds the storage, queries and additive arithmetic.
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import random
 import struct
-from functools import lru_cache
 from itertools import compress
 from typing import ItemsView, Iterable, Mapping
 
@@ -249,7 +249,8 @@ def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     coefficients below 2^bits_a and 2^bits_b, so it lies strictly between
     -2^(w-1) and 2^(w-1) for w = bits_a + bits_b + bit_length(min(len(a),
     len(b))) + 1 bits.  Fields are 8-byte words while w <= 64, else the
-    fewest whole bytes that hold w bits.
+    fewest whole bytes that hold w bits.  One field mask, over the slots of
+    the product, packs both operands and unpacks the product.
     """
     ops = len(a) * len(b)
     if ops >= MIN_TERM_OPS:
@@ -261,8 +262,9 @@ def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
             bits = max(map(abs, a.values())).bit_length() + max(map(abs, b.values())).bit_length()
             bits += min(len(a), len(b)).bit_length() + 1
             width = 8 if bits <= 64 else (bits + 7) // 8
-            product = _pack(dense_a, step, width) * _pack(dense_b, step, width)
-            return _unpack(product, lo_a + lo_b, step, span // step + 1, width)
+            top = _field_tops(width, span // step + 1)
+            product = _pack(dense_a, step, width, top) * _pack(dense_b, step, width, top)
+            return _unpack(product, lo_a + lo_b, step, width, top)
     acc: dict[int, int] = {}
     for i, c in a.items():
         for j, d in b.items():
@@ -305,22 +307,11 @@ def _symmetric_runs(weights: Iterable[tuple[int, int]]) -> dict[int, int]:
     return out
 
 
-# Field masks of up to MASK_CACHE_BYTES are kept for the 64 latest shapes.
-# Small products mostly repeat a recent shape, and building the mask is
-# then most of a small pack: without the cache, `verify --seed 1` (42
-# shapes, 10,595 masks, none above 744 bytes) runs about 8% longer.  Larger
-# masks are rarely reused (`certify --n 7` builds 53 masks of 34 shapes, up
-# to 1.1 MB each), and keeping them raised its peak RSS by 9 MiB.
-MASK_CACHE_BYTES = 1024
-
-
 def _field_tops(width: int, slots: int) -> int:
     """2^(8 * width - 1) in each of slots fields of width bytes: the field
-    mask of _pack and _unpack."""
+    mask of _pack and _unpack.  _product builds it once, for the slots of
+    the product, and both operands and the product share it."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-
-
-_tops = lru_cache(maxsize=64)(_field_tops)  # masks of up to MASK_CACHE_BYTES
 
 
 def _dense(terms: dict[int, int], lo: int, hi: int) -> list[int]:
@@ -332,32 +323,33 @@ def _dense(terms: dict[int, int], lo: int, hi: int) -> list[int]:
     return values
 
 
-def _pack(values: list[int], step: int, width: int) -> int:
+def _pack(values: list[int], step: int, width: int, top: int) -> int:
     """The sum of v * B^k over the k-th value v of values[::step], for the
     field base B = 256^width and each |v| < B / 2.
 
     Each value becomes a little-endian field of width bytes in two's
     complement, written by struct for 8-byte words and by int.to_bytes
     otherwise; the XOR with B / 2 in every field turns that into the offset
-    form v + B / 2, and subtracting the same mask leaves v in place.
+    form v + B / 2, and subtracting the same mask leaves v in place.  top is
+    that mask over at least as many fields as there are values: its fields
+    past the last value XOR onto zero bytes and are subtracted again.
     """
     if step > 1:
         values = values[::step]
-    n = len(values)
     if width == 8:
-        raw = struct.pack(f"<{n}q", *values)
+        raw = struct.pack(f"<{len(values)}q", *values)
     else:
         raw = b"".join([v.to_bytes(width, "little", signed=True) for v in values])
-    top = (_tops if width * n <= MASK_CACHE_BYTES else _field_tops)(width, n)
     return (int.from_bytes(raw, "little") ^ top) - top
 
 
-def _unpack(value: int, lo: int, step: int, slots: int, width: int) -> dict[int, int]:
+def _unpack(value: int, lo: int, step: int, width: int, top: int) -> dict[int, int]:
     """Nonzero fields of a value packed as by _pack, keyed lo, lo + step,
-    ...; each field must lie strictly between -B / 2 and B / 2, so that
-    adding B / 2 to every field carries into no other."""
-    top = (_tops if width * slots <= MASK_CACHE_BYTES else _field_tops)(width, slots)
-    raw = ((value + top) ^ top).to_bytes(width * slots, "little")
+    ..., one per field of the mask top; each field must lie strictly
+    between -B / 2 and B / 2, so that adding B / 2 to every field carries
+    into no other."""
+    raw = ((value + top) ^ top).to_bytes(top.bit_length() // 8, "little")
+    slots = len(raw) // width
     if width == 8:
         decoded = struct.unpack(f"<{slots}q", raw)
     else:

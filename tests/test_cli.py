@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -262,6 +263,17 @@ def test_stats_json(capsys):
     rows = {(r["n"], r["j"]): r for r in doc["rows"]}
     assert rows[(1, 0)]["max_index"] == 6
     assert rows[(0, 1)]["mass"] == "0"
+
+
+def test_stats_text_output_is_unchanged(capsys):
+    # tests/test_golden.py pins the tsv rows; this pins the text rows, whose
+    # separator is two spaces and whose empty slot-1 row leaves blank columns
+    code, out, _ = run(capsys, "stats", "--n", "4")
+    assert code == 0
+    assert out.splitlines()[2] == "0  1  0      0"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "e76214a6a7b0798b12d798e8c47e9c9f51291fc04cc5bc8735e15de37eaf2652"
+    )
 
 
 def test_verify_depth_leaves_the_lemma_sweep_at_its_defaults(capsys):

@@ -37,9 +37,9 @@ from chebcone.cli import main
 from chebcone.recurrence_engine import _left_expand
 from chebcone.tilde_ring import (
     H1,
-    MASK_CACHE_BYTES,
     MIN_TERM_OPS,
     TildeElement,
+    _field_tops,
     _kernel,
     _pack,
     _product,
@@ -246,6 +246,17 @@ def width_for(bits: int) -> int:
     return 8 if bits <= 64 else (bits + 7) // 8
 
 
+def packed_product(operands, width: int, lo: int, step: int) -> dict[int, int]:
+    """The nonzero slots, keyed lo, lo + step, ..., of the product of the
+    operands, each a (values, pack step) pair packed in fields of width
+    bytes: as in _product, one mask over the slots of the product packs
+    every operand and unpacks the product."""
+    counts = [len(values[::pack_step]) for values, pack_step in operands]
+    top = _field_tops(width, sum(counts) - len(counts) + 1)
+    product = math.prod(_pack(values, pack_step, width, top) for values, pack_step in operands)
+    return _unpack(product, lo, step, width, top)
+
+
 @contextmanager
 def recorded_routes():
     """Records the route of every product: (step, width) of each packed
@@ -256,9 +267,9 @@ def recorded_routes():
         calls.append("loop")
         return _product(a, b)
 
-    def unpack(value, lo, step, slots, width):
+    def unpack(value, lo, step, width, top):
         calls[-1] = (step, width)
-        return _unpack(value, lo, step, slots, width)
+        return _unpack(value, lo, step, width, top)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tilde_ring, "_product", product)
@@ -282,8 +293,7 @@ def test_word_packed_product_matches_reference(u, v, lo, step):
     # every slot sums at most 40 products below 2^56 in magnitude
     expected = ref_product([(lo + step * k, c) for k, c in enumerate(u)],
                            [(step * k, c) for k, c in enumerate(v)])
-    product = _pack(u, 1, 8) * _pack(v, 1, 8)
-    assert _unpack(product, lo, step, len(u) + len(v) - 1, 8) == expected
+    assert packed_product([(u, 1), (v, 1)], 8, lo, step) == expected
 
 
 @PROPERTY
@@ -294,8 +304,21 @@ def test_wide_packed_product_matches_reference(u, v, lo, width):
     # every slot sums at most 30 products below 2^170 in magnitude
     expected = ref_product([(lo + k, c) for k, c in enumerate(u)], list(enumerate(v)))
     # step 2 packs every other value
-    product = _pack(u, 1, width) * _pack([x for c in v for x in (c, 0)], 2, width)
-    assert _unpack(product, lo, 1, len(u) + len(v) - 1, width) == expected
+    spread = [x for c in v for x in (c, 0)]
+    assert packed_product([(u, 1), (spread, 2)], width, lo, 1) == expected
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from((1, 8, 9, 30)), st.sampled_from((1, 2)), st.integers(0, 40))
+def test_a_mask_over_more_fields_packs_the_same_integer(data, width, step, extra):
+    # for n values, (R ^ T) - T reads only the low n fields of the mask T,
+    # so the mask of the product's slots packs each operand as its own would
+    half = 2 ** (8 * width - 1)
+    values = data.draw(st.lists(st.integers(-half + 1, half - 1), min_size=1, max_size=30))
+    n = len(values[::step])
+    expected = sum(v * 256 ** (width * k) for k, v in enumerate(values[::step]))
+    for slots in (n, n + 1, n + extra):
+        assert _pack(values, step, width, _field_tops(width, slots)) == expected
 
 
 @PROPERTY
@@ -345,11 +368,11 @@ def test_packed_route_on_both_sides_of_the_64_bit_bound(n1, lo1, n2, lo2, e1, e2
 ])
 def test_word_slots_at_the_limits_decode_on_their_own(values):
     expected = {-3 + k: v for k, v in enumerate(values) if v}
-    assert _unpack(_pack(values, 1, 8), -3, 1, len(values), 8) == expected
+    assert packed_product([(values, 1)], 8, -3, 1) == expected
     # times 1 and times -1 leave every slot in place, sign for sign
-    assert _unpack(_pack(values, 1, 8) * _pack([1], 1, 8), -3, 1, len(values), 8) == expected
+    assert packed_product([(values, 1), ([1], 1)], 8, -3, 1) == expected
     negated = {k: -v for k, v in expected.items()}
-    assert _unpack(_pack(values, 1, 8) * _pack([0, -1], 1, 8), -4, 1, len(values) + 1, 8) == negated
+    assert packed_product([(values, 1), ([0, -1], 1)], 8, -4, 1) == negated
 
 
 @pytest.mark.parametrize("width", [1, 2, 5, 8, 9])
@@ -357,9 +380,9 @@ def test_slots_at_the_limits_of_their_width_decode_on_their_own(width):
     top = 2 ** (8 * width - 1) - 1
     values = [top, -top, -top, top, 0, 1, -1, top, 0, -top]
     expected = {3 + 2 * k: v for k, v in enumerate(values) if v}
-    assert _unpack(_pack(values, 1, width), 3, 2, len(values), width) == expected
+    assert packed_product([(values, 1)], width, 3, 2) == expected
     # step 2 packs the values at even positions only
-    assert _unpack(_pack(values, 2, width), 3, 4, 5, width) == {
+    assert packed_product([(values, 2)], width, 3, 4) == {
         3 + 4 * k: v for k, v in enumerate(values[::2]) if v
     }
 
@@ -394,22 +417,37 @@ def test_slot_sums_on_both_sides_of_the_64_bit_field(sign, routes):
         assert routes[-2:] == [(1, width)] * 2
 
 
-@pytest.mark.parametrize("size", [MASK_CACHE_BYTES // 8, MASK_CACHE_BYTES // 8 + 1, 1025])
-def test_masks_on_both_sides_of_the_cache_bound(size, routes):
-    # h~[0] has the kernel 1, so the product has exactly the slots of g2;
-    # masks of up to MASK_CACHE_BYTES are kept, larger ones built per call
+@pytest.mark.parametrize("size", [128, 129, 1025])
+def test_masks_of_many_slots_pack_and_unpack(size, routes):
+    # h~[0] has the kernel 1, so the product has exactly the slots of g2
     g2 = TildeElement(dict(dense(size, lo=-500)))
     for _ in range(2):
         assert mul(basis(0), g2) == g2 == ref_mul(basis(0), g2)
     assert routes == [(1, 8)] * 2
     values = [(-1) ** k * (2**63 - 1 - k) for k in range(size)]
-    assert _unpack(_pack(values, 1, 8), 0, 1, size, 8) == dict(enumerate(values))
+    assert packed_product([(values, 1)], 8, 0, 1) == dict(enumerate(values))
     for width in (1, 8, 9):
-        assert tilde_ring._field_tops(width, size) == sum(
+        assert _field_tops(width, size) == sum(
             1 << (8 * width * k + 8 * width - 1) for k in range(size)
         )
-        if width * size <= MASK_CACHE_BYTES:
-            assert tilde_ring._tops(width, size) == tilde_ring._field_tops(width, size)
+
+
+def test_each_packed_product_builds_one_mask(monkeypatch, tmp_path, routes, capsys):
+    # _product builds the mask of its slots once, and both packs and the
+    # unpack take it from there
+    widths = []
+
+    def field_tops(width, slots):
+        widths.append(width)
+        return _field_tops(width, slots)
+
+    monkeypatch.setattr(tilde_ring, "_field_tops", field_tops)
+    recurrence_engine.closed_witnesses.cache_clear()
+    assert main(["certify", "--n", "4", "--out", str(tmp_path / "certs")]) == 0
+    capsys.readouterr()
+    packed = [route for route in routes if route != "loop"]
+    assert packed
+    assert widths == [width for _, width in packed]
 
 
 @pytest.mark.parametrize("terms", [
