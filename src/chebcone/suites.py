@@ -10,6 +10,7 @@ label, which makes reports byte-reproducible.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -60,14 +61,46 @@ def _product_identities(prefix: str, basis_of, product, pair_bound: int,
     displayed, since mul is not commutative.  Each product expression
     the identities read is formed once: 5,332 products at bounds 8 and
     6, where the identities written as nested loops make 29,717.  The
-    pair products P(a, b) = B(a)*B(b) sit in one table, which also gives
-    the first factors and right-hand sides of the triple identities.
-    Those run first (_triple_failures), so that their rows are gone
-    before the pair identities add the rest of the table.
+    pair products P(a, b) = B(a)*B(b) sit in one table.  The triple
+    products R(x, y, z) = P(x, y)*B(z) are formed when an identity first
+    reads them, into rows keyed by x and y.  For each x, triple-mixed at
+    a1 = x reads the rows of x and x - 1, then triple-sum at b = x reads
+    the rows of x.  A row (x - 1, b) is read for the last time at b and
+    dropped there, except row (x - 1, 1), which holds the first three
+    factors of every four-factor term; the rest of x - 1 goes once
+    triple-mixed at x is done.  The triple identities run first, so that
+    their rows are gone before the pair identities add the rest of the
+    table.
     """
     B = lru_cache(maxsize=None)(basis_of)
     P = lru_cache(maxsize=None)(lambda a, b: product(B(a), B(b)))
-    bad_t_sum, bad_t_mixed = _triple_failures(B, P, product, triple_bound)
+    rows = defaultdict(lambda: defaultdict(dict))  # rows[x][y][z] = R(x, y, z)
+
+    def R(x, y, z):
+        row = rows[x][y]
+        if z not in row:
+            row[z] = product(P(x, y), B(z))
+        return row[z]
+
+    span3 = range(-triple_bound, triple_bound + 1)
+    bad_t_sum, bad_t_mixed = [], []
+    for x in span3:
+        for b in span3:  # triple-mixed at (a1, a2, b) = (x, a2, b)
+            for a2 in span3:
+                mixed = R(x, b, a2 - 1) + R(x - 1, b, a2) - product(R(x - 1, 1, b), B(a2 - 1))
+                if mixed != P(b, x + a2 - 1):
+                    bad_t_mixed.append((x, a2, b))
+            if b != 1:
+                del rows[x - 1][b]
+        del rows[x - 1]
+        for a1 in span3:  # triple-sum at (a1, a2, b) = (a1, a2, x)
+            for a2 in span3:
+                if R(x, a1, a2) - R(x, a1 - 1, a2 - 1) != P(x, a1 + a2):
+                    bad_t_sum.append((a1, a2, x))
+    rows.clear()
+    # into (b, a1, a2) order, that of the nested loops the identities are written as
+    bad_t_mixed.sort(key=lambda f: (f[2], f[0], f[1]))
+
     span = range(-pair_bound, pair_bound + 1)
     bad_sum, bad_diff = [], []
     for a in span:
@@ -79,7 +112,7 @@ def _product_identities(prefix: str, basis_of, product, pair_bound: int,
                 bad_diff.append((a, b))
     total = len(span) ** 2
     scope = f"A,B in [{-pair_bound},{pair_bound}]"
-    total3 = (2 * triple_bound + 1) ** 3
+    total3 = len(span3) ** 3
     scope3 = f"A1,A2,B in [{-triple_bound},{triple_bound}]"
     return [
         _exhaustive(f"{prefix}/pair-sum", bad_sum, total, scope),
@@ -87,48 +120,6 @@ def _product_identities(prefix: str, basis_of, product, pair_bound: int,
         _exhaustive(f"{prefix}/triple-sum", bad_t_sum, total3, scope3),
         _exhaustive(f"{prefix}/triple-mixed", bad_t_mixed, total3, scope3),
     ]
-
-
-def _triple_failures(B, P, product, triple_bound: int) -> tuple[list, list]:
-    """Failing (a1, a2, b) of the triple-sum and triple-mixed identities,
-    in (b, a1, a2) order, the order of the nested loops they are written as.
-
-    The rows R(x, y)[z] = P(x, y)*B(z) are built once per (x, y), over the
-    z that some identity reads, with x outermost: triple-sum at b = x
-    reads R(x, .), and triple-mixed at a1 = x reads R(x, .) and
-    R(x - 1, .), whose four-factor term is R(x - 1, 1)[b]*B(a2 - 1).  A row
-    of x - 1 is dropped once read, so some 15 rows are alive at a time.
-    """
-    low = -triple_bound - 1  # a1 - 1 and a2 - 1 reach one below the span
-    span3 = range(-triple_bound, triple_bound + 1)
-    bad_t_sum, bad_t_mixed = [], []
-    above: dict = {}  # the rows R(x - 1, b) that triple-mixed has yet to read
-    for x in range(low, triple_bound + 1):
-        # R(x - 1, 1)[b], the first two factors of the four-factor term;
-        # a span without 1 has no row y = 1 to read them from
-        h1_row = above[1] if 1 in above else {b: product(P(x - 1, 1), B(b)) for b in above}
-        rows = {}
-        for y in range(low if x > low else -triple_bound, triple_bound + 1):
-            # z runs over what is read: rows of x = low only at z = a2,
-            # rows of y = low only at z = a2 - 1
-            head = P(x, y)
-            row = {z: product(head, B(z))
-                   for z in range(low + (x == low), triple_bound + (y > low))}
-            if x > low and y > low:
-                for a2 in span3:  # triple-sum at (a1, a2, b) = (y, a2, x)
-                    if row[a2] - last[a2 - 1] != P(x, y + a2):
-                        bad_t_sum.append((y, a2, x))
-                up = above.pop(y)
-                for a2 in span3:  # triple-mixed at (a1, a2, b) = (x, a2, y)
-                    mixed = row[a2 - 1] + up[a2] - product(h1_row[y], B(a2 - 1))
-                    if mixed != P(y, x + a2 - 1):
-                        bad_t_mixed.append((x, a2, y))
-            if y > low:
-                rows[y] = row
-            last = row
-        above = rows
-    bad_t_mixed.sort(key=lambda f: (f[2], f[0], f[1]))
-    return bad_t_sum, bad_t_mixed
 
 
 def suite_lemmas() -> list[CheckResult]:
@@ -360,25 +351,17 @@ def run_suites(names: list[str], depth: int | None, trials: int | None,
     runs at its default bounds."""
     d = DEFAULT_DEPTH if depth is None else depth
     t, cross_t = (DEFAULT_TRIALS, DEFAULT_CROSS_TRIALS) if trials is None else (trials, trials)
-    out: list[tuple[str, list[CheckResult]]] = []
-    for name in names:
-        if name == "lemmas":
-            res = suite_lemmas()
-        elif name == "w-theorem":
-            res = suite_w_theorem(t, seed)
-        elif name == "multiset":
-            res = suite_multiset(d, t, seed)
-        elif name == "cone":
-            res = suite_cone(d)
-        elif name == "shift":
-            res = suite_shift(d)
-        elif name == "positivity":
-            res = suite_positivity(d)
-        elif name == "cross":
-            res = suite_cross(cross_t, seed)
-        elif name == "oracle":
-            res = suite_oracle(d, t, seed)
-        else:
-            raise ValueError(f"unknown suite {name!r}")
-        out.append((name, res))
-    return out
+    run = {
+        "lemmas": suite_lemmas,
+        "w-theorem": lambda: suite_w_theorem(t, seed),
+        "multiset": lambda: suite_multiset(d, t, seed),
+        "cone": lambda: suite_cone(d),
+        "shift": lambda: suite_shift(d),
+        "positivity": lambda: suite_positivity(d),
+        "cross": lambda: suite_cross(cross_t, seed),
+        "oracle": lambda: suite_oracle(d, t, seed),
+    }
+    unknown = [name for name in names if name not in run]
+    if unknown:
+        raise ValueError(f"unknown suite(s) {', '.join(map(repr, unknown))}")
+    return [(name, run[name]()) for name in names]

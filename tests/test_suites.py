@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from chebcone import certifier, multiset_cone, recurrence_engine, suites
-from chebcone.cli import main
+from chebcone.cli import SUITE_NAMES, main
 from chebcone.laurent_oracle import eval_basis, lmul
 from chebcone.suites import _product_identities
 from chebcone.tilde_ring import basis, mul
@@ -140,20 +140,27 @@ def formed_products(sweep, pair_bound, triple_bound):
     return keys
 
 
-def test_sweep_forms_each_product_expression_once():
-    keys = formed_products(_product_identities, 8, 6)
-    assert len(keys) == len(set(keys)) == 5332
-    # exactly the expressions the identities read; written as nested
-    # loops, they form 29,717 products
-    reference = formed_products(ref_product_identities, 8, 6)
-    assert len(reference) == 29717
+@pytest.mark.parametrize("bounds, formed, nested", [
+    ((8, 6), 5332, 29717),
+    ((5, 4), 1900, 9961),
+    ((3, 2), 400, 1821),
+    ((2, 0), 46, 113),
+], ids=["8-6", "5-4", "3-2", "2-0"])
+def test_sweep_forms_each_product_expression_once(bounds, formed, nested):
+    keys = formed_products(_product_identities, *bounds)
+    assert len(keys) == len(set(keys)) == formed
+    # exactly the expressions the identities read, which the nested loops
+    # form more than once
+    reference = formed_products(ref_product_identities, *bounds)
+    assert len(reference) == nested
     assert set(keys) == set(reference)
 
 
-# Peak traced allocation of one sweep at bounds 8 and 6 (CPython 3.11):
-# 0.29-0.30 MB for (basis, mul) and 0.39 MB for (eval_basis, lmul),
-# against 1.2 and 1.6 MB if every triple row stayed alive.  The bound adds
-# a third to the larger one.
+# Peak traced allocation of one sweep at bounds 8 and 6: 0.35 MB for
+# (basis, mul) and 0.38 MB for (eval_basis, lmul) on CPython 3.11, and at
+# most 0.36 and 0.38 MB on 3.10 to 3.13, against 1.5 and 1.8 MB if every
+# triple row stayed alive.  The bound was set a third above an earlier
+# 0.39 MB.
 SWEEP_PEAK_BOUND = 520_000
 
 
@@ -191,6 +198,37 @@ def test_verify_suite_builds_only_the_route_it_checks(argv, refused, checks, cap
             monkeypatch.setattr(certifier, name, refuse)
     assert main(["verify", *argv]) == 0
     assert f"{checks} checks, {checks} passed" in capsys.readouterr().out
+
+
+SUITE_FUNCTIONS = {attr[len("suite_"):].replace("_", "-"): attr
+                   for attr in dir(suites) if attr.startswith("suite_")}
+
+
+def stub_every_suite(monkeypatch):
+    """Replace each suite_* function by a stub that records its call;
+    returns the list of the suite names called, in order."""
+    called = []
+    for name, attr in SUITE_FUNCTIONS.items():
+        monkeypatch.setattr(suites, attr,
+                            lambda *args, name=name: called.append(name) or [name])
+    return called
+
+
+def test_run_suites_reaches_every_suite_by_its_cli_name(monkeypatch):
+    # a suite missing from the table, or from SUITE_NAMES, would drop out
+    # of --suite all
+    assert sorted(SUITE_FUNCTIONS) == sorted(SUITE_NAMES)
+    called = stub_every_suite(monkeypatch)
+    pairs = suites.run_suites(list(SUITE_NAMES), None, None)
+    assert called == list(SUITE_NAMES)
+    assert pairs == [(name, [name]) for name in SUITE_NAMES]
+
+
+def test_run_suites_refuses_an_unknown_name_before_running_any(monkeypatch):
+    called = stub_every_suite(monkeypatch)
+    with pytest.raises(ValueError, match="'nope'"):
+        suites.run_suites(["lemmas", "nope"], None, None)
+    assert called == []
 
 
 def test_decompose_roundtrip_recomposes_once_per_trial(monkeypatch):
