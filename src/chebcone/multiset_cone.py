@@ -38,21 +38,8 @@ class IntegerMultiset(SparseVector):
                 raise ValueError(f"negative multiplicity {c} at {x}")
         return _wrap(cls, {x: c for x, c in counts.items() if c})
 
-    mult = SparseVector.coeff
-    counts = SparseVector.terms
-    size = SparseVector.mass  # total number of elements, multiplicity included
-    is_empty = SparseVector.is_zero
-    min_element = SparseVector.min_index
-    max_element = SparseVector.max_index
     __or__ = SparseVector.__add__  # the union; + is the sumset
     __sub__ = __neg__ = None  # multiplicities are never negative
-
-    def elements(self) -> list[int]:
-        """Expanded element list; only sensible for small multisets."""
-        out: list[int] = []
-        for x, c in self.counts():
-            out.extend([x] * c)
-        return out
 
     def shifted(self, k: int) -> "IntegerMultiset":
         """Add k to every element."""
@@ -62,7 +49,7 @@ class IntegerMultiset(SparseVector):
         return msum(self, other)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{x}: {c}" for x, c in self.counts())
+        inner = ", ".join(f"{x}: {c}" for x, c in self.terms())
         return "IntegerMultiset{" + inner + "}"
 
     __str__ = __repr__
@@ -82,11 +69,6 @@ def msum(m1: IntegerMultiset, m2: IntegerMultiset) -> IntegerMultiset:
     Products of positive multiplicities are positive, and _product drops
     every zero, so the result needs no check."""
     return _wrap(IntegerMultiset, _product(m1._coeffs, m2._coeffs))
-
-
-def munion(m1: IntegerMultiset, m2: IntegerMultiset) -> IntegerMultiset:
-    """Multiset union: multiplicities add pointwise."""
-    return m1 | m2
 
 
 def interval_sum_decompose(a1: int, b1: int, a2: int, b2: int) -> list[tuple[int, int]]:
@@ -218,7 +200,7 @@ def decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
             residue = right - left_inner
         if residue:
             singles.append((c + i, residue))
-    singles.extend((x, cnt) for x, cnt in m.counts() if x > c + top)
+    singles.extend((x, cnt) for x, cnt in m.terms() if x > c + top)
     return ConeDecomposition(center=c, singletons=tuple(singles), radii=tuple(radii))
 
 
@@ -227,26 +209,19 @@ def to_tilde(m: IntegerMultiset) -> TildeElement:
     return TildeElement(dict(m.items()))
 
 
-def random_cone_member(
-    rng: random.Random,
-    c: int,
-    max_singletons: int = 4,
-    max_intervals: int = 4,
-    singleton_span: int = 10,
-    max_radius: int = 6,
-) -> IntegerMultiset:
+def random_cone_member(rng: random.Random, c: int) -> IntegerMultiset:
     """Seeded random cone member, valid by construction.
 
-    Draws up to max_singletons values in [c, c+singleton_span] and up to
-    max_intervals radii in [1, max_radius], then recomposes.
+    Draws up to 4 values in [c, c+10] and up to 4 radii in [1, 6], then
+    recomposes.
     """
     singles: dict[int, int] = {}
-    for _ in range(rng.randint(0, max_singletons)):
-        v = rng.randint(c, c + singleton_span)
+    for _ in range(rng.randint(0, 4)):
+        v = rng.randint(c, c + 10)
         singles[v] = singles.get(v, 0) + 1
     radii: dict[int, int] = {}
-    for _ in range(rng.randint(0, max_intervals)):
-        r = rng.randint(1, max_radius)
+    for _ in range(rng.randint(0, 4)):
+        r = rng.randint(1, 6)
         radii[r] = radii.get(r, 0) + 1
     decomp = ConeDecomposition(
         center=c,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .multiset_cone import IntegerMultiset, msum, munion, to_tilde
+from .multiset_cone import IntegerMultiset, msum, to_tilde
 from .tilde_ring import H1, TildeElement, _product, _symmetric_runs, basis, fold_L, mul, w0, w1
 
 VALID_I = (-1, 0, 1)
@@ -136,7 +136,7 @@ def closed_step(m0: IntegerMultiset,
     self_sum = msum(m0, m0)
     lead, cross = _left_expand(m0, self_sum, msum(m0, m1))
     (tail,) = _left_expand(m1, self_sum)
-    return lead, munion(munion(lead.shifted(-1), munion(cross, cross)), tail)
+    return lead, lead.shifted(-1) | (cross | cross) | tail
 
 
 @lru_cache(maxsize=None)

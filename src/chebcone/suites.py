@@ -18,7 +18,7 @@ from . import laurent_oracle as oracle
 from . import multiset_cone as mc
 from . import recurrence_engine as engine
 from .certifier import certify_cone, certify_pair
-from .tilde_ring import TildeElement, basis, fold_L, left_mul_h, mul, random_element, w0, w1
+from .tilde_ring import TildeElement, basis, fold_L, mul, random_element, w0, w1
 
 DEFAULT_DEPTH = 3
 DEFAULT_TRIALS = 200
@@ -162,7 +162,7 @@ def suite_multiset(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
         parts = mc.interval_sum_decompose(a1, b1, a2, b2)
         rebuilt = mc.IntegerMultiset()
         for lo, hi in parts:
-            rebuilt = mc.munion(rebuilt, mc.interval(lo, hi))
+            rebuilt |= mc.interval(lo, hi)
         if rebuilt != mc.msum(mc.interval(a1, b1), mc.interval(a2, b2)):
             bad.append((t, (a1, b1, a2, b2)))
     results.append(_exhaustive("multiset/interval-sum-decompose", bad, trials, "random interval pairs"))
@@ -190,7 +190,7 @@ def suite_multiset(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
         i = rng.randint(0, 6)
         m = mc.random_cone_member(rng, c)
         summed = mc.msum(mc.interval(-i, i), m)
-        if mc.to_tilde(summed) != left_mul_h(i, mc.to_tilde(m)):
+        if mc.to_tilde(summed) != mul(basis(i), mc.to_tilde(m)):
             bad.append((t, (i, c)))
         elif m and not mc.in_cone(summed, c):
             bad.append((t, (i, c)))
@@ -202,7 +202,7 @@ def suite_multiset(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
         m = mc.random_cone_member(rng, c)
         folded = fold_L(mc.to_tilde(m))
         profile_ok = all(
-            m.mult(i) >= m.mult(-i - 2) for i in range(0, abs(min(m.min_element() or 0, 0)) + 3)
+            m.coeff(i) >= m.coeff(-i - 2) for i in range(0, abs(min(m.min_index() or 0, 0)) + 3)
         )
         if not folded.all_nonnegative() or not profile_ok:
             bad.append((t, c))
@@ -336,7 +336,7 @@ def suite_oracle(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
 
     bad_max = []
     for n in range(1, depth + 1):
-        if engine.e0_closed(n).max_element() != 2 * 3**n:
+        if engine.e0_closed(n).max_index() != 2 * 3**n:
             bad_max.append(n)
     results.append(
         _exhaustive("oracle/max-index-law", bad_max, depth, "max index equals 2*3^n")

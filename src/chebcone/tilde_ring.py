@@ -20,14 +20,13 @@ dict.  A one-term g2 = d * h~[j] gives K shifted by j, times d.
 
 Every other product is one product of two plain {exponent: coefficient}
 maps, by _product: K and g2 for mul and the closed-route expansion (which
-calls _product itself and never mul), the kernel of h[i] and g for
-left_mul_h, and two multisets for the multiset sum.  From MIN_TERM_OPS
-term products on it is one big-int multiply by Kronecker substitution
-(Schoenhage 1982; Harvey, arXiv:0712.4046): each map is packed into one
-integer with a field of fixed width per exponent step, 8-byte words by
-struct while the slot bound fits 64 bits and whole bytes above that, and
-one field mask per product offsets every field.  Smaller products are the
-double loop.
+calls _product itself and never mul), and two multisets for the
+multiset sum.  From MIN_TERM_OPS term products on it is one big-int
+multiply by Kronecker substitution (Schoenhage 1982; Harvey,
+arXiv:0712.4046): each map is packed into one integer with a field of
+fixed width per exponent step, 8-byte words by struct while the slot
+bound fits 64 bits and whole bytes above that, and one field mask per
+product offsets every field.  Smaller products are the double loop.
 
 Both element types, and the multisets of multiset_cone, derive from
 SparseVector, which holds the storage, queries and additive arithmetic.
@@ -79,9 +78,6 @@ class SparseVector:
 
     def coeff(self, j: int) -> int:
         return self._coeffs.get(j, 0)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
 
     def support_size(self) -> int:
         return len(self._coeffs)
@@ -359,14 +355,6 @@ def _unpack(value: int, lo: int, step: int, width: int, top: int) -> dict[int, i
         ]
     keys = range(lo, lo + step * slots, step)
     return dict(zip(compress(keys, decoded), compress(decoded, decoded)))
-
-
-def left_mul_h(i: int, g: TildeElement) -> TildeElement:
-    """Act by h[i] on the left: the sum of shifts of g by -i, -i+2, ..., i,
-    that is the product of g with the shift kernel x^-i + ... + x^i of h[i]."""
-    if i < 0:
-        raise ValueError(f"left multiplier index must be >= 0, got {i}")
-    return _wrap(TildeElement, _product(_symmetric_runs([(i, 1)]), g._coeffs))
 
 
 def mul(g1: TildeElement, g2: TildeElement) -> TildeElement:

@@ -12,7 +12,6 @@ from chebcone.multiset_cone import (
     decompose_cone,
     in_cone,
     msum,
-    munion,
     to_tilde,
 )
 from chebcone import certifier, multiset_cone, recurrence_engine, suites, tilde_ring
@@ -92,7 +91,7 @@ def test_closed_witnesses_small():
 
 def test_closed_witness_depth_two():
     m0 = e0_closed(2)
-    assert m0.max_element() == 18
+    assert m0.max_index() == 18
     assert in_cone(m0, 8)
     assert to_tilde(m0) == e0_raw(2, 0)
     m1 = e1_closed(2)
@@ -116,7 +115,7 @@ def ref_closed(n):
     (t1,) = _left_expand(m0, msum(m0, m0.shifted(-1)))
     (t2,) = _left_expand(m0, msum(m0, m1))
     (t3,) = _left_expand(m1, msum(m0, m0))
-    return _left_expand(m0, msum(m0, m0))[0], munion(munion(t1, munion(t2, t2)), t3)
+    return _left_expand(m0, msum(m0, m0))[0], t1 | (t2 | t2) | t3
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -183,7 +182,7 @@ def test_depth_six_raw_equals_closed_and_max_index_law():
     # nearly all of its product work takes the packed big-int path
     assert e0_raw(6, 0) == to_tilde(e0_closed(6))
     assert e1_raw(6, 0) == to_tilde(e1_closed(6))
-    assert e0_closed(6).max_element() == 2 * 3**6 == 1458
+    assert e0_closed(6).max_index() == 2 * 3**6 == 1458
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -311,7 +310,7 @@ def test_growth_stats():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_max_index_law(n):
-    assert e0_closed(n).max_element() == 2 * 3**n
+    assert e0_closed(n).max_index() == 2 * 3**n
 
 
 def test_mass_growth_exceeds_machine_range_by_depth_four():

@@ -177,6 +177,42 @@ def test_sweep_keeps_few_rows_alive(prefix):
     assert peak < SWEEP_PEAK_BOUND
 
 
+class Triple(Expr):
+    """Symbolic triple product P(x, y)*B(z), counted while it is alive."""
+
+    __slots__ = ()
+    alive = peak = 0
+
+    def __init__(self, key):
+        super().__init__(key)
+        Triple.alive += 1
+        Triple.peak = max(Triple.peak, Triple.alive)
+
+    def __del__(self):
+        Triple.alive -= 1
+
+
+# Most triple products alive at once in one sweep at bounds 8 and 6.  The
+# count is exact, so the bound is the sweep's own count; a sweep that kept
+# every row (x - 1, b) until triple-mixed at x is done would hold 364.
+LIVE_TRIPLE_BOUND = 214
+
+
+def test_sweep_drops_each_row_after_its_last_read():
+    Triple.alive = Triple.peak = 0
+
+    def product(p, q):
+        # a pair product has two basis keys; its product with a basis
+        # image is a triple, and any longer product is not counted
+        key = (p.key, q.key)
+        return Triple(key) if isinstance(p.key, tuple) and isinstance(p.key[0], int) else Expr(key)
+
+    results = _product_identities("symbolic", Expr, product, 8, 6)
+    assert all(r.passed for r in results)
+    assert 0 < Triple.peak <= LIVE_TRIPLE_BOUND
+    assert Triple.alive == 0
+
+
 RAW_ROUTE = ("e0_raw", "e1_raw", "raw_element")
 
 
