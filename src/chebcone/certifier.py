@@ -3,11 +3,13 @@
 Two document kinds are produced: a positivity certificate listing every
 folded coefficient of a family element together with a sign verdict,
 and a cone certificate carrying the interval/singleton decomposition of
-a closed-form witness plus a recomposition verdict.  Records hold ints;
-documents carry them as decimal strings, as depth 4 values exceed 64-bit
-range, written by the one encoder encode_listing and parsed once by
-_listing.  Key order in emitted documents is fixed so that regenerated
-suites diff cleanly.
+a closed-form witness plus a recomposition verdict; callers report a
+witness outside its cone (ConeMembershipError) and a false
+check_positivity_implication as verdicts.  Records hold ints; documents
+carry them as decimal strings, as depth 4 values exceed 64-bit range,
+written by the one encoder encode_listing and parsed once by _listing.
+Key order in emitted documents is fixed so that regenerated suites diff
+cleanly.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ import json
 from typing import Iterable, NamedTuple
 
 from .multiset_cone import ConeDecomposition, decompose_cone
-from .recurrence_engine import (
-    VALID_I,
-    _check_indices,
-    closed_element,
-    closed_witnesses,
-    cone_center,
-)
+from .recurrence_engine import _check_indices, closed_element, closed_witnesses, cone_center
 from .tilde_ring import fold_L
 
 SCHEMA_VERSION = 1
@@ -216,8 +212,8 @@ def certify_cone(n: int, j: int) -> ConeCertificate:
     _check_indices(n, 0, j)
     witness = closed_witnesses(n)[j]
     center = cone_center(n, j)
-    # decompose_cone raises with a witness offset if membership fails,
-    # which would falsify the structural theorems upstream
+    # decompose_cone raises ConeMembershipError with the failing offset;
+    # callers report it as an invalid certificate
     decomposition = decompose_cone(witness, center)
     return ConeCertificate(n=n, j=j, center=center, decomposition=decomposition,
                            recomposition_ok=decomposition.recompose() == witness)
@@ -225,7 +221,7 @@ def certify_cone(n: int, j: int) -> ConeCertificate:
 
 def check_positivity_implication(
     cone_cert: ConeCertificate, pos_certs: list[PositivityCertificate]
-) -> None:
+) -> bool:
     """A valid cone certificate at center >= 0 forces every positivity verdict.
 
     Let M lie in R(c) with c >= 0, and let i >= 0; the folded coefficient
@@ -237,25 +233,12 @@ def check_positivity_implication(
     leading witness shifted by -2 at j = 1, slot -1: both lie in R(c - 1)
     (positivity_cone_bound), and c - 1 >= 0 as every center is >= 1.
 
-    Raises RuntimeError when the implication is violated, which would
-    mean the two certificate routes disagree.
+    Returns True iff the cone certificate recomposes at a center >= 0 and
+    every positivity verdict holds.  False means the cone route failed or
+    the two certificate routes disagree.
     """
-    if not cone_cert.recomposition_ok or cone_cert.center < 0:
-        return
-    for pc in pos_certs:
-        if not pc.all_nonnegative:
-            raise RuntimeError(
-                f"cone certificate (n={cone_cert.n}, j={cone_cert.j}) is valid at "
-                f"center {cone_cert.center} but positivity fails for slot {pc.i}"
-            )
-
-
-def certify_pair(n: int, j: int) -> tuple[ConeCertificate, list[PositivityCertificate]]:
-    """Cone certificate plus the three slot positivity certificates at (n, j)."""
-    cone_cert = certify_cone(n, j)
-    pos_certs = [certify_positivity(n, i, j) for i in VALID_I]
-    check_positivity_implication(cone_cert, pos_certs)
-    return cone_cert, pos_certs
+    return (cone_cert.recomposition_ok and cone_cert.center >= 0
+            and all(pc.all_nonnegative for pc in pos_certs))
 
 
 def document_json(doc: dict) -> str:

@@ -1,9 +1,12 @@
 """Command line front end: compute family elements, run verification
 suites, emit certificate files and growth tables.
 
-Exit codes are exactly 0 for success, 1 for a failed assertion or an
-invalid certificate, and 2 for a usage error or an --out that cannot be
-written.  Every command refuses an --n above MAX_DEPTH before it builds
+compute, verify and stats each build their JSON document, TSV rows and
+text once, and _emit writes the one --format asks for.  Exit codes are
+exactly 0 for success, 1 for a failed assertion or an invalid
+certificate (a witness outside its cone included: a verdict, never
+raised), and 2 for a usage error or an --out that cannot be written.
+Every command refuses an --n above MAX_DEPTH before it builds
 anything: depth 9 coefficients reach ~5,900 digits, past the 4,300-digit
 int-to-str limit of decimal output.
 All randomized work is driven by the --seed flag, and identical
@@ -16,14 +19,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .certifier import certify_pair, document_json, encode_listing
+from .certifier import (
+    certify_cone,
+    certify_positivity,
+    check_positivity_implication,
+    document_json,
+    encode_listing,
+)
+from .multiset_cone import ConeMembershipError
 from .recurrence_engine import VALID_I, VALID_J, closed_element, growth_stats, raw_element
 from .tilde_ring import fold_L
-
-if TYPE_CHECKING:
-    from .suites import CheckResult
 
 MAX_DEPTH = 8
 FORMATS = ("text", "json", "tsv")
@@ -76,11 +82,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _table(rows: list[tuple], sep: str) -> str:
+    """The rows, one line each with cells joined by sep; None is an empty cell."""
+    return "".join(sep.join("" if v is None else str(v) for v in row) + "\n" for row in rows)
+
+
+def _emit(cfg: argparse.Namespace, doc: dict, rows: list[tuple], text: str) -> None:
+    """Write a command's output in --format to --out, or to stdout: the
+    JSON document, the tab-separated rows (header first) or the text."""
+    if cfg.format == "json":
+        text = json.dumps(doc, indent=1) + "\n"
+    elif cfg.format == "tsv":
+        text = _table(rows, "\t")
+    if cfg.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(cfg.out).write_text(text, encoding="utf-8")
 
 
 def cmd_compute(cfg: argparse.Namespace) -> int:
@@ -95,70 +112,24 @@ def cmd_compute(cfg: argparse.Namespace) -> int:
             )
             return 1
     folded = fold_L(g)
-
-    if cfg.format == "text":
-        text = f"{g}\nfold: {folded}\n"
-    elif cfg.format == "json":
-        doc = {
-            "command": "compute",
-            "n": cfg.n,
-            "i": cfg.i,
-            "j": cfg.j,
-            "mode": cfg.mode,
-            "element": encode_listing(g.terms()),
-            "element_text": str(g),
-            "fold": encode_listing(folded.terms()),
-            "fold_text": str(folded),
-        }
-        text = json.dumps(doc, indent=1) + "\n"
-    else:
-        lines = ["part\tindex\tcoefficient"]
-        lines += [f"element\t{idx}\t{c}" for idx, c in g.terms()]
-        lines += [f"fold\t{idx}\t{c}" for idx, c in folded.terms()]
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg.out)
+    g_text, fold_text = str(g), str(folded)
+    element, fold = encode_listing(g.terms()), encode_listing(folded.terms())
+    doc = {
+        "command": "compute",
+        "n": cfg.n,
+        "i": cfg.i,
+        "j": cfg.j,
+        "mode": cfg.mode,
+        "element": element,
+        "element_text": g_text,
+        "fold": fold,
+        "fold_text": fold_text,
+    }
+    rows = [("part", "index", "coefficient")]
+    rows += [("element", idx, c) for idx, c in element]
+    rows += [("fold", idx, c) for idx, c in fold]
+    _emit(cfg, doc, rows, f"{g_text}\nfold: {fold_text}\n")
     return 0
-
-
-def _render_checks(pairs: list[tuple[str, list[CheckResult]]],
-                   cfg: argparse.Namespace) -> tuple[str, int]:
-    checks = [(suite, r) for suite, results in pairs for r in results]
-    failed = [r for _, r in checks if not r.passed]
-    if cfg.format == "json":
-        doc = {
-            "command": "verify",
-            "suites": [s for s, _ in pairs],
-            "n": cfg.n,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "checks": [
-                {"suite": s, "name": r.name, "passed": r.passed, "detail": r.detail}
-                for s, r in checks
-            ],
-            "total": len(checks),
-            "failed": len(failed),
-            "all_passed": not failed,
-        }
-        return json.dumps(doc, indent=1) + "\n", 0 if not failed else 1
-    if cfg.format == "tsv":
-        lines = ["suite\tcheck\tstatus\tdetail"]
-        lines += [
-            f"{s}\t{r.name}\t{'PASS' if r.passed else 'FAIL'}\t{r.detail}"
-            for s, r in checks
-        ]
-        return "\n".join(lines) + "\n", 0 if not failed else 1
-    lines = [
-        f"[{'PASS' if r.passed else 'FAIL'}] {r.name}" + (f": {r.detail}" if r.detail else "")
-        for _, r in checks
-    ]
-    n_label = "auto" if cfg.n is None else cfg.n
-    trials_label = "auto" if cfg.trials is None else cfg.trials
-    lines.append(
-        f"verify: {len(checks)} checks, {len(checks) - len(failed)} passed, "
-        f"{len(failed)} failed (suites={','.join(s for s, _ in pairs)}; "
-        f"n={n_label}; trials={trials_label}; seed={cfg.seed})"
-    )
-    return "\n".join(lines) + "\n", 0 if not failed else 1
 
 
 def cmd_verify(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -180,9 +151,36 @@ def cmd_verify(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from . import suites as suite_lib
 
     pairs = suite_lib.run_suites(names, cfg.n, cfg.trials, cfg.seed)
-    text, code = _render_checks(pairs, cfg)
-    _emit(text, cfg.out)
-    return code
+    checks = [(suite, r, "PASS" if r.passed else "FAIL")
+              for suite, results in pairs for r in results]
+    failed = sum(not r.passed for _, r, _ in checks)
+    doc = {
+        "command": "verify",
+        "suites": names,
+        "n": cfg.n,
+        "trials": cfg.trials,
+        "seed": cfg.seed,
+        "checks": [
+            {"suite": s, "name": r.name, "passed": r.passed, "detail": r.detail}
+            for s, r, _ in checks
+        ],
+        "total": len(checks),
+        "failed": failed,
+        "all_passed": not failed,
+    }
+    rows = [("suite", "check", "status", "detail")]
+    rows += [(s, r.name, status, r.detail) for s, r, status in checks]
+    lines = [f"[{status}] {r.name}" + (f": {r.detail}" if r.detail else "")
+             for _, r, status in checks]
+    n_label = "auto" if cfg.n is None else cfg.n
+    trials_label = "auto" if cfg.trials is None else cfg.trials
+    lines.append(
+        f"verify: {len(checks)} checks, {len(checks) - failed} passed, "
+        f"{failed} failed (suites={','.join(names)}; "
+        f"n={n_label}; trials={trials_label}; seed={cfg.seed})"
+    )
+    _emit(cfg, doc, rows, "\n".join(lines) + "\n")
+    return 1 if failed else 0
 
 
 def cmd_certify(cfg: argparse.Namespace) -> int:
@@ -193,21 +191,26 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
     written = 0
     for n in range(cfg.n + 1):
         for j in VALID_J:
-            cone_cert, pos_certs = certify_pair(n, j)
-            path = outdir / f"cone_n{n}_j{j}.json"
-            path.write_text(document_json(cone_cert.to_document()), encoding="utf-8")
-            written += 1
-            ok = cone_cert.recomposition_ok
-            all_valid = all_valid and ok
-            lines.append(
-                f"{'ok' if ok else 'INVALID'} cone n={n} j={j} "
-                f"center={cone_cert.center} file={path.name}"
-            )
+            pos_certs = [certify_positivity(n, i, j) for i in VALID_I]
+            try:
+                cone_cert = certify_cone(n, j)
+            except ConeMembershipError as exc:
+                all_valid = False
+                lines.append(f"INVALID cone n={n} j={j} center={exc.center} "
+                             f"offset={exc.offset}: {exc.detail}")
+            else:
+                all_valid = all_valid and check_positivity_implication(cone_cert, pos_certs)
+                path = outdir / f"cone_n{n}_j{j}.json"
+                path.write_text(document_json(cone_cert.to_document()), encoding="utf-8")
+                written += 1
+                lines.append(
+                    f"{'ok' if cone_cert.recomposition_ok else 'INVALID'} cone n={n} j={j} "
+                    f"center={cone_cert.center} file={path.name}"
+                )
             for pc in pos_certs:
                 path = outdir / f"positivity_n{n}_i{pc.i}_j{j}.json"
                 path.write_text(document_json(pc.to_document()), encoding="utf-8")
                 written += 1
-                all_valid = all_valid and pc.all_nonnegative
                 lines.append(
                     f"{'ok' if pc.all_nonnegative else 'INVALID'} positivity "
                     f"n={n} i={pc.i} j={j} cone_bound={pc.cone_bound} file={path.name}"
@@ -221,34 +224,14 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
 
 
 def cmd_stats(cfg: argparse.Namespace) -> int:
-    rows = []
-    for n in range(cfg.n + 1):
-        rows.extend(growth_stats(n))
-    if cfg.format == "json":
-        doc = {
-            "command": "stats",
-            "n": cfg.n,
-            "rows": [
-                {
-                    "n": r.n,
-                    "j": r.j,
-                    "support": r.support_size,
-                    "min_index": r.min_index,
-                    "max_index": r.max_index,
-                    "mass": str(r.mass),
-                }
-                for r in rows
-            ],
-        }
-        text = json.dumps(doc, indent=1) + "\n"
-    else:
-        sep = "\t" if cfg.format == "tsv" else "  "
-        lines = [sep.join(("n", "j", "support", "min_index", "max_index", "mass"))]
-        # the fields of a GrowthRow are the columns, in order
-        for r in rows:
-            lines.append(sep.join("" if v is None else str(v) for v in r))
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg.out)
+    stats = [r for n in range(cfg.n + 1) for r in growth_stats(n)]
+    # the fields of a GrowthRow are the columns, in order, and the keys of
+    # a JSON row, whose mass is a decimal string
+    header = ("n", "j", "support", "min_index", "max_index", "mass")
+    doc = {"command": "stats", "n": cfg.n,
+           "rows": [dict(zip(header, (*r[:-1], str(r.mass)))) for r in stats]}
+    rows = [header, *stats]
+    _emit(cfg, doc, rows, _table(rows, "  "))
     return 0
 
 

@@ -159,16 +159,23 @@ def e1_closed(n: int) -> IntegerMultiset:
     return closed_witnesses(n)[1]
 
 
+def shift_ladder(pair: tuple[TildeElement, TildeElement], i: int, j: int) -> TildeElement:
+    """Element of slot i and order j from the slot-0 pair (leading,
+    penultimate): slot 1 of either order, and slot -1 of the leading one,
+    is slot 0 shifted by -1; penultimate slot -1 adds the leading element
+    shifted by -2.  The shift suite checks this ladder on the raw pair."""
+    base = pair[j]
+    if i == 0:
+        return base
+    if j == 0 or i == 1:
+        return base.shift(-1)
+    return base.shift(-1) + pair[0].shift(-2)
+
+
 def closed_element(n: int, i: int, j: int) -> TildeElement:
     """Element of slot i derived from the closed witnesses via the shift ladder."""
     _check_indices(n, i, j)
-    pair = closed_witnesses(n)
-    base = to_tilde(pair[j])
-    if i == 0:
-        return base
-    if j == 0 or i == 1:  # slots 1 and -1 coincide for the leading family
-        return base.shift(-1)
-    return base.shift(-1) + to_tilde(pair[0]).shift(-2)
+    return shift_ladder(tuple(map(to_tilde, closed_witnesses(n))), i, j)
 
 
 def raw_element(n: int, i: int, j: int) -> TildeElement:
@@ -189,6 +196,6 @@ def growth_stats(n: int) -> tuple[GrowthRow, GrowthRow]:
     """Support and coefficient-mass statistics of the slot-0 elements at
     depth n, read from the closed witnesses."""
     return tuple(
-        GrowthRow(n, j, g.support_size(), g.min_index(), g.max_index(), g.mass())
-        for j, g in enumerate(map(to_tilde, closed_witnesses(n)))
+        GrowthRow(n, j, m.support_size(), m.min_index(), m.max_index(), m.mass())
+        for j, m in enumerate(closed_witnesses(n))
     )

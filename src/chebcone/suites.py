@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import laurent_oracle as oracle
 from . import multiset_cone as mc
 from . import recurrence_engine as engine
-from .certifier import certify_cone, certify_pair
+from .certifier import certify_cone, certify_positivity, check_positivity_implication
 from .tilde_ring import TildeElement, basis, fold_L, mul, random_element, w0, w1
 
 DEFAULT_DEPTH = 3
@@ -245,19 +245,18 @@ def suite_cone(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
 
 
 def suite_shift(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
-    """Shift-ladder identities between the slots of both raw families at
-    every depth up to `depth`, plus the vanishing of the literal extra
-    term of the slot -1 leading recurrence at the depths that feed them."""
-    e0, e1 = engine.e0_raw, engine.e1_raw
+    """The shift ladder closed_element applies, checked on both raw families
+    at every depth up to `depth`: slots 1 and -1 against the ladder of the
+    slot-0 pair, plus the vanishing of the literal extra term of the slot -1
+    leading recurrence at the depths that feed them."""
     results = []
     for n in range(depth + 1):
-        results += [
-            _agreement(f"shift/leading-slot1(n={n})", e0(n, 1), e0(n, 0).shift(-1)),
-            _agreement(f"shift/leading-slot-1(n={n})", e0(n, -1), e0(n, 1)),
-            _agreement(f"shift/penultimate-slot1(n={n})", e1(n, 1), e1(n, 0).shift(-1)),
-            _agreement(f"shift/penultimate-slot-1(n={n})", e1(n, -1),
-                       e1(n, 0).shift(-1) + e0(n, 0).shift(-2)),
-        ]
+        pair = (engine.e0_raw(n, 0), engine.e1_raw(n, 0))
+        for j, family in enumerate(("leading", "penultimate")):
+            for i in (1, -1):
+                results.append(_agreement(f"shift/{family}-slot{i}(n={n})",
+                                          engine.raw_element(n, i, j),
+                                          engine.shift_ladder(pair, i, j)))
         if n < depth:
             extra = engine.leading_extra_term(n)
             results.append(CheckResult(f"shift/extra-term-zero(n={n})", extra.is_zero(),
@@ -266,11 +265,12 @@ def suite_shift(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
 
 
 def suite_positivity(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
-    """Every folded coefficient of every family element is non-negative."""
+    """Every folded coefficient of every family element is non-negative, and
+    the cone certificate of each (n, j) implies it."""
     results = []
     for n in range(depth + 1):
         for j in engine.VALID_J:
-            cone_cert, pos_certs = certify_pair(n, j)
+            pos_certs = [certify_positivity(n, i, j) for i in engine.VALID_I]
             for pc in pos_certs:
                 results.append(
                     CheckResult(
@@ -279,13 +279,14 @@ def suite_positivity(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
                         f"{len(pc.coefficients)} coefficients, cone bound {pc.cone_bound}",
                     )
                 )
-            results.append(
-                CheckResult(
-                    f"positivity/cone-implication(n={n},j={j})",
-                    cone_cert.recomposition_ok,
-                    f"center {cone_cert.center}",
-                )
-            )
+            name = f"positivity/cone-implication(n={n},j={j})"
+            try:
+                cone_cert = certify_cone(n, j)
+            except mc.ConeMembershipError as exc:
+                results.append(CheckResult(name, False, f"not in R({exc.center})"))
+                continue
+            results.append(CheckResult(name, check_positivity_implication(cone_cert, pos_certs),
+                                       f"center {cone_cert.center}"))
     return results
 
 

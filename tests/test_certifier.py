@@ -10,7 +10,6 @@ from chebcone.certifier import (
     ConeCertificate,
     PositivityCertificate,
     certify_cone,
-    certify_pair,
     certify_positivity,
     check_positivity_implication,
     document_json,
@@ -124,19 +123,23 @@ def test_from_document_rejects_wrong_kind():
         PositivityCertificate.from_document(bad)
 
 
-def test_certify_pair_asserts_implication():
-    for n in range(3):
+def certificates(n, j):
+    """The cone certificate of (n, j) and the positivity certificates of its slots."""
+    return certify_cone(n, j), [certify_positivity(n, i, j) for i in VALID_I]
+
+
+def test_implication_verdict_holds_on_every_certified_pair():
+    for n in range(5):
         for j in (0, 1):
-            cone_cert, pos_certs = certify_pair(n, j)
+            cone_cert, pos_certs = certificates(n, j)
             assert cone_cert.recomposition_ok
             assert len(pos_certs) == 3
             assert all(pc.all_nonnegative for pc in pos_certs)
-            # does not raise on consistent pairs
-            check_positivity_implication(cone_cert, pos_certs)
+            assert check_positivity_implication(cone_cert, pos_certs) is True
 
 
-def test_implication_violation_raises():
-    cone_cert, pos_certs = certify_pair(1, 0)
+def test_implication_verdict_is_false_for_a_broken_listing():
+    cone_cert, pos_certs = certificates(1, 0)
     broken = PositivityCertificate(
         n=1,
         i=0,
@@ -147,8 +150,8 @@ def test_implication_violation_raises():
         mass=-1,
         cone_bound=4,
     )
-    with pytest.raises(RuntimeError):
-        check_positivity_implication(cone_cert, [broken])
+    assert check_positivity_implication(cone_cert, [broken]) is False
+    assert check_positivity_implication(cone_cert, pos_certs[1:] + [broken]) is False
 
 
 def test_document_key_order_is_stable():
@@ -335,7 +338,7 @@ def test_from_document_rejects_a_huge_depth_without_building_its_power(n):
 def test_every_certified_document_passes_its_own_checks():
     for n in range(4):
         for j in (0, 1):
-            cone_cert, pos_certs = certify_pair(n, j)
+            cone_cert, pos_certs = certificates(n, j)
             assert ConeCertificate.from_document(cone_cert.to_document()) == cone_cert
             for pc in pos_certs:
                 assert PositivityCertificate.from_document(pc.to_document()) == pc
@@ -361,7 +364,7 @@ def reference_json(doc: dict) -> str:
 def test_document_json_matches_the_reference_on_every_certified_document():
     for n in range(6):
         for j in VALID_J:
-            cone_cert, pos_certs = certify_pair(n, j)
+            cone_cert, pos_certs = certificates(n, j)
             for doc in [cone_cert.to_document()] + [pc.to_document() for pc in pos_certs]:
                 assert document_json(doc) == reference_json(doc)
 

@@ -322,3 +322,71 @@ def test_closed_compute_never_runs_the_raw_recurrence(fmt, monkeypatch, capsys):
         code, closed_out, _ = run(capsys, *argv, "--mode", "closed")
     assert code == 0
     assert closed_out == raw_out.replace('"mode": "raw"', '"mode": "closed"')
+
+
+def shift_cone_center(mp: pytest.MonkeyPatch) -> None:
+    """Move the cone of (n, j) = (1, 0) one up: {2, 4, 6} is not in R(5)."""
+    real = certifier.cone_center
+    mp.setattr(certifier, "cone_center", lambda n, j: real(n, j) + ((n, j) == (1, 0)))
+
+
+def break_ladder(mp: pytest.MonkeyPatch, delta) -> None:
+    """Add delta(lead) to the ladder's penultimate slot -1, which closed_element
+    and the shift suite both read."""
+    real = recurrence_engine.shift_ladder
+
+    def ladder(pair, i, j):
+        g = real(pair, i, j)
+        return g + delta(pair[0]) if (i, j) == (-1, 1) else g
+
+    mp.setattr(recurrence_engine, "shift_ladder", ladder)
+
+
+SHIFT_FAILURES = {f"shift/penultimate-slot-1(n={n})" for n in range(4)}
+FAULTS = {
+    # the lead shifted by -1 instead of -2: every listing stays non-negative
+    "ladder-1": (lambda mp: break_ladder(mp, lambda lead: lead.shift(-1) - lead.shift(-2)),
+                 SHIFT_FAILURES),
+    # the lead subtracted: only the depth-0 listing, -h[0], turns negative
+    "ladder-sign": (lambda mp: break_ladder(mp, lambda lead: -2 * lead.shift(-2)),
+                    SHIFT_FAILURES | {"positivity/nonnegative(n=0,i=-1,j=1)",
+                                      "positivity/cone-implication(n=0,j=1)"}),
+    "cone-center": (shift_cone_center,
+                    {"cone/membership(n=1,j=0)", "positivity/cone-implication(n=1,j=0)"}),
+}
+
+
+def verdicts(report):
+    """The (check, PASS or FAIL) pairs of a text report, in order."""
+    return [(line[7:].split(":")[0], line[1:5]) for line in report.splitlines()[:-1]]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_verify_reports_an_injected_fault_as_failed_checks(fault, monkeypatch, capsys):
+    code, passing, _ = run(capsys, "verify")
+    assert code == 0
+    inject, expected = FAULTS[fault]
+    inject(monkeypatch)
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (1, "")
+    assert verdicts(out) == [(name, "FAIL" if name in expected else "PASS")
+                             for name, _ in verdicts(passing)]
+    total = len(verdicts(out))
+    assert out.splitlines()[-1] == (
+        f"verify: {total} checks, {total - len(expected)} passed, {len(expected)} failed "
+        f"(suites={','.join(cli.SUITE_NAMES)}; n=auto; trials=auto; seed=0)"
+    )
+
+
+def test_certify_reports_a_witness_outside_its_cone_and_goes_on(monkeypatch, tmp_path, capsys):
+    shift_cone_center(monkeypatch)
+    outdir = tmp_path / "certs"
+    code, out, err = run(capsys, "certify", "--n", "2", "--out", str(outdir))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "INVALID cone n=1 j=0 center=5 offset=3: mult(2)=1 > mult(8)=0" in lines
+    assert lines[-1] == f"certify: wrote 23 certificates to {outdir}, INVALID CERTIFICATES PRESENT"
+    files = {p.name for p in outdir.iterdir()}
+    assert len(files) == 23 and "cone_n1_j0.json" not in files
+    assert {f"positivity_n1_i{i}_j0.json" for i in (-1, 0, 1)} <= files
+    assert {"cone_n1_j1.json", "cone_n2_j0.json", "cone_n2_j1.json"} <= files
