@@ -150,9 +150,10 @@ class PositivityCertificate(NamedTuple):
 def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
     """Fold the (n, i, j) element and record the sign of every coefficient.
 
-    The element is read from the closed route (closed_element); that it
-    equals the raw recurrence's is what verify's closed/ and shift/
-    checks establish.
+    The element is read from the closed route (closed_element).  Only
+    verify ties it to the raw recurrence, up to its --n: slot 0 by its
+    closed/ checks, and slots 1 and -1, which shift_ladder moves the
+    witnesses to, by its shift/ checks; nothing here re-checks either.
     """
     return PositivityCertificate.from_listing(
         n, i, j, tuple(fold_L(closed_element(n, i, j)).terms()), positivity_cone_bound(n, i, j)

@@ -3,11 +3,13 @@
 Basis symbols map to the classical one-variable images U(i) with
 U(i) = t^i + t^(i-2) + ... + t^-i for i >= 0, U(-1) = 0 and
 U(i) = -U(-i-2) below that.  The oracle algebra is commutative and its
-product is a plain convolution, computed by a code path that shares
-nothing with the formal kernel; agreement between the two is the
-argument that neither hides a matching bug.  Evaluation has a kernel
-(for instance h~[0] + h~[-2] maps to zero), so oracle agreement is
-necessary but not sufficient: the formal checks stay primary.
+one product, lmul(p, q), is a plain convolution, computed by a code path
+that shares nothing with the formal kernel; agreement between the two is
+the argument that neither hides a matching bug.  LaurentPoly keeps only
+the arithmetic verify reads (+, -, ==); LaurentPoly() is zero.
+Evaluation has a kernel (for instance h~[0] + h~[-2] maps to zero), so
+oracle agreement is necessary but not sufficient: the formal checks stay
+primary.
 """
 
 from __future__ import annotations
@@ -34,26 +36,12 @@ class LaurentPoly:
                     data[e] = c
         self._coeffs = data
 
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
-
     def items(self) -> ItemsView[int, int]:
         """Read-only (exponent, coefficient) view; sized and re-iterable."""
         return self._coeffs.items()
 
     def terms(self) -> list[tuple[int, int]]:
         return sorted(self._coeffs.items())
-
-    def coeff(self, e: int) -> int:
-        return self._coeffs.get(e, 0)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def mirror(self) -> "LaurentPoly":
         """Substitute 1/t for t."""
@@ -84,21 +72,6 @@ class LaurentPoly:
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self._plus(other, -1)
-
-    def __neg__(self) -> "LaurentPoly":
-        return _from_nonzero({e: -c for e, c in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            return lmul(self, other)
-        if isinstance(other, int):
-            return LaurentPoly({e: other * c for e, c in self._coeffs.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):

@@ -20,15 +20,17 @@ from .tilde_ring import SparseVector, TildeElement, _product, _symmetric_runs, _
 class IntegerMultiset(SparseVector):
     """Finite multiset of integers, stored as {value: multiplicity}.
 
-    Multiplicities may be arbitrarily large (they are exact ints), so
-    the representation never expands a multiset element by element
-    unless asked to.  `+` is the sumset and `|` the union; there is no
-    difference or negation.
+    Built from its elements, or by from_counts from checked counts;
+    multiplicities are exact ints, never expanded element by element.
+    `+` is the sumset, `|` the union and shift the translation, as on
+    TildeElement; there is no difference or negation.
     """
 
     __slots__ = ()
 
     def __init__(self, elements: Iterable[int] = ()) -> None:
+        if isinstance(elements, Mapping):  # Counter would take it as unchecked counts
+            raise TypeError("IntegerMultiset takes elements; use from_counts for a mapping")
         self._coeffs = dict(Counter(elements))
 
     @classmethod
@@ -39,9 +41,9 @@ class IntegerMultiset(SparseVector):
         return _wrap(cls, {x: c for x, c in counts.items() if c})
 
     __or__ = SparseVector.__add__  # the union; + is the sumset
-    __sub__ = __neg__ = None  # multiplicities are never negative
+    __sub__ = None  # multiplicities are never negative
 
-    def shifted(self, k: int) -> "IntegerMultiset":
+    def shift(self, k: int) -> "IntegerMultiset":
         """Add k to every element."""
         return _wrap(IntegerMultiset, {x + k: c for x, c in self._coeffs.items()})
 

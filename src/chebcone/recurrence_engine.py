@@ -136,7 +136,7 @@ def closed_step(m0: IntegerMultiset,
     self_sum = msum(m0, m0)
     lead, cross = _left_expand(m0, self_sum, msum(m0, m1))
     (tail,) = _left_expand(m1, self_sum)
-    return lead, lead.shifted(-1) | (cross | cross) | tail
+    return lead, lead.shift(-1) | (cross | cross) | tail
 
 
 @lru_cache(maxsize=None)

@@ -113,9 +113,6 @@ class SparseVector:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __neg__(self):
-        return _wrap(type(self), {j: -c for j, c in self._coeffs.items()})
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -151,13 +148,6 @@ class TildeElement(SparseVector):
 
     def scale(self, a: int) -> "TildeElement":
         return TildeElement({j: a * c for j, c in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TildeElement):
-            return mul(self, other)
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, int):

@@ -21,10 +21,10 @@ from chebcone.tilde_ring import TildeElement, basis, fold_L, mul, random_element
 
 def test_eval_basis_cases():
     assert eval_basis(1) == LaurentPoly({1: 1, -1: 1})
-    assert eval_basis(0) == LaurentPoly.one()
-    assert eval_basis(-1) == LaurentPoly.zero()
-    assert eval_basis(-3) == -LaurentPoly({1: 1, -1: 1})
-    assert eval_basis(-2) == -LaurentPoly.one()
+    assert eval_basis(0) == LaurentPoly({0: 1})
+    assert eval_basis(-1) == LaurentPoly()
+    assert eval_basis(-3) == LaurentPoly({1: -1, -1: -1})
+    assert eval_basis(-2) == LaurentPoly({0: -1})
     assert eval_basis(3) == LaurentPoly({3: 1, 1: 1, -1: 1, -3: 1})
 
 
@@ -32,17 +32,17 @@ def test_lmul():
     u1 = eval_basis(1)
     assert lmul(u1, u1) == LaurentPoly({2: 1, 0: 2, -2: 1})
     p = LaurentPoly({5: 3, -2: 1})
-    assert lmul(p, LaurentPoly.one()) == p
+    assert lmul(p, LaurentPoly({0: 1})) == p
     assert lmul(u1, u1) == eval_basis(0) + eval_basis(2)
 
 
 def test_evaluate_is_linear_and_has_a_kernel():
     g = basis(2) + basis(4) + basis(6)
     assert evaluate(g) == eval_basis(2) + eval_basis(4) + eval_basis(6)
-    assert evaluate(g).coeff(6) == 1
-    assert evaluate(TildeElement.zero()) == LaurentPoly.zero()
+    assert dict(evaluate(g).items())[6] == 1
+    assert evaluate(TildeElement.zero()) == LaurentPoly()
     # evaluation kills h~[0] + h~[-2], so agreement is necessary, not sufficient
-    assert evaluate(basis(0) + basis(-2)) == LaurentPoly.zero()
+    assert evaluate(basis(0) + basis(-2)) == LaurentPoly()
 
 
 def test_evaluate_factors_through_fold():
@@ -121,9 +121,8 @@ def test_poly_arithmetic():
     p = LaurentPoly({2: 1, 0: -1})
     q = LaurentPoly({0: 1})
     assert p + q == LaurentPoly({2: 1})
-    assert p - p == LaurentPoly.zero()
-    assert (-p).coeff(2) == -1
-    assert 3 * q == LaurentPoly({0: 3})
+    assert p - p == LaurentPoly()
+    assert q - p == LaurentPoly({2: -1, 0: 2})
     assert p.mirror() == LaurentPoly({-2: 1, 0: -1})
     assert LaurentPoly({-4: 7}).terms() == [(-4, 7)]
 
@@ -156,16 +155,16 @@ def ref_eval_basis(i):
     if i >= 0:
         return LaurentPoly({i - 2 * k: 1 for k in range(i + 1)})
     if i == -1:
-        return LaurentPoly.zero()
+        return LaurentPoly()
     m = -i - 2
     return LaurentPoly({m - 2 * k: -1 for k in range(m + 1)})
 
 
 def ref_evaluate(g):
     """evaluate as it used to be: one fresh image added per term."""
-    acc = LaurentPoly.zero()
+    acc = LaurentPoly()
     for j, c in g.items():
-        acc = acc + c * ref_eval_basis(j)
+        acc = acc + LaurentPoly({e: c * d for e, d in ref_eval_basis(j).items()})
     return acc
 
 
@@ -228,8 +227,8 @@ def test_results_hold_no_zero_and_match_the_filtered_construction(p, q, g):
     cases = [
         (p + q, filtered_sum(p, q, 1)),
         (p - q, filtered_sum(p, q, -1)),
-        (q - q, LaurentPoly.zero()),
-        (-p, filtered_sum(LaurentPoly.zero(), p, -1)),
+        (q - q, LaurentPoly()),
+        (LaurentPoly() - p, filtered_sum(LaurentPoly(), p, -1)),
         (lmul(p, q), filtered_lmul(p, q)),
         (evaluate(g), filtered_evaluate(g)),
     ]
@@ -245,4 +244,4 @@ def test_cancellation_leaves_no_zero():
     product = lmul(one_plus_t, one_minus_t)
     assert dict(product.items()) == {0: 1, 2: -1}
     assert dict((one_plus_t - LaurentPoly({1: 1})).items()) == {0: 1}
-    assert evaluate(basis(3) + basis(-5)).is_zero()
+    assert not evaluate(basis(3) + basis(-5))

@@ -539,7 +539,7 @@ def test_one_term_right_factors_take_no_product(routes):
     # 20 x 1 term pairs would be packed, 2 x 1 would take the loop
     many = TildeElement(dict(dense(20, lo=-9)))
     for g1 in (many, basis(3) - 2 * basis(-2), TildeElement.zero()):
-        for g2 in (3 * basis(5), -basis(-2), (BIG + 1) * basis(0), 3 * basis(5)):
+        for g2 in (3 * basis(5), (-1) * basis(-2), (BIG + 1) * basis(0), 3 * basis(5)):
             assert mul(g1, g2) == ref_mul(g1, g2)
     assert routes == []
 

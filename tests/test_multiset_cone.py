@@ -88,9 +88,20 @@ def test_same_mapping_in_three_types_compares_unequal():
         m | g
 
 
-def test_shifted():
-    assert ms(2, 4).shifted(-1) == ms(1, 3)
+def test_shift():
+    assert ms(2, 4).shift(-1) == ms(1, 3)
     assert msum(ms(2, 4), ms(-1)) == ms(1, 3)
+
+
+def test_constructor_refuses_a_mapping():
+    # Counter would read a mapping as counts, unchecked: negative or zero
+    for counts in ({2: -1, 5: 0}, {3: 0}, {1: 2}):
+        with pytest.raises(TypeError, match="from_counts"):
+            IntegerMultiset(counts)
+    with pytest.raises(ValueError, match="negative multiplicity -1 at 2"):
+        IntegerMultiset.from_counts({2: -1, 5: 0})
+    assert IntegerMultiset.from_counts({3: 0}) == IntegerMultiset()
+    assert IntegerMultiset((1, 1)) == IntegerMultiset.from_counts({1: 2})
 
 
 def test_interval_sum_decompose():
@@ -346,6 +357,13 @@ def test_cone_subset_check_precondition_matches_reference(case, offset):
         cone_subset_check(c, m)
     assert (info.value.center, info.value.offset, info.value.detail) == (
         c + 1, expected[0], "precondition: " + expected[1])
+
+
+@CONE_PROPERTY
+@given(decompositions(), st.integers(-5, 5))
+def test_shift_commutes_with_to_tilde(d, k):
+    m = d.recompose()
+    assert to_tilde(m.shift(k)) == to_tilde(m).shift(k)
 
 
 @CONE_PROPERTY

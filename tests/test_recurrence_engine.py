@@ -112,7 +112,7 @@ def ref_closed(n):
     if n == 0:
         return IntegerMultiset([2]), IntegerMultiset()
     m0, m1 = ref_closed(n - 1)
-    (t1,) = _left_expand(m0, msum(m0, m0.shifted(-1)))
+    (t1,) = _left_expand(m0, msum(m0, m0.shift(-1)))
     (t2,) = _left_expand(m0, msum(m0, m1))
     (t3,) = _left_expand(m1, msum(m0, m0))
     return _left_expand(m0, msum(m0, m0))[0], t1 | (t2 | t2) | t3

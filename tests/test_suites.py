@@ -63,7 +63,7 @@ def drops_top_term_at(index, product):
 
     def wrong(p, q):
         out = product(p, q)
-        if (p.coeff(index) or q.coeff(index)) and out:
+        if (dict(p.items()).get(index) or dict(q.items()).get(index)) and out:
             top, c = out.terms()[-1]
             out = out - type(out)({top: c})
         return out
