@@ -3,9 +3,10 @@ suites, emit certificate files and growth tables.
 
 compute, verify and stats each build their JSON document, TSV rows and
 text once, and _emit writes the one --format asks for.  Exit codes are
-exactly 0 for success, 1 for a failed assertion or an invalid
-certificate (a witness outside its cone included: a verdict, never
-raised), and 2 for a usage error or an --out that cannot be written.
+exactly 0 for success, 1 for a failed assertion, an invalid certificate
+or a fault met while working (a <suite>/fault check in verify, INVALID
+closed route in certify, one stderr line in compute and stats), and 2
+for a usage error or an --out that cannot be written.
 Every command refuses an --n above MAX_DEPTH before it builds
 anything: depth 9 coefficients reach ~5,900 digits, past the 4,300-digit
 int-to-str limit of decimal output.
@@ -189,32 +190,36 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
     lines = []
     all_valid = True
     written = 0
-    for n in range(cfg.n + 1):
-        for j in VALID_J:
-            pos_certs = [certify_positivity(n, i, j) for i in VALID_I]
-            try:
-                cone_cert = certify_cone(n, j)
-            except ConeMembershipError as exc:
-                all_valid = False
-                lines.append(f"INVALID cone n={n} j={j} center={exc.center} "
-                             f"offset={exc.offset}: {exc.detail}")
-            else:
-                all_valid = all_valid and check_positivity_implication(cone_cert, pos_certs)
-                path = outdir / f"cone_n{n}_j{j}.json"
-                path.write_text(document_json(cone_cert.to_document()), encoding="utf-8")
-                written += 1
-                lines.append(
-                    f"{'ok' if cone_cert.recomposition_ok else 'INVALID'} cone n={n} j={j} "
-                    f"center={cone_cert.center} file={path.name}"
-                )
-            for pc in pos_certs:
-                path = outdir / f"positivity_n{n}_i{pc.i}_j{j}.json"
-                path.write_text(document_json(pc.to_document()), encoding="utf-8")
-                written += 1
-                lines.append(
-                    f"{'ok' if pc.all_nonnegative else 'INVALID'} positivity "
-                    f"n={n} i={pc.i} j={j} cone_bound={pc.cone_bound} file={path.name}"
-                )
+    try:
+        for n in range(cfg.n + 1):
+            for j in VALID_J:
+                pos_certs = [certify_positivity(n, i, j) for i in VALID_I]
+                try:
+                    cone_cert = certify_cone(n, j)
+                except ConeMembershipError as exc:
+                    all_valid = False
+                    lines.append(f"INVALID cone n={n} j={j} center={exc.center} "
+                                 f"offset={exc.offset}: {exc.detail}")
+                else:
+                    all_valid = all_valid and check_positivity_implication(cone_cert, pos_certs)
+                    path = outdir / f"cone_n{n}_j{j}.json"
+                    path.write_text(document_json(cone_cert.to_document()), encoding="utf-8")
+                    written += 1
+                    lines.append(
+                        f"{'ok' if cone_cert.recomposition_ok else 'INVALID'} cone n={n} j={j} "
+                        f"center={cone_cert.center} file={path.name}"
+                    )
+                for pc in pos_certs:
+                    path = outdir / f"positivity_n{n}_i{pc.i}_j{j}.json"
+                    path.write_text(document_json(pc.to_document()), encoding="utf-8")
+                    written += 1
+                    lines.append(
+                        f"{'ok' if pc.all_nonnegative else 'INVALID'} positivity "
+                        f"n={n} i={pc.i} j={j} cone_bound={pc.cone_bound} file={path.name}"
+                    )
+    except ValueError as exc:  # each depth above n is built from n
+        all_valid = False
+        lines.append(f"INVALID closed route n={n}: {exc}")
     lines.append(
         f"certify: wrote {written} certificates to {outdir}, "
         f"{'all valid' if all_valid else 'INVALID CERTIFICATES PRESENT'}"
@@ -253,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_stats(cfg)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"chebcone: {exc}\n")
-        return 2
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

@@ -111,15 +111,6 @@ class ConeMembershipError(ValueError):
         self.detail = detail
 
 
-def cone_subset_check(c: int, m: IntegerMultiset) -> bool:
-    """Given membership at center c+1, confirm membership at center c."""
-    try:
-        decompose_cone(m, c + 1)
-    except ConeMembershipError as exc:
-        raise ConeMembershipError(c + 1, exc.offset, "precondition: " + exc.detail) from None
-    return in_cone(m, c)
-
-
 class _ConeParts(NamedTuple):
     center: int
     singletons: tuple[tuple[int, int], ...]

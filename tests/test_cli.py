@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from chebcone import certifier, cli, recurrence_engine
+from chebcone import certifier, cli, multiset_cone, recurrence_engine
 from chebcone.cli import MAX_DEPTH, main
 
 
@@ -390,3 +390,66 @@ def test_certify_reports_a_witness_outside_its_cone_and_goes_on(monkeypatch, tmp
     assert len(files) == 23 and "cone_n1_j0.json" not in files
     assert {f"positivity_n1_i{i}_j0.json" for i in (-1, 0, 1)} <= files
     assert {"cone_n1_j1.json", "cone_n2_j0.json", "cone_n2_j1.json"} <= files
+
+
+@pytest.fixture
+def broken_closed_step(monkeypatch):
+    """Shift each new penultimate witness by -8: the depth-1 pair still
+    builds, but its penultimate witness folds to a negative weight, so
+    depth 2 has no witness pair."""
+    real = recurrence_engine.closed_step
+
+    def step(m0, m1):
+        lead, pen = real(m0, m1)
+        return lead, pen.shift(-8)
+
+    monkeypatch.setattr(recurrence_engine, "closed_step", step)
+    recurrence_engine.closed_witnesses.cache_clear()
+    yield
+    recurrence_engine.closed_witnesses.cache_clear()
+
+
+CLOSED_ROUTE_FAULT = "negative folded weight -1 at h[3]: not a multiset"
+
+
+def test_verify_reports_a_closed_route_fault_as_one_check_per_suite(broken_closed_step, capsys):
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("[PASS] ")][:-1] == [
+        f"[FAIL] {suite}/fault: {CLOSED_ROUTE_FAULT}"
+        for suite in ("multiset", "cone", "positivity", "oracle")
+    ]
+    assert lines[-1] == (f"verify: 30 checks, 26 passed, 4 failed "
+                         f"(suites={','.join(cli.SUITE_NAMES)}; n=auto; trials=auto; seed=0)")
+
+
+def test_certify_stops_at_a_depth_it_cannot_build(broken_closed_step, tmp_path, capsys):
+    outdir = tmp_path / "certs"
+    code, out, err = run(capsys, "certify", "--n", "3", "--out", str(outdir))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-2:] == [
+        f"INVALID closed route n=2: {CLOSED_ROUTE_FAULT}",
+        f"certify: wrote 15 certificates to {outdir}, INVALID CERTIFICATES PRESENT",
+    ]
+    assert not any(" n=2 " in line or " n=3 " in line for line in lines)
+    assert len(list(outdir.iterdir())) == 15
+
+
+@pytest.mark.parametrize("argv", [("compute", "--n", "3", "--mode", "closed"),
+                                  ("stats", "--n", "3")])
+def test_compute_and_stats_report_a_closed_route_fault_in_one_line(argv, broken_closed_step,
+                                                                   capsys):
+    assert run(capsys, *argv) == (1, "", f"chebcone: {CLOSED_ROUTE_FAULT}\n")
+
+
+def test_verify_reports_a_generator_fault_as_a_failed_check(monkeypatch, capsys):
+    # a member of R(c - 1) but not of R(c), which the generator promises
+    monkeypatch.setattr(multiset_cone, "random_cone_member",
+                        lambda rng, c: multiset_cone.IntegerMultiset([c - 1]))
+    code, out, err = run(capsys, "verify", "--suite", "multiset")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("[FAIL] multiset/fault: not in cone R(")
+    assert lines[1].startswith("verify: 1 checks, 0 passed, 1 failed (suites=multiset;")

@@ -10,7 +10,6 @@ from chebcone.multiset_cone import (
     ConeDecomposition,
     ConeMembershipError,
     IntegerMultiset,
-    cone_subset_check,
     decompose_cone,
     in_cone,
     interval,
@@ -142,11 +141,9 @@ def test_cone_subset_check():
     m = ms(2, 4, 6)  # member at center 4
     for c in (3, 2, 1, 0):
         assert in_cone(m, c)
-    assert cone_subset_check(3, m)
-    assert cone_subset_check(-1, ms(0))
-    assert cone_subset_check(0, interval(-1, 3))  # radius 2 interval at center 1
-    with pytest.raises(ConeMembershipError):
-        cone_subset_check(5, m)  # m is not a member at center 6
+    assert in_cone(ms(0), 0) and in_cone(ms(0), -1)
+    assert in_cone(interval(-1, 3), 1) and in_cone(interval(-1, 3), 0)  # radius 2 at center 1
+    assert not in_cone(m, 6)
 
 
 def test_decompose_cone_examples():
@@ -341,22 +338,6 @@ def test_cone_violation_reference_cases_cover_members_and_nonmembers():
             verdicts.add(expected is None)
     assert verdicts == {True, False}
     assert cone_violation(IntegerMultiset(), 5) is None
-
-
-@CONE_PROPERTY
-@given(centred_multisets(), st.integers(-3, 3))
-def test_cone_subset_check_precondition_matches_reference(case, offset):
-    # the precondition is membership at c + 1, reported at that center
-    m, c = case
-    c += offset
-    expected = ref_cone_violation(m, c + 1)
-    if expected is None:
-        assert cone_subset_check(c, m) is (ref_cone_violation(m, c) is None)
-        return
-    with pytest.raises(ConeMembershipError) as info:
-        cone_subset_check(c, m)
-    assert (info.value.center, info.value.offset, info.value.detail) == (
-        c + 1, expected[0], "precondition: " + expected[1])
 
 
 @CONE_PROPERTY
