@@ -1,22 +1,19 @@
 """Independent evaluation oracle over integer Laurent polynomials.
 
-Basis symbols map to the classical one-variable images U(i) with
-U(i) = t^i + t^(i-2) + ... + t^-i for i >= 0, U(-1) = 0 and
-U(i) = -U(-i-2) below that.  The oracle algebra is commutative and its
-one product, lmul(p, q), is a plain convolution, computed by a code path
-that shares nothing with the formal kernel; agreement between the two is
-the argument that neither hides a matching bug.  LaurentPoly keeps only
-the arithmetic verify reads (+, -, ==); LaurentPoly() is zero.
-Evaluation has a kernel (for instance h~[0] + h~[-2] maps to zero), so
-oracle agreement is necessary but not sufficient: the formal checks stay
-primary.
+Basis symbols map to U(i) = t^i + t^(i-2) + ... + t^-i for i >= 0,
+U(-1) = 0 and U(i) = -U(-i-2) below that.  The algebra is commutative,
+and its one product, lmul, is a plain convolution.  The module imports
+nothing from chebcone and reads elements only by .items(); agreement
+with the kernel, which suites.cross_check checks, argues that neither
+hides a matching bug.  LaurentPoly has only +, - and ==; LaurentPoly()
+is zero.  Evaluation has a kernel (for instance h~[0] + h~[-2] maps to
+zero), so oracle agreement is necessary but not sufficient: the formal
+checks stay primary.
 """
 
 from __future__ import annotations
 
-from typing import ItemsView, Mapping
-
-from .tilde_ring import TildeElement, mul
+from typing import ItemsView, Iterable, Mapping, Protocol
 
 
 class LaurentPoly:
@@ -91,6 +88,10 @@ class LaurentPoly:
         return f"LaurentPoly({body})"
 
 
+class Terms(Protocol):  # what evaluate reads: a dict, or an element of the module
+    def items(self) -> Iterable[tuple[int, int]]: ...
+
+
 def _from_nonzero(coeffs: dict[int, int]) -> LaurentPoly:
     """LaurentPoly that takes coeffs as its storage, unfiltered: coeffs
     must hold no zero coefficient, and no one else may keep it."""
@@ -112,10 +113,10 @@ def lmul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
 def eval_basis(i: int) -> LaurentPoly:
     """Image of the basis symbol with index i."""
-    return evaluate(TildeElement({i: 1}))
+    return evaluate({i: 1})
 
 
-def evaluate(g: TildeElement) -> LaurentPoly:
+def evaluate(g: Terms) -> LaurentPoly:
     """Linear extension of the basis images U(i) to whole elements."""
     acc: dict[int, int] = {}
     for j, c in g.items():
@@ -126,11 +127,7 @@ def evaluate(g: TildeElement) -> LaurentPoly:
     return _from_nonzero({e: c for e, c in acc.items() if c})
 
 
-def weighted_mass(g: TildeElement) -> int:
+def weighted_mass(g: Terms) -> int:
     """Sum of coefficient times (index + 1); equals evaluate(g) at t = 1."""
     return sum(c * (j + 1) for j, c in g.items())
 
-
-def cross_check(g1: TildeElement, g2: TildeElement) -> bool:
-    """Evaluation must turn the module product into the convolution product."""
-    return evaluate(mul(g1, g2)) == lmul(evaluate(g1), evaluate(g2))

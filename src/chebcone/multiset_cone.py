@@ -10,11 +10,10 @@ profile condition checked per parity class (see in_cone).
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
-from .tilde_ring import SparseVector, TildeElement, _product, _symmetric_runs, _wrap
+from .tilde_ring import SparseVector, TildeElement, _int, _product, _symmetric_runs, _wrap
 
 
 class IntegerMultiset(SparseVector):
@@ -31,12 +30,13 @@ class IntegerMultiset(SparseVector):
     def __init__(self, elements: Iterable[int] = ()) -> None:
         if isinstance(elements, Mapping):  # Counter would take it as unchecked counts
             raise TypeError("IntegerMultiset takes elements; use from_counts for a mapping")
-        self._coeffs = dict(Counter(elements))
+        self._coeffs = dict(Counter(map(_int, elements)))
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "IntegerMultiset":
         for x, c in counts.items():
-            if c < 0:
+            _int(x)
+            if _int(c) < 0:
                 raise ValueError(f"negative multiplicity {c} at {x}")
         return _wrap(cls, {x: c for x, c in counts.items() if c})
 
@@ -199,26 +199,4 @@ def decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
 
 def to_tilde(m: IntegerMultiset) -> TildeElement:
     """Multiplicity function read as coefficients of h~ basis symbols."""
-    return TildeElement(dict(m.items()))
-
-
-def random_cone_member(rng: random.Random, c: int) -> IntegerMultiset:
-    """Seeded random cone member, valid by construction.
-
-    Draws up to 4 values in [c, c+10] and up to 4 radii in [1, 6], then
-    recomposes.
-    """
-    singles: dict[int, int] = {}
-    for _ in range(rng.randint(0, 4)):
-        v = rng.randint(c, c + 10)
-        singles[v] = singles.get(v, 0) + 1
-    radii: dict[int, int] = {}
-    for _ in range(rng.randint(0, 4)):
-        r = rng.randint(1, 6)
-        radii[r] = radii.get(r, 0) + 1
-    decomp = ConeDecomposition(
-        center=c,
-        singletons=tuple(sorted(singles.items())),
-        radii=tuple(sorted(radii.items())),
-    )
-    return decomp.recompose()
+    return _wrap(TildeElement, dict(m.items()))

@@ -45,7 +45,7 @@ def _check_indices(n: int, i: int, j: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def e0_raw(n: int, i: int = 0) -> TildeElement:
+def e0_raw(n: int, i: int) -> TildeElement:
     """Leading-coefficient element at depth n, slot i, by the raw recurrence."""
     _check_indices(n, i, 0)
     if n == 0:
@@ -71,7 +71,7 @@ def leading_extra_term(n: int) -> TildeElement:
 
 
 @lru_cache(maxsize=None)
-def e1_raw(n: int, i: int = 0) -> TildeElement:
+def e1_raw(n: int, i: int) -> TildeElement:
     """Penultimate-leading element at depth n, slot i, by the raw recurrence."""
     _check_indices(n, i, 1)
     if n == 0:

@@ -36,7 +36,6 @@ magnitude.
 
 from __future__ import annotations
 
-import random
 import struct
 from itertools import compress
 from typing import ItemsView, Iterable, Mapping
@@ -47,6 +46,12 @@ def _wrap(cls, data: dict[int, int]):
     obj = object.__new__(cls)
     obj._coeffs = data
     return obj
+
+
+def _int(x: int) -> int:
+    if type(x) is not int:  # a bool too: every index, coefficient and count is an int
+        raise TypeError(f"expected an int, got {x!r}")
+    return x
 
 
 class SparseVector:
@@ -62,7 +67,8 @@ class SparseVector:
     symbol: str  # basis symbol used by str, set by each subclass
 
     def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
-        self._coeffs = {j: c for j, c in coeffs.items() if c} if coeffs else {}
+        pairs = [(_int(j), _int(c)) for j, c in coeffs.items()] if coeffs else ()
+        self._coeffs = {j: c for j, c in pairs if c}
 
     @classmethod
     def zero(cls):
@@ -383,23 +389,3 @@ def w1(g1: TildeElement, g2: TildeElement, g3: TildeElement) -> TildeElement:
     """
     g23 = mul(g2, g3)
     return mul(g1.shift(-1), g23 - mul(H1, g23).shift(-1)) + mul(g1, g23).shift(-1)
-
-
-def random_element(
-    rng: random.Random,
-    span: int = 6,
-    coeff_bound: int = 3,
-    density: float = 0.4,
-) -> TildeElement:
-    """Seeded random element with support in [-span, span].
-
-    Each index independently receives a coefficient in
-    [-coeff_bound, coeff_bound] with the given density, else zero.
-    """
-    acc = {}
-    for j in range(-span, span + 1):
-        if rng.random() < density:
-            c = rng.randint(-coeff_bound, coeff_bound)
-            if c:
-                acc[j] = c
-    return TildeElement(acc)

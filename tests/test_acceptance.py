@@ -11,14 +11,13 @@ import time
 from contextlib import contextmanager
 
 from chebcone.certifier import certify_positivity
-from chebcone.laurent_oracle import cross_check, eval_basis, evaluate, lmul
+from chebcone.laurent_oracle import eval_basis, evaluate, lmul
 from chebcone.multiset_cone import (
     decompose_cone,
     in_cone,
     interval,
     interval_sum_decompose,
     msum,
-    random_cone_member,
     to_tilde,
     IntegerMultiset,
 )
@@ -30,12 +29,12 @@ from chebcone.recurrence_engine import (
     leading_extra_term,
 )
 from chebcone import recurrence_engine, suites
+from chebcone.suites import cross_check, random_cone_member, random_element
 from chebcone.tilde_ring import (
     TildeElement,
     basis,
     fold_L,
     mul,
-    random_element,
     w0,
     w1,
 )

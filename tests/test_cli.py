@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from chebcone import certifier, cli, multiset_cone, recurrence_engine
+from chebcone import certifier, cli, multiset_cone, recurrence_engine, suites
 from chebcone.cli import MAX_DEPTH, main
 
 
@@ -446,7 +446,7 @@ def test_compute_and_stats_report_a_closed_route_fault_in_one_line(argv, broken_
 
 def test_verify_reports_a_generator_fault_as_a_failed_check(monkeypatch, capsys):
     # a member of R(c - 1) but not of R(c), which the generator promises
-    monkeypatch.setattr(multiset_cone, "random_cone_member",
+    monkeypatch.setattr(suites, "random_cone_member",
                         lambda rng, c: multiset_cone.IntegerMultiset([c - 1]))
     code, out, err = run(capsys, "verify", "--suite", "multiset")
     assert (code, err) == (1, "")

@@ -1,7 +1,9 @@
 """What a fresh interpreter loads: `import chebcone.cli` must not pull in
 `dataclasses`, the verification suites or the Laurent oracle, which only
-`verify` imports, nor `array`, `decimal` or `numpy`, which no product needs.
-The package root defines only `__version__`, so importing it loads no submodule.
+`verify` imports, nor `array`, `decimal` or `numpy`, which no product needs,
+nor `random`, which only the suites draw with.  The Laurent oracle loads no
+other chebcone module.  The package root defines only `__version__`, so
+importing it loads no submodule.
 
 The import tests run in subprocesses because the other test modules have
 already imported the suites into this one.
@@ -36,6 +38,23 @@ def test_cli_import_loads_no_array_decimal_or_numpy():
                    "{'array', 'decimal', '_decimal', '_pydecimal', 'numpy'}))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# -S skips the site module: a site .pth file may import modules of its own
+# before chebcone runs (one that imports tempfile loads random), and these
+# two tests are about what chebcone itself imports.
+
+def test_cli_import_loads_no_random():
+    proc = _python("-S", "-c", "import sys, chebcone.cli; print('random' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_oracle_import_loads_no_other_chebcone_module():
+    proc = _python("-S", "-c", "import sys, chebcone.laurent_oracle; "
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'chebcone'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['chebcone', 'chebcone.laurent_oracle']\n"
 
 
 def test_verify_imports_the_suites_on_demand():

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from chebcone import laurent_oracle, tilde_ring
 from chebcone.laurent_oracle import (
     LaurentPoly,
-    cross_check,
     eval_basis,
     evaluate,
     lmul,
     weighted_mass,
 )
 from chebcone.recurrence_engine import e0_raw, e1_raw
-from chebcone.tilde_ring import TildeElement, basis, fold_L, mul, random_element, w0, w1
+from chebcone.suites import cross_check, random_element
+from chebcone.tilde_ring import TildeElement, basis, fold_L, mul, w0, w1
 
 
 def test_eval_basis_cases():
@@ -149,6 +149,16 @@ def test_oracle_shares_no_product_primitive_with_the_kernel():
         assert not names & set(fn.__code__.co_names)
     # the oracle's polynomials keep their own storage and arithmetic
     assert tilde_ring.SparseVector not in LaurentPoly.__mro__
+    # nor is any other name in the oracle bound to a module, class or
+    # function of the rest of the package: suites.cross_check holds the
+    # oracle against the kernel, and evaluate reads elements by .items()
+    borrowed = {}
+    for name, obj in vars(laurent_oracle).items():
+        home = obj.__name__ if inspect.ismodule(obj) else getattr(obj, "__module__", None)
+        if isinstance(home, str) and home.split(".")[0] == "chebcone":
+            if home != laurent_oracle.__name__:
+                borrowed[name] = home
+    assert borrowed == {}
 
 
 def ref_eval_basis(i):

@@ -29,12 +29,12 @@ from chebcone.multiset_cone import (
     IntegerMultiset,
     interval,
     msum,
-    random_cone_member,
     to_tilde,
 )
 from chebcone import multiset_cone, recurrence_engine, tilde_ring
 from chebcone.cli import main
 from chebcone.recurrence_engine import _left_expand
+from chebcone.suites import random_cone_member, random_element
 from chebcone.tilde_ring import (
     H1,
     MIN_TERM_OPS,
@@ -47,7 +47,6 @@ from chebcone.tilde_ring import (
     basis,
     fold_L,
     mul,
-    random_element,
 )
 
 BIG = 2**64

@@ -15,9 +15,9 @@ from chebcone.multiset_cone import (
     interval,
     interval_sum_decompose,
     msum,
-    random_cone_member,
     to_tilde,
 )
+from chebcone.suites import random_cone_member
 from chebcone.tilde_ring import ChElement, TildeElement, basis, fold_L, mul
 
 
@@ -101,6 +101,20 @@ def test_constructor_refuses_a_mapping():
         IntegerMultiset.from_counts({2: -1, 5: 0})
     assert IntegerMultiset.from_counts({3: 0}) == IntegerMultiset()
     assert IntegerMultiset((1, 1)) == IntegerMultiset.from_counts({1: 2})
+
+
+@pytest.mark.parametrize("elements", [[1.5], [1, 1.0], [True], [1, True], ["1"]])
+def test_constructor_takes_only_int_elements(elements):
+    # a stored 1.5 made msum(ms(1.5), ms(1)) the multiset {2.5: 1}; 1.0 and
+    # True would merge into the count of 1 unseen
+    with pytest.raises(TypeError, match="expected an int"):
+        IntegerMultiset(elements)
+
+
+@pytest.mark.parametrize("counts", [{1.5: 1}, {1.5: 0}, {True: 1}, {1: 1.0}, {1: True}, {1: 0.0}])
+def test_from_counts_takes_only_int_values_and_counts(counts):
+    with pytest.raises(TypeError, match="expected an int"):
+        IntegerMultiset.from_counts(counts)
 
 
 def test_interval_sum_decompose():

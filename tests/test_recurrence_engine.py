@@ -80,6 +80,11 @@ def test_invalid_arguments():
         raw_element(1, 0, 3)
     with pytest.raises(ValueError):
         closed_element(1, 2, 0)
+    # the slot has no default, which lru_cache would key apart from the
+    # same slot passed: e0_raw(3) and e0_raw(3, 0) would build twice
+    for raw in (e0_raw, e1_raw):
+        with pytest.raises(TypeError):
+            raw(3)
 
 
 def test_closed_witnesses_small():

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from chebcone.multiset_cone import IntegerMultiset
+from chebcone.suites import random_element
 from chebcone.tilde_ring import (
     ChElement,
     TildeElement,
     basis,
     fold_L,
     mul,
-    random_element,
     w0,
     w1,
 )
@@ -61,6 +61,30 @@ def test_ch_element_rejects_negative_indices():
         ChElement({-1: 1})
     with pytest.raises(ValueError):
         ChElement({3: 1, -1: 0})
+
+
+# non-int members, each refused wherever it sits, a zero coefficient's index too
+NOT_INTS = [{0: 0.5}, {0.5: 1}, {1.5: 0}, {0: 0.0}, {0: True}, {True: 1}, {0: "1"}]
+
+
+@pytest.mark.parametrize("coeffs", NOT_INTS)
+@pytest.mark.parametrize("cls", [TildeElement, ChElement])
+def test_value_types_take_only_int_indices_and_coefficients(cls, coeffs):
+    with pytest.raises(TypeError, match="expected an int"):
+        cls(coeffs)
+
+
+def test_a_non_int_coefficient_never_reaches_a_product():
+    # stored, a 0.5 made the loop return floats and the packed route raise
+    # AttributeError on float.bit_length, so the result hung on the route
+    left = TildeElement({j: 1 for j in range(0, 40, 2)})
+    for right in ({0: 0.5, 2: 1}, {j: 0.5 for j in range(0, 40, 2)}):
+        with pytest.raises(TypeError, match="expected an int, got 0.5"):
+            mul(left, TildeElement(right))
+    with pytest.raises(TypeError):
+        basis(1).scale(0.5)
+    big = 3**200
+    assert (big * left).coeff(38) == big and TildeElement({-7: -big}).terms() == [(-7, -big)]
 
 
 def test_shared_base_keeps_each_type_apart():
