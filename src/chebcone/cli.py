@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--n must be >= 0")
     if cfg.n is not None and cfg.n > MAX_DEPTH:
         parser.error(f"--n must be <= {MAX_DEPTH}: deeper coefficients pass the 4,300-digit "
-                     "int-to-str limit of decimal output (ROADMAP item 6)")
+                     "int-to-str limit of decimal output")
     try:
         if cfg.command == "compute":
             return cmd_compute(cfg)

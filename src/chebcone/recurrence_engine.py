@@ -10,8 +10,8 @@ with slot index i in {-1, 0, 1}.  Each family is computed two ways:
   matches the base cases and every downstream identity);
 * closed: an integer multiset witness M(n, j) with to_tilde(M) equal to
   the i = 0 raw element.  closed_step forms the depth n+1 pair from the
-  depth-n pair alone, by sumset-then-left-multiply expansions, and
-  closed_witnesses, the route's one cache, applies it once per depth.
+  depth-n pair alone, by sumsets and unions, and closed_witnesses, the
+  route's one cache, applies it once per depth.
 
 The structural identities tying the two routes together are checked by
 the shift, cone and multiset suites of `verify`, which read these caches.
@@ -22,8 +22,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .multiset_cone import IntegerMultiset, msum, to_tilde
-from .tilde_ring import H1, TildeElement, _product, _symmetric_runs, basis, fold_L, mul, w0, w1
+from .multiset_cone import IntegerMultiset, interval, to_tilde
+from .tilde_ring import H1, TildeElement, _symmetric_runs, basis, fold_L, mul, w0, w1
 
 VALID_I = (-1, 0, 1)
 VALID_J = (0, 1)
@@ -106,37 +106,37 @@ def _penultimate_first_lines(n: int) -> TildeElement:
     return w1(e0, e0, p0 + e0.shift(-1)) + w1(e0, p0, e0)
 
 
-def _left_expand(weights: IntegerMultiset,
-                 *addends: IntegerMultiset) -> tuple[IntegerMultiset, ...]:
-    """Multisets of fold_L(weights) acting on each addend, read as elements.
-
-    Each folded coefficient d at index i contributes d copies of the
-    sumset [-i, i] + addend: in all, the symmetric runs of the fold, as in
-    ConeDecomposition.recompose, times addend; the runs are formed once
-    for all addends.  A negative folded coefficient would contradict the
-    positivity lemma and leave no multiset, so it is reported loudly.
-    """
-    folded = fold_L(weights).items()
+def _multiset_kernel(m: IntegerMultiset) -> IntegerMultiset:
+    """The shift kernel of m, the symmetric runs of fold_L(m), as a multiset;
+    a negative folded weight leaves none, and its lowest index is reported."""
+    folded = fold_L(m).terms()
     for i, d in folded:
         if d < 0:
             raise ValueError(f"negative folded weight {d} at h[{i}]: not a multiset")
-    runs = _symmetric_runs(folded)
-    return tuple(IntegerMultiset.from_counts(_product(runs, a._coeffs)) for a in addends)
+    return IntegerMultiset.from_counts(_symmetric_runs(folded))
 
 
 def closed_step(m0: IntegerMultiset,
                 m1: IntegerMultiset) -> tuple[IntegerMultiset, IntegerMultiset]:
-    """The depth n+1 witness pair from the depth-n pair (m0, m1).
+    """The depth n+1 witness pair from the depth-n pair (m0, m1): m0 acting on
+    g2 = m0 + m0, and the union of that shifted by -1, twice m0 acting on
+    m0 + m1 and m1 acting on g2.  A multiset a acts as its shift kernel, and
 
-    The leading witness is m0 acting on m0 + m0.  The penultimate one is
-    the union of m0 acting on m0 + (m0 - 1), twice m0 acting on m0 + m1,
-    and m1 acting on m0 + m0; its first term is the new leading witness
-    shifted by -1, since shifts commute with sumsets and the left action.
-    """
-    self_sum = msum(m0, m0)
-    lead, cross = _left_expand(m0, self_sum, msum(m0, m1))
-    (tail,) = _left_expand(m1, self_sum)
-    return lead, lead.shift(-1) | (cross | cross) | tail
+        K_a = (x*a(x) - a(1/x)/x) / (x - 1/x)  (test_kernel_is_the_evaluation)
+        m0(1/x) = x^(-2c)*m0(x)                 (m0 a palindrome about c), so
+        K_m0 = x^(-c)*U_c*m0 = u + m0           (U_c = x^-c + x^(-c+2) + ... + x^c)
+
+    for u = [-2c, 0]: lead = u + m0 + g2, and twice m0 acting on m0 + m1 is
+    g2 + (uq | uq) for uq = u + m1.  An m0 that is no palindrome about an
+    integer c >= 0 raises ValueError at its lowest value that shows it."""
+    twice = (m0.min_index() or 0) + (m0.max_index() or 0)  # 2c
+    for x, k in m0.terms():
+        if twice % 2 or twice < 0 or m0.coeff(twice - x) != k:
+            raise ValueError(f"not a palindrome about an integer c >= 0: c = {twice / 2:g}, "
+                             f"mult({x}) = {k}, mult({twice - x}) = {m0.coeff(twice - x)}")
+    u, g2 = interval(-twice, 0), m0 + m0
+    lead, uq = u + m0 + g2, u + m1
+    return lead, lead.shift(-1) | g2 + (uq | uq | _multiset_kernel(m1))
 
 
 @lru_cache(maxsize=None)

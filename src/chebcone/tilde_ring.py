@@ -19,14 +19,14 @@ sum, and _kernel applies it to the fold; the left factor keeps K as a
 dict.  A one-term g2 = d * h~[j] gives K shifted by j, times d.
 
 Every other product is one product of two plain {exponent: coefficient}
-maps, by _product: K and g2 for mul and the closed-route expansion (which
-calls _product itself and never mul), and two multisets for the
-multiset sum.  From MIN_TERM_OPS term products on it is one big-int
-multiply by Kronecker substitution (Schoenhage 1982; Harvey,
-arXiv:0712.4046): each map is packed into one integer with a field of
-fixed width per exponent step, 8-byte words by struct while the slot
-bound fits 64 bits and whole bytes above that, and one field mask per
-product offsets every field.  Smaller products are the double loop.
+maps, by _product: K and g2 for mul, and two multisets for the multiset
+sum, which forms every product of the closed route, never through mul.
+From MIN_TERM_OPS term products on it is one big-int multiply by
+Kronecker substitution (Schoenhage 1982; Harvey, arXiv:0712.4046): each
+map is packed into one integer with a field of fixed width per exponent
+step, 8-byte words by struct while the slot bound fits 64 bits and whole
+bytes above that, and one field mask per product offsets every field.
+Smaller products are the double loop.
 
 Both element types, and the multisets of multiset_cone, derive from
 SparseVector, which holds the storage, queries and additive arithmetic.

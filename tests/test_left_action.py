@@ -1,9 +1,10 @@
 """The left actions and the multiset sum against naive reference
 implementations.
 
-mul, msum and the closed-route expansion all run on one product of two
-plain maps (tilde_ring._product): a left operand, the left factor's shift
-kernel or a plain multiset, times the right factor.  The references below
+mul and msum both run on one product of two plain maps
+(tilde_ring._product): a left operand, the left factor's shift kernel or a
+plain multiset, times the right factor.  The closed route forms only
+multiset sums, with the kernel of a multiset as one operand.  The references below
 are the direct loops those functions used to be: one shifted copy of the
 right factor per index -i, -i+2, ..., i of every folded term.  The action
 of h[i] is mul(basis(i), g), checked against its own loop too.  From
@@ -33,7 +34,7 @@ from chebcone.multiset_cone import (
 )
 from chebcone import multiset_cone, recurrence_engine, tilde_ring
 from chebcone.cli import main
-from chebcone.recurrence_engine import _left_expand
+from chebcone.recurrence_engine import _multiset_kernel
 from chebcone.suites import random_cone_member, random_element
 from chebcone.tilde_ring import (
     H1,
@@ -88,7 +89,7 @@ def ref_msum(m1: IntegerMultiset, m2: IntegerMultiset) -> IntegerMultiset:
 
 def ref_left_expand(weights: IntegerMultiset, addend: IntegerMultiset) -> IntegerMultiset:
     acc: dict[int, int] = {}
-    for i, d in fold_L(to_tilde(weights)).items():
+    for i, d in sorted(fold_L(to_tilde(weights)).items()):  # the lowest index first
         if d < 0:
             raise ValueError(f"negative folded weight {d} at h[{i}]: not a multiset")
         for x, m in ref_msum(interval(-i, i), addend).items():
@@ -152,7 +153,7 @@ def test_large_msum_matches_reference(m1, m2):
 @LARGE
 @given(large_weights, large_multisets)
 def test_large_left_expand_matches_reference(weights, addend):
-    assert _left_expand(weights, addend) == (ref_left_expand(weights, addend),)
+    assert _multiset_kernel(weights) + addend == ref_left_expand(weights, addend)
 
 
 @LARGE
@@ -209,15 +210,16 @@ def test_msum_matches_reference(m1, m2):
 @PROPERTY
 @given(multisets, multisets, multisets)
 def test_left_expand_matches_reference(weights, addend, other):
-    # one call expands every addend with the same runs
+    # one kernel serves every addend
     try:
         expected = (ref_left_expand(weights, addend), ref_left_expand(weights, other))
     except ValueError as exc:
         with pytest.raises(ValueError, match="negative folded weight") as info:
-            _left_expand(weights, addend, other)
+            _multiset_kernel(weights)
         assert str(info.value) == str(exc)
     else:
-        assert _left_expand(weights, addend, other) == expected
+        kernel = _multiset_kernel(weights)
+        assert (kernel + addend, kernel + other) == expected
 
 
 word_values = st.integers(-(2**31) + 1, 2**31 - 1)
@@ -272,7 +274,6 @@ def recorded_routes():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tilde_ring, "_product", product)
         mp.setattr(multiset_cone, "_product", product)
-        mp.setattr(recurrence_engine, "_product", product)
         mp.setattr(tilde_ring, "_unpack", unpack)
         yield calls
 
@@ -570,7 +571,7 @@ def test_seeded_expansions_of_cone_members_match_reference():
     for _ in range(100):
         weights = random_cone_member(rng, rng.randint(0, 6))
         addend = random_cone_member(rng, rng.randint(-6, 6))
-        assert _left_expand(weights, addend) == (ref_left_expand(weights, addend),)
+        assert _multiset_kernel(weights) + addend == ref_left_expand(weights, addend)
         assert msum(weights, addend) == ref_msum(weights, addend)
 
 
@@ -585,9 +586,8 @@ def test_empty_operands():
     m = IntegerMultiset([0, 2, 2])
     assert msum(empty, m) == empty
     assert msum(m, empty) == empty
-    assert _left_expand(empty, m) == (empty,)
-    assert _left_expand(m, empty) == (empty,)
-    assert _left_expand(m) == ()
+    assert _multiset_kernel(empty) + m == empty
+    assert _multiset_kernel(m) + empty == empty
 
 
 def test_left_factors_that_fold_to_zero():
@@ -595,7 +595,7 @@ def test_left_factors_that_fold_to_zero():
     assert mul(basis(-1), g) == TildeElement.zero()
     assert mul(basis(0) + basis(-2), g) == TildeElement.zero()
     assert mul(basis(3) + basis(-5), g) == TildeElement.zero()
-    assert _left_expand(IntegerMultiset([-1, -1]), IntegerMultiset([4]))[0].is_zero()
+    assert (_multiset_kernel(IntegerMultiset([-1, -1])) + IntegerMultiset([4])).is_zero()
 
 
 def test_identity_and_mixed_parity():
@@ -618,7 +618,7 @@ def test_coefficients_beyond_machine_range():
 
 def test_negative_folded_weight_is_rejected():
     with pytest.raises(ValueError, match=r"negative folded weight -1 at h\[1\]"):
-        _left_expand(IntegerMultiset([-3]), IntegerMultiset([0]))
+        _multiset_kernel(IntegerMultiset([-3])) + IntegerMultiset([0])
 
 
 def dense(n: int, lo: int = 0, step: int = 1, coeff=lambda k: k % 7 - 3 or 5) -> list:
@@ -649,7 +649,7 @@ def test_threshold_selects_the_packed_path_exactly_at_the_constant(routes):
 
 def test_default_verify_packs_only_word_fields(capsys):
     # over a thousand products of a default verify are packed, all in
-    # 8-byte fields, the left expansions of its closed route among them
+    # 8-byte fields, the sumsets of its closed route among them
     for name in ("e0_raw", "e1_raw", "_penultimate_first_lines", "closed_witnesses"):
         getattr(recurrence_engine, name).cache_clear()
     with recorded_routes() as calls:
@@ -661,7 +661,7 @@ def test_default_verify_packs_only_word_fields(capsys):
 
 
 def test_cone_certificates_never_call_mul(monkeypatch, routes):
-    # the closed route and the cone decomposition reach _product directly
+    # the closed route reaches _product through msum alone
     from chebcone import certifier
 
     recurrence_engine.closed_witnesses.cache_clear()

@@ -4,10 +4,13 @@ import json
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebcone.certifier import ConeCertificate
 from chebcone.cli import main
 from chebcone.multiset_cone import (
+    ConeDecomposition,
     IntegerMultiset,
     decompose_cone,
     in_cone,
@@ -16,7 +19,7 @@ from chebcone.multiset_cone import (
 )
 from chebcone import certifier, multiset_cone, recurrence_engine, suites, tilde_ring
 from chebcone.recurrence_engine import (
-    _left_expand,
+    _multiset_kernel,
     closed_element,
     closed_step,
     closed_witnesses,
@@ -110,17 +113,23 @@ def test_raw_equals_closed(n):
     assert e1_raw(n, 0) == to_tilde(e1_closed(n))
 
 
+def ref_step(m0, m1):
+    """The next pair by the printed expansions: each left factor acts as
+    the sumset with its own kernel, the kernel of m0 included, every
+    sumset is formed afresh and the first penultimate term is expanded."""
+    k0, k1 = _multiset_kernel(m0), _multiset_kernel(m1)
+    t1 = msum(k0, msum(m0, m0.shift(-1)))
+    t2 = msum(k0, msum(m0, m1))
+    t3 = msum(k1, msum(m0, m0))
+    return msum(k0, msum(m0, m0)), t1 | (t2 | t2) | t3
+
+
 @lru_cache(maxsize=None)
 def ref_closed(n):
-    """The depth-n witnesses (M0, M1) by the printed expansions: every
-    sumset formed afresh and the first penultimate term expanded."""
+    """The depth-n witnesses (M0, M1) by ref_step."""
     if n == 0:
         return IntegerMultiset([2]), IntegerMultiset()
-    m0, m1 = ref_closed(n - 1)
-    (t1,) = _left_expand(m0, msum(m0, m0.shift(-1)))
-    (t2,) = _left_expand(m0, msum(m0, m1))
-    (t3,) = _left_expand(m1, msum(m0, m0))
-    return _left_expand(m0, msum(m0, m0))[0], t1 | (t2 | t2) | t3
+    return ref_step(*ref_closed(n - 1))
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -128,6 +137,60 @@ def test_closed_witnesses_match_the_three_term_expansion(n):
     assert (e0_closed(n), e1_closed(n)) == closed_witnesses(n) == ref_closed(n)
     # the step alone, from the reference's previous depth
     assert n == 0 or closed_step(*ref_closed(n - 1)) == ref_closed(n)
+
+
+multiplicities = st.integers(1, 3) | st.integers(2**64, 2**66)
+radius_counts = st.dictionaries(st.integers(1, 12), multiplicities, max_size=5)
+
+
+def cone_member(center, singletons, radii):
+    return ConeDecomposition(center, tuple(singletons.items()), tuple(radii.items())).recompose()
+
+
+def palindromes(c):
+    """k copies of {c} plus intervals about c: the palindromic members of R(c)."""
+    return st.builds(cone_member, st.just(c), st.dictionaries(st.just(c), multiplicities),
+                     radius_counts)
+
+
+def cone_members(c):
+    return st.builds(cone_member, st.just(c),
+                     st.dictionaries(st.integers(c, c + 12), multiplicities, max_size=4),
+                     radius_counts)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 8).flatmap(lambda c: st.tuples(palindromes(c), cone_members(c - 1))))
+def test_closed_step_matches_the_three_term_expansion(pair):
+    # m0 palindromic in R(c) and m1 in R(c - 1), for c from 0 to 8
+    assert closed_step(*pair) == ref_step(*pair)
+
+
+@pytest.mark.parametrize("m0, message", [
+    (ms(2, 4, 6, 6), r"c = 4, mult\(2\) = 1, mult\(6\) = 2"),
+    (ms(0, 1), r"c = 0.5, mult\(0\) = 1, mult\(1\) = 1"),
+    (ms(-1), r"c = -1, mult\(-1\) = 1, mult\(-1\) = 1"),
+])
+def test_closed_step_needs_a_palindrome_about_an_integer_center(m0, message):
+    # the kernel of m0 is read off its palindrome, so any other m0 is a fault
+    with pytest.raises(ValueError, match="not a palindrome about an integer c >= 0: " + message):
+        closed_step(m0, IntegerMultiset())
+
+
+def test_empty_leading_witness_steps_to_the_empty_pair():
+    empty = IntegerMultiset()
+    assert closed_step(empty, empty) == closed_step(empty, ms(1, 3)) == (empty, empty)
+
+
+def test_negative_weight_fault_reads_the_same_from_either_build_order():
+    # one penultimate witness, built in two orders, folds to -h[5] - h[3] -
+    # h[1]; the fault names its lowest index, not the first in dict order
+    messages = set()
+    for m1 in (ms(-7, -5, -3), ms(-3, -5, -7)):
+        with pytest.raises(ValueError) as info:
+            closed_step(ms(2, 4, 6), m1)
+        messages.add(str(info.value))
+    assert messages == {"negative folded weight -1 at h[1]: not a multiset"}
 
 
 @pytest.fixture(scope="module")
@@ -151,8 +214,10 @@ def test_step_resumes_from_cone_documents(k, depth_five_cones):
 
 
 def test_closed_route_folds_each_witness_once_per_depth(monkeypatch):
-    # depths 1..6 fold and run two witnesses each; five products per depth:
-    # two sumsets and three expansions
+    # depths 1..6 fold and run one witness each, the penultimate one, as the
+    # leading witness's kernel is read off its palindrome; five products per
+    # depth, all sumsets: m0 + m0, u + m0, that plus m0 + m0, u + m1, and
+    # m0 + m0 plus the union
     counts = {"runs": 0, "products": 0}
 
     def counting(name, fn):
@@ -163,11 +228,10 @@ def test_closed_route_folds_each_witness_once_per_depth(monkeypatch):
 
     monkeypatch.setattr(recurrence_engine, "_symmetric_runs",
                         counting("runs", tilde_ring._symmetric_runs))
-    for module in (recurrence_engine, multiset_cone):
-        monkeypatch.setattr(module, "_product", counting("products", tilde_ring._product))
+    monkeypatch.setattr(multiset_cone, "_product", counting("products", tilde_ring._product))
     closed_witnesses.cache_clear()
     closed_witnesses(6)
-    assert counts == {"runs": 12, "products": 30}
+    assert counts == {"runs": 6, "products": 30}
 
 
 @pytest.mark.parametrize("n", range(7))
