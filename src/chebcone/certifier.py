@@ -3,9 +3,9 @@
 Two document kinds are produced: a positivity certificate listing every
 folded coefficient of a family element together with a sign verdict,
 and a cone certificate carrying the interval/singleton decomposition of
-a closed-form witness plus a recomposition verdict; callers report a
-witness outside its cone (ConeMembershipError) and a false
-check_positivity_implication as verdicts.  Records hold ints; documents
+a closed-form witness plus a recomposition verdict.  certify_cone returns
+a witness outside its cone as its ConeMembershipError, a verdict that
+check_positivity_implication reads as False.  Records hold ints; documents
 carry them as decimal strings, as depth 4 values exceed 64-bit range,
 written by the one encoder encode_listing and parsed once by _listing.
 Key order in emitted documents is fixed so that regenerated suites diff
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, NamedTuple
 
-from .multiset_cone import ConeDecomposition, decompose_cone
+from .multiset_cone import ConeDecomposition, ConeMembershipError, decompose_cone
 from .recurrence_engine import _check_indices, closed_element, closed_witnesses, cone_center
 from .tilde_ring import fold_L
 
@@ -208,20 +208,22 @@ class ConeCertificate(NamedTuple):
         return cls(n=n, j=j, center=center, decomposition=decomposition, recomposition_ok=ok)
 
 
-def certify_cone(n: int, j: int) -> ConeCertificate:
-    """Decompose the depth-n witness of order j and validate recomposition."""
+def certify_cone(n: int, j: int) -> ConeCertificate | ConeMembershipError:
+    """Decompose the depth-n witness of order j and validate recomposition;
+    a witness outside its cone gives its violation, a ConeMembershipError."""
     _check_indices(n, 0, j)
     witness = closed_witnesses(n)[j]
     center = cone_center(n, j)
-    # decompose_cone raises ConeMembershipError with the failing offset;
-    # callers report it as an invalid certificate
-    decomposition = decompose_cone(witness, center)
+    try:
+        decomposition = decompose_cone(witness, center)
+    except ConeMembershipError as violation:
+        return violation
     return ConeCertificate(n=n, j=j, center=center, decomposition=decomposition,
                            recomposition_ok=decomposition.recompose() == witness)
 
 
 def check_positivity_implication(
-    cone_cert: ConeCertificate, pos_certs: list[PositivityCertificate]
+    cone_cert: ConeCertificate | ConeMembershipError, pos_certs: list[PositivityCertificate]
 ) -> bool:
     """A valid cone certificate at center >= 0 forces every positivity verdict.
 
@@ -235,11 +237,11 @@ def check_positivity_implication(
     (positivity_cone_bound), and c - 1 >= 0 as every center is >= 1.
 
     Returns True iff the cone certificate recomposes at a center >= 0 and
-    every positivity verdict holds.  False means the cone route failed or
-    the two certificate routes disagree.
+    every positivity verdict holds.  False means the cone route failed, a
+    violation included, or the two certificate routes disagree.
     """
-    return (cone_cert.recomposition_ok and cone_cert.center >= 0
-            and all(pc.all_nonnegative for pc in pos_certs))
+    return (isinstance(cone_cert, ConeCertificate) and cone_cert.recomposition_ok
+            and cone_cert.center >= 0 and all(pc.all_nonnegative for pc in pos_certs))
 
 
 def document_json(doc: dict) -> str:

@@ -6,7 +6,8 @@ text once, and _emit writes the one --format asks for.  Exit codes are
 exactly 0 for success, 1 for a failed assertion, an invalid certificate
 or a fault met while working (a <suite>/fault check in verify, INVALID
 closed route in certify, one stderr line in compute and stats), and 2
-for a usage error or an --out that cannot be written.
+for a usage error, an empty --out included, or an --out that cannot be
+written.
 Every command refuses an --n above MAX_DEPTH before it builds
 anything: depth 9 coefficients reach ~5,900 digits, past the 4,300-digit
 int-to-str limit of decimal output.
@@ -185,7 +186,7 @@ def cmd_verify(cfg: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_certify(cfg: argparse.Namespace) -> int:
-    outdir = Path(cfg.out or "certificates")
+    outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     lines = []
     all_valid = True
@@ -194,14 +195,12 @@ def cmd_certify(cfg: argparse.Namespace) -> int:
         for n in range(cfg.n + 1):
             for j in VALID_J:
                 pos_certs = [certify_positivity(n, i, j) for i in VALID_I]
-                try:
-                    cone_cert = certify_cone(n, j)
-                except ConeMembershipError as exc:
-                    all_valid = False
-                    lines.append(f"INVALID cone n={n} j={j} center={exc.center} "
-                                 f"offset={exc.offset}: {exc.detail}")
+                cone_cert = certify_cone(n, j)
+                all_valid = all_valid and check_positivity_implication(cone_cert, pos_certs)
+                if isinstance(cone_cert, ConeMembershipError):
+                    lines.append(f"INVALID cone n={n} j={j} center={cone_cert.center} "
+                                 f"offset={cone_cert.offset}: {cone_cert.detail}")
                 else:
-                    all_valid = all_valid and check_positivity_implication(cone_cert, pos_certs)
                     path = outdir / f"cone_n{n}_j{j}.json"
                     path.write_text(document_json(cone_cert.to_document()), encoding="utf-8")
                     written += 1
@@ -248,6 +247,8 @@ def main(argv: list[str] | None = None) -> int:
     if cfg.n is not None and cfg.n > MAX_DEPTH:
         parser.error(f"--n must be <= {MAX_DEPTH}: deeper coefficients pass the 4,300-digit "
                      "int-to-str limit of decimal output")
+    if cfg.out == "":
+        parser.error("--out must not be empty")
     try:
         if cfg.command == "compute":
             return cmd_compute(cfg)

@@ -45,6 +45,7 @@ class IntegerMultiset(SparseVector):
 
     def shift(self, k: int) -> "IntegerMultiset":
         """Add k to every element."""
+        _int(k)
         return _wrap(IntegerMultiset, {x + k: c for x, c in self._coeffs.items()})
 
     def __add__(self, other: "IntegerMultiset") -> "IntegerMultiset":

@@ -75,7 +75,7 @@ def e1_raw(n: int, i: int) -> TildeElement:
     """Penultimate-leading element at depth n, slot i, by the raw recurrence."""
     _check_indices(n, i, 1)
     if n == 0:
-        return basis(0) if i == -1 else TildeElement.zero()
+        return basis(0) if i == -1 else TildeElement()
     e0 = e0_raw(n - 1, 0)
     s0 = e0.shift(-1)
     p0 = e1_raw(n - 1, 0)
@@ -147,16 +147,6 @@ def closed_witnesses(n: int) -> tuple[IntegerMultiset, IntegerMultiset]:
     if n == 0:
         return IntegerMultiset([2]), IntegerMultiset()
     return closed_step(*closed_witnesses(n - 1))
-
-
-def e0_closed(n: int) -> IntegerMultiset:
-    """The depth-n leading witness, in R(cone_center(n, 0))."""
-    return closed_witnesses(n)[0]
-
-
-def e1_closed(n: int) -> IntegerMultiset:
-    """The depth-n penultimate-leading witness, in R(cone_center(n, 1))."""
-    return closed_witnesses(n)[1]
 
 
 def shift_ladder(pair: tuple[TildeElement, TildeElement], i: int, j: int) -> TildeElement:

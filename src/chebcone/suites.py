@@ -271,16 +271,15 @@ def suite_cone(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
     results = []
     for n in range(depth + 1):
         for j in engine.VALID_J:
-            name = f"cone/membership(n={n},j={j})"
-            try:
-                cert = certify_cone(n, j)
-            except mc.ConeMembershipError as exc:
-                results.append(CheckResult(name, False, f"not in R({exc.center})"))
-                continue
-            c, ok = cert.center, cert.recomposition_ok
-            detail = (f"center {c}, decomposition recomposes" if ok
-                      else f"decomposition at center {c} does not recompose")
-            results.append(CheckResult(name, ok, detail))
+            cert = certify_cone(n, j)
+            c = cert.center
+            if isinstance(cert, mc.ConeMembershipError):
+                ok, detail = False, f"not in R({c})"
+            else:
+                ok = cert.recomposition_ok
+                detail = (f"center {c}, decomposition recomposes" if ok
+                          else f"decomposition at center {c} does not recompose")
+            results.append(CheckResult(f"cone/membership(n={n},j={j})", ok, detail))
     return results
 
 
@@ -299,8 +298,8 @@ def suite_shift(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
                                           engine.shift_ladder(pair, i, j)))
         if n < depth:
             extra = engine.leading_extra_term(n)
-            results.append(CheckResult(f"shift/extra-term-zero(n={n})", extra.is_zero(),
-                                       "" if extra.is_zero() else f"extra term nonzero: {extra}"))
+            results.append(CheckResult(f"shift/extra-term-zero(n={n})", not extra,
+                                       f"extra term nonzero: {extra}" if extra else ""))
     return results
 
 
@@ -319,14 +318,12 @@ def suite_positivity(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
                         f"{len(pc.coefficients)} coefficients, cone bound {pc.cone_bound}",
                     )
                 )
-            name = f"positivity/cone-implication(n={n},j={j})"
-            try:
-                cone_cert = certify_cone(n, j)
-            except mc.ConeMembershipError as exc:
-                results.append(CheckResult(name, False, f"not in R({exc.center})"))
-                continue
-            results.append(CheckResult(name, check_positivity_implication(cone_cert, pos_certs),
-                                       f"center {cone_cert.center}"))
+            cone_cert = certify_cone(n, j)
+            c = cone_cert.center
+            detail = (f"not in R({c})" if isinstance(cone_cert, mc.ConeMembershipError)
+                      else f"center {c}")
+            results.append(CheckResult(f"positivity/cone-implication(n={n},j={j})",
+                                       check_positivity_implication(cone_cert, pos_certs), detail))
     return results
 
 
@@ -382,7 +379,7 @@ def suite_oracle(depth: int = DEFAULT_DEPTH, trials: int = DEFAULT_TRIALS,
 
     bad_max = []
     for n in range(1, depth + 1):
-        if engine.e0_closed(n).max_index() != 2 * 3**n:
+        if engine.closed_witnesses(n)[0].max_index() != 2 * 3**n:
             bad_max.append(n)
     results.append(
         _exhaustive("oracle/max-index-law", bad_max, depth, "max index equals 2*3^n")

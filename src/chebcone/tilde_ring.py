@@ -70,10 +70,6 @@ class SparseVector:
         pairs = [(_int(j), _int(c)) for j, c in coeffs.items()] if coeffs else ()
         self._coeffs = {j: c for j, c in pairs if c}
 
-    @classmethod
-    def zero(cls):
-        return _wrap(cls, {})
-
     def items(self) -> ItemsView[int, int]:
         """Read-only (index, coefficient) view; sized and re-iterable."""
         return self._coeffs.items()
@@ -87,9 +83,6 @@ class SparseVector:
 
     def support_size(self) -> int:
         return len(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def min_index(self) -> int | None:
         return min(self._coeffs) if self._coeffs else None
@@ -150,14 +143,12 @@ class TildeElement(SparseVector):
 
     def shift(self, k: int) -> "TildeElement":
         """Translate every basis index by k."""
+        _int(k)
         return _wrap(TildeElement, {j + k: c for j, c in self._coeffs.items()})
-
-    def scale(self, a: int) -> "TildeElement":
-        return TildeElement({j: a * c for j, c in self._coeffs.items()})
 
     def __rmul__(self, other):
         if isinstance(other, int):
-            return self.scale(other)
+            return TildeElement({j: other * c for j, c in self._coeffs.items()})
         return NotImplemented
 
 

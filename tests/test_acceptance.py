@@ -22,9 +22,8 @@ from chebcone.multiset_cone import (
     IntegerMultiset,
 )
 from chebcone.recurrence_engine import (
-    e0_closed,
+    closed_witnesses,
     e0_raw,
-    e1_closed,
     e1_raw,
     leading_extra_term,
 )
@@ -111,8 +110,8 @@ def test_criterion_04_raw_equals_closed_through_depth_four():
                 fn.cache_clear()
         start = time.perf_counter()
         for n in range(5):
-            assert e0_raw(n, 0) == to_tilde(e0_closed(n))
-            assert e1_raw(n, 0) == to_tilde(e1_closed(n))
+            assert e0_raw(n, 0) == to_tilde(closed_witnesses(n)[0])
+            assert e1_raw(n, 0) == to_tilde(closed_witnesses(n)[1])
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0, f"depth-4 computation took {elapsed:.1f}s"
 
@@ -125,18 +124,17 @@ def test_criterion_05_shift_ladder():
             assert e1_raw(n, 1) == e1_raw(n, 0).shift(-1)
             assert e1_raw(n, -1) == e1_raw(n, 0).shift(-1) + e0_raw(n, 0).shift(-2)
         for n in range(4):
-            assert leading_extra_term(n) == TildeElement.zero()
+            assert leading_extra_term(n) == TildeElement()
 
 
 def test_criterion_06_cone_membership_with_certificates():
     with criterion(6, "witness multisets lie in their cones for n <= 4, certificates recompose"):
         for n in range(5):
-            w_lead = e0_closed(n)
+            w_lead, w_pen = closed_witnesses(n)
             center = 2 ** (n + 1)
             assert in_cone(w_lead, center)
             assert decompose_cone(w_lead, center).recompose() == w_lead
 
-            w_pen = e1_closed(n)
             center = 2 ** (n + 1) - 1
             assert in_cone(w_pen, center)
             assert decompose_cone(w_pen, center).recompose() == w_pen
@@ -234,7 +232,7 @@ def test_criterion_09_oracle_agreement():
             assert evaluate(w1(g1, g2, g3)) == evaluate(w0(g1, g2, g3).shift(-1))
 
         for n in range(1, 5):
-            assert e0_closed(n).max_index() == 2 * 3**n
+            assert closed_witnesses(n)[0].max_index() == 2 * 3**n
 
 
 def test_criterion_10_hand_checked_anchors():

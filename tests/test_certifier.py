@@ -1,11 +1,14 @@
 """Unit tests for certificate generation and serialization."""
 
+import ast
+import inspect
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebcone import certifier, cli, suites
 from chebcone.certifier import (
     ConeCertificate,
     PositivityCertificate,
@@ -15,6 +18,7 @@ from chebcone.certifier import (
     document_json,
     positivity_cone_bound,
 )
+from chebcone.multiset_cone import ConeMembershipError
 from chebcone.recurrence_engine import VALID_I, VALID_J, raw_element
 from chebcone.tilde_ring import fold_L
 
@@ -75,8 +79,9 @@ def test_certify_argument_validation():
         certify_positivity(-1, 0, 0)
     with pytest.raises(ValueError):
         certify_positivity(1, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order must be 0 or 1") as info:
         certify_cone(1, 2)
+    assert type(info.value) is ValueError  # an error, not a returned violation
 
 
 def test_positivity_roundtrip():
@@ -152,6 +157,30 @@ def test_implication_verdict_is_false_for_a_broken_listing():
     )
     assert check_positivity_implication(cone_cert, [broken]) is False
     assert check_positivity_implication(cone_cert, pos_certs[1:] + [broken]) is False
+
+
+def test_a_witness_outside_its_cone_is_returned_as_its_violation(monkeypatch):
+    # {2, 4, 6} moved to center 5: mult(2) = 1 but mult(8) = 0
+    real = certifier.cone_center
+    monkeypatch.setattr(certifier, "cone_center",
+                        lambda n, j: real(n, j) + ((n, j) == (1, 0)))
+    cone_cert, pos_certs = certificates(1, 0)
+    assert type(cone_cert) is ConeMembershipError
+    assert (cone_cert.center, cone_cert.offset, cone_cert.detail) == (
+        5, 3, "mult(2)=1 > mult(8)=0")
+    assert len(pos_certs) == 3 and all(pc.all_nonnegative for pc in pos_certs)
+    assert check_positivity_implication(cone_cert, pos_certs) is False
+
+
+def test_no_front_end_catches_a_cone_violation():
+    # certify_cone returns the violation, so the command and the suites
+    # only read it; no except clause of theirs names it
+    for module in (cli, suites):
+        handlers = [node for node in ast.walk(ast.parse(inspect.getsource(module)))
+                    if isinstance(node, ast.ExceptHandler)]
+        assert handlers
+        for handler in handlers:
+            assert handler.type is None or "ConeMembershipError" not in ast.unparse(handler.type)
 
 
 def test_document_key_order_is_stable():

@@ -102,6 +102,17 @@ def usage_error(capsys, *argv):
     return out.out, out.err
 
 
+@pytest.fixture
+def no_depth_built(monkeypatch):
+    """Every route to a family element raises, so a run that builds one fails."""
+    def refuse(*args):
+        raise RuntimeError("a depth was built")
+
+    for name in ("closed_witnesses", "e0_raw", "e1_raw"):
+        monkeypatch.setattr(recurrence_engine, name, refuse)
+    monkeypatch.setattr(certifier, "closed_witnesses", refuse)
+
+
 @pytest.mark.parametrize("argv", [
     ("stats", "--n", "5000"),
     ("certify", "--n", "9", "--out", "{out}"),
@@ -109,18 +120,28 @@ def usage_error(capsys, *argv):
     ("compute", "--n", "9"),
     ("compute", "--n", "5000", "--mode", "closed"),
 ])
-def test_depth_above_the_bound_is_refused_before_any_work(argv, monkeypatch, tmp_path, capsys):
-    def refuse(*args):
-        raise RuntimeError("a depth was built")
-
-    for name in ("closed_witnesses", "e0_raw", "e1_raw"):
-        monkeypatch.setattr(recurrence_engine, name, refuse)
-    monkeypatch.setattr(certifier, "closed_witnesses", refuse)
+def test_depth_above_the_bound_is_refused_before_any_work(argv, no_depth_built, tmp_path, capsys):
     out_dir = tmp_path / "certs"
     out, err = usage_error(capsys, *(a.format(out=out_dir) for a in argv))
     assert out == ""
     assert err.endswith(DEPTH_BOUND_ERROR)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--n", "1"),
+    ("verify", "--suite", "shift", "--n", "1"),
+    ("certify", "--n", "1"),
+    ("stats", "--n", "1"),
+])
+def test_empty_out_is_refused_before_any_work(argv, no_depth_built, monkeypatch, tmp_path, capsys):
+    # certify once wrote to its default directory instead, and the others
+    # failed on the directory "." only after all their work
+    monkeypatch.chdir(tmp_path)
+    out, err = usage_error(capsys, *argv, "--out", "")
+    assert out == ""
+    assert err.endswith("chebcone: error: --out must not be empty\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stats_accepts_the_depth_bound(monkeypatch, capsys):

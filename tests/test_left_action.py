@@ -459,7 +459,7 @@ def test_left_factors_with_a_zero_kernel(terms, routes):
     # the kernel is empty, so the product makes no term pair and loops
     g1 = TildeElement(terms)
     g2 = TildeElement(dict(dense(20, lo=-7)))
-    assert mul(g1, g2) == TildeElement.zero() == ref_mul(g1, g2)
+    assert mul(g1, g2) == TildeElement() == ref_mul(g1, g2)
     assert _kernel(g1) == {} and routes == ["loop"]
 
 
@@ -538,7 +538,7 @@ def test_one_left_factor_at_every_width_and_step_matches_reference(routes):
 def test_one_term_right_factors_take_no_product(routes):
     # 20 x 1 term pairs would be packed, 2 x 1 would take the loop
     many = TildeElement(dict(dense(20, lo=-9)))
-    for g1 in (many, basis(3) - 2 * basis(-2), TildeElement.zero()):
+    for g1 in (many, basis(3) - 2 * basis(-2), TildeElement()):
         for g2 in (3 * basis(5), (-1) * basis(-2), (BIG + 1) * basis(0), 3 * basis(5)):
             assert mul(g1, g2) == ref_mul(g1, g2)
     assert routes == []
@@ -576,7 +576,7 @@ def test_seeded_expansions_of_cone_members_match_reference():
 
 
 def test_empty_operands():
-    zero = TildeElement.zero()
+    zero = TildeElement()
     g = basis(-3) + 2 * basis(4)
     assert mul(zero, g) == zero
     assert mul(g, zero) == zero
@@ -592,10 +592,10 @@ def test_empty_operands():
 
 def test_left_factors_that_fold_to_zero():
     g = basis(-5) + 3 * basis(2) - basis(7)
-    assert mul(basis(-1), g) == TildeElement.zero()
-    assert mul(basis(0) + basis(-2), g) == TildeElement.zero()
-    assert mul(basis(3) + basis(-5), g) == TildeElement.zero()
-    assert (_multiset_kernel(IntegerMultiset([-1, -1])) + IntegerMultiset([4])).is_zero()
+    assert mul(basis(-1), g) == TildeElement()
+    assert mul(basis(0) + basis(-2), g) == TildeElement()
+    assert mul(basis(3) + basis(-5), g) == TildeElement()
+    assert not _multiset_kernel(IntegerMultiset([-1, -1])) + IntegerMultiset([4])
 
 
 def test_identity_and_mixed_parity():
@@ -692,7 +692,7 @@ def test_interior_cancellation_drops_every_zero():
     assert _product(dict(dense(n, coeff=lambda k: 1)), {0: 1, 1: -1}) == {0: 1, n: -1}
     # a left factor whose fold cancels term by term acts as zero
     g1 = TildeElement({i: 1 for i in range(40)}) + TildeElement({-i - 2: 1 for i in range(40)})
-    assert mul(g1, TildeElement(dict(dense(60)))) == TildeElement.zero()
+    assert mul(g1, TildeElement(dict(dense(60)))) == TildeElement()
 
 
 def test_all_negative_operands(routes):

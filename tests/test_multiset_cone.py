@@ -237,7 +237,7 @@ def test_fold_of_cone_member_is_nonnegative():
 
 def test_to_tilde():
     assert to_tilde(ms(2, 4, 6)) == basis(2) + basis(4) + basis(6)
-    assert to_tilde(IntegerMultiset()) == TildeElement.zero()
+    assert to_tilde(IntegerMultiset()) == TildeElement()
     assert to_tilde(ms(0, 0)) == 2 * basis(0)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from chebcone.certifier import ConeCertificate, certify_cone, certify_positivity
 from chebcone.multiset_cone import ConeDecomposition, decompose_cone
-from chebcone.recurrence_engine import e0_closed, growth_stats
+from chebcone.recurrence_engine import closed_witnesses, growth_stats
 from chebcone.suites import CheckResult
 
 RECORDS = {
@@ -23,7 +23,7 @@ RECORDS = {
         "GrowthRow(n=1, j=0, support_size=3, min_index=2, max_index=6, mass=3)",
     ),
     "ConeDecomposition": (
-        lambda: decompose_cone(e0_closed(1), 4),
+        lambda: decompose_cone(closed_witnesses(1)[0], 4),
         "ConeDecomposition(center=4, singletons=(), radii=((2, 1),))",
     ),
     "PositivityCertificate": (

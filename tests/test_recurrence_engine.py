@@ -24,9 +24,7 @@ from chebcone.recurrence_engine import (
     closed_step,
     closed_witnesses,
     cone_center,
-    e0_closed,
     e0_raw,
-    e1_closed,
     e1_raw,
     growth_stats,
     leading_extra_term,
@@ -47,8 +45,8 @@ def test_leading_base_cases():
 
 
 def test_penultimate_base_cases():
-    assert e1_raw(0, 0) == TildeElement.zero()
-    assert e1_raw(0, 1) == TildeElement.zero()
+    assert e1_raw(0, 0) == TildeElement()
+    assert e1_raw(0, 1) == TildeElement()
     assert e1_raw(0, -1) == basis(0)
 
 
@@ -91,26 +89,23 @@ def test_invalid_arguments():
 
 
 def test_closed_witnesses_small():
-    assert e0_closed(0) == ms(2)
-    assert e0_closed(1) == ms(2, 4, 6)
-    assert e1_closed(0) == IntegerMultiset()
-    assert e1_closed(1) == ms(1, 3, 5)
+    assert closed_witnesses(0) == (ms(2), IntegerMultiset())
+    assert closed_witnesses(1) == (ms(2, 4, 6), ms(1, 3, 5))
 
 
 def test_closed_witness_depth_two():
-    m0 = e0_closed(2)
+    m0, m1 = closed_witnesses(2)
     assert m0.max_index() == 18
     assert in_cone(m0, 8)
     assert to_tilde(m0) == e0_raw(2, 0)
-    m1 = e1_closed(2)
     assert in_cone(m1, 7)
     assert to_tilde(m1) == e1_raw(2, 0)
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_raw_equals_closed(n):
-    assert e0_raw(n, 0) == to_tilde(e0_closed(n))
-    assert e1_raw(n, 0) == to_tilde(e1_closed(n))
+    assert e0_raw(n, 0) == to_tilde(closed_witnesses(n)[0])
+    assert e1_raw(n, 0) == to_tilde(closed_witnesses(n)[1])
 
 
 def ref_step(m0, m1):
@@ -134,7 +129,7 @@ def ref_closed(n):
 
 @pytest.mark.parametrize("n", range(7))
 def test_closed_witnesses_match_the_three_term_expansion(n):
-    assert (e0_closed(n), e1_closed(n)) == closed_witnesses(n) == ref_closed(n)
+    assert closed_witnesses(n) == ref_closed(n)
     # the step alone, from the reference's previous depth
     assert n == 0 or closed_step(*ref_closed(n - 1)) == ref_closed(n)
 
@@ -238,7 +233,7 @@ def test_closed_route_folds_each_witness_once_per_depth(monkeypatch):
 def test_leading_witness_laws(n):
     # symmetric about its center, dense on one parity from
     # 2^(n+2) - 2*3^n to 2*3^n, one singleton at the center except at n = 1
-    m, c = e0_closed(n), cone_center(n, 0)
+    m, c = closed_witnesses(n)[0], cone_center(n, 0)
     counts = dict(m.items())
     assert {2 * c - x: k for x, k in counts.items()} == counts
     assert sorted(counts) == list(range(2 ** (n + 2) - 2 * 3**n, 2 * 3**n + 1, 2))
@@ -249,9 +244,9 @@ def test_leading_witness_laws(n):
 def test_depth_six_raw_equals_closed_and_max_index_law():
     # depth 6 is the first depth at which certify and verify are routine;
     # nearly all of its product work takes the packed big-int path
-    assert e0_raw(6, 0) == to_tilde(e0_closed(6))
-    assert e1_raw(6, 0) == to_tilde(e1_closed(6))
-    assert e0_closed(6).max_index() == 2 * 3**6 == 1458
+    assert e0_raw(6, 0) == to_tilde(closed_witnesses(6)[0])
+    assert e1_raw(6, 0) == to_tilde(closed_witnesses(6)[1])
+    assert closed_witnesses(6)[0].max_index() == 2 * 3**6 == 1458
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -264,7 +259,7 @@ def test_shift_ladder(n):
 
 @pytest.mark.parametrize("n", range(6))
 def test_extra_term_vanishes(n):
-    assert leading_extra_term(n) == TildeElement.zero()
+    assert leading_extra_term(n) == TildeElement()
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -308,7 +303,7 @@ def test_structural_suites_small():
 def test_structural_suites_depth_zero():
     assert all(r.passed for r in structure_records(0))
     # the empty witness is vacuously a member at its asserted center
-    assert in_cone(e1_closed(0), cone_center(0, 1))
+    assert in_cone(closed_witnesses(0)[1], cone_center(0, 1))
 
 
 def test_shift_suite_forms_each_extra_term_once():
@@ -379,7 +374,7 @@ def test_growth_stats():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_max_index_law(n):
-    assert e0_closed(n).max_index() == 2 * 3**n
+    assert closed_witnesses(n)[0].max_index() == 2 * 3**n
 
 
 def test_mass_growth_exceeds_machine_range_by_depth_four():
