@@ -3,13 +3,17 @@
 Two document kinds are produced: a positivity certificate listing every
 folded coefficient of a family element together with a sign verdict,
 and a cone certificate carrying the interval/singleton decomposition of
-a closed-form witness plus a recomposition verdict.  certify_cone returns
-a witness outside its cone as its ConeMembershipError, a verdict that
+a closed-form witness plus a recomposition verdict.  A record stores only
+what it certifies; every value read off that (the verdict, mass, max
+index and cone bound of a listing, the center of a decomposition) is a
+property, so no record can contradict itself.  certify_cone returns a
+witness outside its cone as its ConeMembershipError, a verdict that
 check_positivity_implication reads as False.  Records hold ints; documents
 carry them as decimal strings, as depth 4 values exceed 64-bit range,
 written by the one encoder encode_listing and parsed once by _listing.
 Key order in emitted documents is fixed so that regenerated suites diff
-cleanly.
+cleanly, and a document holding any key its to_document does not write
+is rejected.
 """
 
 from __future__ import annotations
@@ -22,6 +26,14 @@ from .recurrence_engine import _check_indices, closed_element, closed_witnesses,
 from .tilde_ring import fold_L
 
 SCHEMA_VERSION = 1
+
+# the keys each kind's to_document writes, in its order
+DOCUMENT_KEYS = {
+    "positivity": ("schema_version", "kind", "n", "i", "j", "cone_bound", "coefficients",
+                   "all_nonnegative", "max_index", "mass"),
+    "cone": ("schema_version", "kind", "n", "j", "center", "singletons", "radii",
+             "recomposition_ok"),
+}
 
 
 def positivity_cone_bound(n: int, i: int, j: int) -> int:
@@ -44,7 +56,8 @@ def _field(doc: dict, key: str):
 
 def _int_fields(doc: dict, kind: str, *keys: str) -> list[int]:
     """The named fields of a current-schema document of the given kind, each
-    of which must be a plain int."""
+    of which must be a plain int; the document may hold no key outside
+    DOCUMENT_KEYS[kind]."""
     if type(doc) is not dict:
         raise ValueError(f"a certificate document is a JSON object, got {type(doc).__name__}")
     if doc.get("kind") != kind:
@@ -52,6 +65,9 @@ def _int_fields(doc: dict, kind: str, *keys: str) -> list[int]:
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version!r}")
+    for key in doc:
+        if key not in DOCUMENT_KEYS[kind]:
+            raise ValueError(f"unknown field {key!r} in a {kind} document")
     values = [_field(doc, key) for key in keys]
     for key, value in zip(keys, values):
         if type(value) is not int:
@@ -82,27 +98,41 @@ def _listing(doc: dict, key: str) -> tuple[tuple[int, int], ...]:
 
 
 class PositivityCertificate(NamedTuple):
-    """Folded coefficient listing with a sign verdict.
+    """Folded coefficient listing of the (n, i, j) element.
 
-    `coefficients` holds (index, int) pairs sorted by index, from which
-    from_listing alone derives the verdict, max index and `mass` (their
-    sum); `cone_bound` records the cone center that explains why the
-    verdict had to come out non-negative.  from_document rejects a
-    document with a depth, slot or order out of range, a listing that is
-    not canonical, a cone_bound other than positivity_cone_bound(n, i, j),
-    or a verdict, mass or max_index that disagrees with its own listing or
-    is not of its type.  Every malformed document, a missing field or a
-    non-object included, raises ValueError.
+    `coefficients` holds (index, int) pairs sorted by index, and is all
+    the record stores besides (n, i, j).  The sign verdict, the max index
+    and `mass` (the coefficient sum) are properties read off the listing,
+    and `cone_bound`, the cone center that explains why the verdict had to
+    come out non-negative, is positivity_cone_bound(n, i, j).
+    from_document rejects a document with a depth, slot or order out of
+    range, a listing that is not canonical, a cone_bound other than
+    positivity_cone_bound(n, i, j), a verdict, mass or max_index that
+    disagrees with its own listing or is not of its type, or a key that
+    to_document does not write.  Every malformed document, a missing
+    field or a non-object included, raises ValueError.
     """
 
     n: int
     i: int
     j: int
     coefficients: tuple[tuple[int, int], ...]
-    all_nonnegative: bool
-    max_index: int | None
-    mass: int
-    cone_bound: int
+
+    @property
+    def all_nonnegative(self) -> bool:
+        return all(c >= 0 for _, c in self.coefficients)
+
+    @property
+    def max_index(self) -> int | None:
+        return max((idx for idx, _ in self.coefficients), default=None)
+
+    @property
+    def mass(self) -> int:
+        return sum(c for _, c in self.coefficients)
+
+    @property
+    def cone_bound(self) -> int:
+        return positivity_cone_bound(self.n, self.i, self.j)
 
     def to_document(self) -> dict:
         return {
@@ -119,16 +149,6 @@ class PositivityCertificate(NamedTuple):
         }
 
     @classmethod
-    def from_listing(
-        cls, n: int, i: int, j: int, coefficients: tuple[tuple[int, int], ...], cone_bound: int
-    ) -> "PositivityCertificate":
-        """Certificate whose verdict, mass and max index are read off the listing."""
-        return cls(n=n, i=i, j=j, coefficients=coefficients,
-                   all_nonnegative=all(c >= 0 for _, c in coefficients),
-                   max_index=max((idx for idx, _ in coefficients), default=None),
-                   mass=sum(c for _, c in coefficients), cone_bound=cone_bound)
-
-    @classmethod
     def from_document(cls, doc: dict) -> "PositivityCertificate":
         n, i, j, bound = _int_fields(doc, "positivity", "n", "i", "j", "cone_bound")
         _check_indices(n, i, j)
@@ -138,7 +158,7 @@ class PositivityCertificate(NamedTuple):
         coefficients = _listing(doc, "coefficients")
         if 0 in dict(coefficients).values() or (coefficients and coefficients[0][0] < 0):
             raise ValueError("coefficients listing holds a zero or a negative index")
-        cert = cls.from_listing(n, i, j, coefficients, bound)
+        cert = cls(n, i, j, coefficients)
         derived = cert.to_document()
         for key in ("all_nonnegative", "max_index", "mass"):
             value, stated = derived[key], _field(doc, key)
@@ -155,28 +175,32 @@ def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
     closed/ checks, and slots 1 and -1, which shift_ladder moves the
     witnesses to, by its shift/ checks; nothing here re-checks either.
     """
-    return PositivityCertificate.from_listing(
-        n, i, j, tuple(fold_L(closed_element(n, i, j)).terms()), positivity_cone_bound(n, i, j)
-    )
+    return PositivityCertificate(n, i, j, tuple(fold_L(closed_element(n, i, j)).terms()))
 
 
 class ConeCertificate(NamedTuple):
     """Cone membership certificate for a closed-form witness.
 
-    The decomposition stores (value, count) and (radius, count) pairs;
-    recomposition_ok is True iff rebuilding from the parts reproduces
-    the witness multiset exactly.  from_document rejects a document with
-    a depth or order out of range, a center other than 2^(n+1) - j, parts
-    that are not canonical or that break the center and radius
-    constraints, or a recomposition_ok that is not a bool; as for
-    positivity, every malformed document raises ValueError.
+    The decomposition stores (value, count) and (radius, count) pairs
+    about its center, which `center` reads; recomposition_ok is True iff
+    rebuilding from the parts reproduces the witness multiset exactly.
+    It is stored, as the record does not hold the witness it was checked
+    against.  from_document rejects a document with a depth or order out
+    of range, a center other than 2^(n+1) - j, parts that are not
+    canonical or that break the center and radius constraints, a
+    recomposition_ok that is not a bool, or a key that to_document does
+    not write; as for positivity, every malformed document raises
+    ValueError.
     """
 
     n: int
     j: int
-    center: int
     decomposition: ConeDecomposition
     recomposition_ok: bool
+
+    @property
+    def center(self) -> int:
+        return self.decomposition.center
 
     def to_document(self) -> dict:
         return {
@@ -205,7 +229,7 @@ class ConeCertificate(NamedTuple):
         ok = _field(doc, "recomposition_ok")
         if type(ok) is not bool:
             raise ValueError(f"recomposition_ok must be a bool, got {ok!r}")
-        return cls(n=n, j=j, center=center, decomposition=decomposition, recomposition_ok=ok)
+        return cls(n, j, decomposition, ok)
 
 
 def certify_cone(n: int, j: int) -> ConeCertificate | ConeMembershipError:
@@ -213,13 +237,11 @@ def certify_cone(n: int, j: int) -> ConeCertificate | ConeMembershipError:
     a witness outside its cone gives its violation, a ConeMembershipError."""
     _check_indices(n, 0, j)
     witness = closed_witnesses(n)[j]
-    center = cone_center(n, j)
     try:
-        decomposition = decompose_cone(witness, center)
+        decomposition = decompose_cone(witness, cone_center(n, j))
     except ConeMembershipError as violation:
         return violation
-    return ConeCertificate(n=n, j=j, center=center, decomposition=decomposition,
-                           recomposition_ok=decomposition.recompose() == witness)
+    return ConeCertificate(n, j, decomposition, decomposition.recompose() == witness)
 
 
 def check_positivity_implication(
@@ -227,14 +249,17 @@ def check_positivity_implication(
 ) -> bool:
     """A valid cone certificate at center >= 0 forces every positivity verdict.
 
-    Let M lie in R(c) with c >= 0, and let i >= 0; the folded coefficient
-    at i is m(i) - m(-i-2).  Below c, M has no singleton, and its
-    intervals, all centered at c, make m rise toward c on each parity.
-    If i <= c, that gives m(-i-2) <= m(i).  If i > c, it gives
-    m(-i-2) <= m(2c-i), and the intervals' symmetry about c gives
-    m(2c-i) <= m(i).  The other slots are M shifted by -1, plus the
-    leading witness shifted by -2 at j = 1, slot -1: both lie in R(c - 1)
-    (positivity_cone_bound), and c - 1 >= 0 as every center is >= 1.
+    Let M lie in R(c) with c >= -1, and let i >= 0; the folded
+    coefficient at i is m(i) - m(-i-2).  Below c, M has no singleton, and
+    its intervals, all centered at c, make m rise toward c on each parity.
+    If i <= c, that gives m(-i-2) <= m(i).  If i > c, then
+    -i-2 <= 2c-i < c, as c >= -1, so it gives m(-i-2) <= m(2c-i), and the
+    intervals' symmetry about c gives m(2c-i) <= m(i).  At c = -1 the
+    points -i-2 and i are mirror images about -1.  Below -1 the lemma
+    fails: interval(-3, -1), in R(-2), folds to -h[1].  The other slots
+    are M shifted by -1, plus the leading witness shifted by -2 at j = 1,
+    slot -1: both lie in R(c - 1) (positivity_cone_bound), and
+    c - 1 >= -1 as c >= 0.
 
     Returns True iff the cone certificate recomposes at a center >= 0 and
     every positivity verdict holds.  False means the cone route failed, a

@@ -142,7 +142,27 @@ def closed_step(m0: IntegerMultiset,
 @lru_cache(maxsize=None)
 def closed_witnesses(n: int) -> tuple[IntegerMultiset, IntegerMultiset]:
     """The depth-n witnesses of the slot-0 elements, indexed by order j:
-    to_tilde of each is that element, and it lies in R(cone_center(n, j))."""
+    to_tilde of each is that element, and it lies in R(cone_center(n, j)).
+
+    The leading witness L_n has a closed form.  Read a multiset g as
+    g(x) = sum of mult(v)*x^v, and let U_m = x^-m + x^(-m+2) + ... + x^m,
+    the interval [-m, m].
+
+    1. A palindrome g about c >= 0 has g(1/x) = x^(-2c)*g(x), so its
+       shift kernel K_g = (x*g(x) - g(1/x)/x) / (x - 1/x) is x^(-c)*U_c*g.
+    2. L_0 = x^2 is a palindrome about 2.  If L_n is one about
+       c = 2^(n+1), closed_step gives L_(n+1) = K_(L_n)*L_n^2 =
+       x^(-c)*U_c*L_n^3, a palindrome about 2c = 2^(n+2).  So
+           L_n = x^(2^(n+1)) * prod_(k=1..n) U_(2^k)^(3^(n-k)).
+       Each U_m is dense on one parity with m + 1 terms, so L_n has
+       support 2*3^n - 2^(n+1) + 1 and mass (its value at x = 1)
+       prod_(k=1..n) (2^k + 1)^(3^(n-k)).
+    3. x^(2^(n+1)) is a singleton at the center of R(2^(n+1)), each U_m
+       lies in R(0), and a sumset of members of R(a) and R(b) lies in
+       R(a + b) (the cone-sum lemma, multiset/cone-sum).  So L_n lies in
+       R(cone_center(n, 0)) at every depth, and the leading family folds
+       to non-negative coefficients (check_positivity_implication).
+    """
     _check_indices(n, 0, 0)
     if n == 0:
         return IntegerMultiset([2]), IntegerMultiset()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chebcone import certifier, cli, suites
 from chebcone.certifier import (
+    DOCUMENT_KEYS,
     ConeCertificate,
     PositivityCertificate,
     certify_cone,
@@ -145,16 +146,8 @@ def test_implication_verdict_holds_on_every_certified_pair():
 
 def test_implication_verdict_is_false_for_a_broken_listing():
     cone_cert, pos_certs = certificates(1, 0)
-    broken = PositivityCertificate(
-        n=1,
-        i=0,
-        j=0,
-        coefficients=((2, -1),),
-        all_nonnegative=False,
-        max_index=2,
-        mass=-1,
-        cone_bound=4,
-    )
+    broken = PositivityCertificate(1, 0, 0, ((2, -1),))
+    assert not broken.all_nonnegative
     assert check_positivity_implication(cone_cert, [broken]) is False
     assert check_positivity_implication(cone_cert, pos_certs[1:] + [broken]) is False
 
@@ -198,6 +191,22 @@ def test_document_key_order_is_stable():
         "mass",
     ]
     assert document_json(doc) == document_json(certify_positivity(1, 0, 0).to_document())
+    # from_document accepts exactly the keys to_document writes
+    assert tuple(doc) == DOCUMENT_KEYS["positivity"]
+    assert tuple(certify_cone(1, 1).to_document()) == DOCUMENT_KEYS["cone"]
+
+
+@pytest.mark.parametrize("cls,doc,key", [
+    (PositivityCertificate, certify_positivity(1, 0, 0).to_document(), "verified"),
+    (ConeCertificate, certify_cone(1, 1).to_document(), "note"),
+])
+def test_from_document_rejects_an_unknown_key(cls, doc, key):
+    assert cls.from_document(doc).to_document() == doc
+    with pytest.raises(ValueError, match=f"unknown field '{key}'"):
+        cls.from_document({**doc, key: True})
+    # the kind and schema checks come first
+    with pytest.raises(ValueError, match="unsupported schema version 2"):
+        cls.from_document({**doc, key: True, "schema_version": 2})
 
 
 def _positivity_doc():
@@ -375,14 +384,12 @@ def test_every_certified_document_passes_its_own_checks():
 
 def test_positivity_certificate_is_the_listing_of_the_raw_fold():
     # certify_positivity reads the closed route; it must be the certificate
-    # from_listing derives from the fold of the raw recurrence's element
+    # of the fold of the raw recurrence's element
     for n in range(6):
         for i in VALID_I:
             for j in VALID_J:
                 listing = tuple(fold_L(raw_element(n, i, j)).terms())
-                assert certify_positivity(n, i, j) == PositivityCertificate.from_listing(
-                    n, i, j, listing, positivity_cone_bound(n, i, j)
-                )
+                assert certify_positivity(n, i, j) == PositivityCertificate(n, i, j, listing)
 
 
 def reference_json(doc: dict) -> str:
@@ -401,9 +408,7 @@ def test_document_json_matches_the_reference_on_every_certified_document():
 def test_document_json_matches_the_reference_on_edge_documents():
     vacuous = certify_positivity(0, 0, 1).to_document()
     assert vacuous["coefficients"] == [] and vacuous["max_index"] is None
-    negative = PositivityCertificate.from_listing(
-        1, 0, 0, ((2, -1), (4, -(2**100)), (6, 3)), 4
-    ).to_document()
+    negative = PositivityCertificate(1, 0, 0, ((2, -1), (4, -(2**100)), (6, 3))).to_document()
     empty_parts = certify_cone(0, 1).to_document()
     assert empty_parts["singletons"] == [] and empty_parts["radii"] == []
     for doc in (vacuous, negative, empty_parts):
@@ -433,7 +438,7 @@ int_listings = st.dictionaries(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(int_listings)
 def test_positivity_listing_round_trips_through_its_document(listing):
-    pc = PositivityCertificate.from_listing(1, 0, 0, listing, positivity_cone_bound(1, 0, 0))
+    pc = PositivityCertificate(1, 0, 0, listing)
     doc = pc.to_document()
     assert document_json(doc) == reference_json(doc)
     assert PositivityCertificate.from_document(json.loads(document_json(doc))) == pc

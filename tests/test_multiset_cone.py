@@ -235,6 +235,20 @@ def test_fold_of_cone_member_is_nonnegative():
             assert m.coeff(i) >= m.coeff(-i - 2)
 
 
+def test_fold_of_a_member_of_r_minus_one_is_nonnegative():
+    # from c = -1 on, the points -i-2 and i are mirror images about -1
+    rng = random.Random(16)
+    for _ in range(100):
+        m = random_cone_member(rng, -1)
+        assert fold_L(to_tilde(m)).all_nonnegative()
+
+
+def test_fold_positivity_bound_is_tight():
+    m = interval(-3, -1)
+    assert in_cone(m, -2)
+    assert fold_L(to_tilde(m)).terms() == [(1, -1)]
+
+
 def test_to_tilde():
     assert to_tilde(ms(2, 4, 6)) == basis(2) + basis(4) + basis(6)
     assert to_tilde(IntegerMultiset()) == TildeElement()

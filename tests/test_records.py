@@ -1,14 +1,22 @@
 """Record semantics: every result and certificate record is an immutable
 value with a fixed repr.
 
-The pinned repr strings are the text the same records printed when they
-were frozen dataclasses; equal records compare and hash equal, and no
-field can be assigned.
+The pinned repr strings show each record's stored fields; equal records
+compare and hash equal, and no field, nor any value a certificate reads
+off its fields, can be assigned or passed to the constructor.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chebcone.certifier import ConeCertificate, certify_cone, certify_positivity
+from chebcone.certifier import (
+    ConeCertificate,
+    PositivityCertificate,
+    certify_cone,
+    certify_positivity,
+    positivity_cone_bound,
+)
 from chebcone.multiset_cone import ConeDecomposition, decompose_cone
 from chebcone.recurrence_engine import closed_witnesses, growth_stats
 from chebcone.suites import CheckResult
@@ -28,14 +36,19 @@ RECORDS = {
     ),
     "PositivityCertificate": (
         lambda: certify_positivity(1, 0, 0),
-        "PositivityCertificate(n=1, i=0, j=0, coefficients=((2, 1), (4, 1), "
-        "(6, 1)), all_nonnegative=True, max_index=6, mass=3, cone_bound=4)",
+        "PositivityCertificate(n=1, i=0, j=0, coefficients=((2, 1), (4, 1), (6, 1)))",
     ),
     "ConeCertificate": (
         lambda: certify_cone(1, 1),
-        "ConeCertificate(n=1, j=1, center=3, decomposition=ConeDecomposition("
+        "ConeCertificate(n=1, j=1, decomposition=ConeDecomposition("
         "center=3, singletons=(), radii=((2, 1),)), recomposition_ok=True)",
     ),
+}
+
+# the values each certificate reads off its stored fields
+DERIVED = {
+    "PositivityCertificate": ("all_nonnegative", "max_index", "mass", "cone_bound"),
+    "ConeCertificate": ("center",),
 }
 
 
@@ -64,11 +77,43 @@ def test_equal_records_compare_and_hash_equal(name):
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_fields_cannot_be_assigned(name):
     record = RECORDS[name][0]()
-    for field in record._fields:
+    for field in record._fields + DERIVED.get(name, ()):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+def test_certificates_store_only_what_they_certify():
+    assert PositivityCertificate._fields == ("n", "i", "j", "coefficients")
+    assert ConeCertificate._fields == ("n", "j", "decomposition", "recomposition_ok")
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_a_derived_value_cannot_be_passed_to_the_constructor(name):
+    # a record whose stored verdict contradicts its listing cannot be built
+    record = RECORDS[name][0]()
+    for key in DERIVED[name]:
+        with pytest.raises(TypeError, match=key):
+            type(record)(**record._asdict(), **{key: getattr(record, key)})
+    with pytest.raises(TypeError, match="all_nonnegative"):
+        PositivityCertificate(1, 0, 0, ((2, -1),), all_nonnegative=True)
+
+
+canonical_listings = st.dictionaries(
+    st.integers(0, 2**70), st.integers(-(2**200), 2**200).filter(bool), max_size=6
+).map(lambda terms: tuple(sorted(terms.items())))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(canonical_listings, st.integers(0, 8), st.sampled_from((-1, 0, 1)), st.sampled_from((0, 1)))
+def test_positivity_properties_are_read_off_the_listing(listing, n, i, j):
+    pc = PositivityCertificate(n, i, j, listing)
+    values = [c for _, c in listing]
+    assert pc.all_nonnegative is all(c >= 0 for c in values)
+    assert pc.max_index == max((idx for idx, _ in listing), default=None)
+    assert pc.mass == sum(values)
+    assert pc.cone_bound == positivity_cone_bound(n, i, j)
 
 
 # case -> (singletons, radii) about center 3; the case names are the

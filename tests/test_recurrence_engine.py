@@ -1,7 +1,8 @@
 """Unit tests for the coefficient-family recurrences and witnesses."""
 
 import json
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from chebcone.certifier import ConeCertificate
 from chebcone.cli import main
+from chebcone.laurent_oracle import LaurentPoly, eval_basis, lmul
 from chebcone.multiset_cone import (
     ConeDecomposition,
     IntegerMultiset,
@@ -229,6 +231,12 @@ def test_closed_route_folds_each_witness_once_per_depth(monkeypatch):
     assert counts == {"runs": 6, "products": 30}
 
 
+def leading_product(n):
+    """x^(2^(n+1)) * prod_(k=1..n) U_(2^k)^(3^(n-k)), by naive convolution."""
+    factors = [eval_basis(2**k) for k in range(1, n + 1) for _ in range(3 ** (n - k))]
+    return reduce(lmul, factors, LaurentPoly({2 ** (n + 1): 1}))
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_leading_witness_laws(n):
     # symmetric about its center, dense on one parity from
@@ -239,6 +247,18 @@ def test_leading_witness_laws(n):
     assert sorted(counts) == list(range(2 ** (n + 2) - 2 * 3**n, 2 * 3**n + 1, 2))
     singletons = decompose_cone(m, c).singletons
     assert [v for v, _ in singletons] == ([] if n == 1 else [c])
+    # the closed form of closed_witnesses' docstring, and its support and mass
+    row = growth_stats(n)[0]
+    assert row.support_size == 2 * 3**n - 2 ** (n + 1) + 1
+    assert row.mass == prod((2**k + 1) ** (3 ** (n - k)) for k in range(1, n + 1))
+    assert LaurentPoly(counts) == leading_product(n)
+
+
+def test_a_changed_leading_witness_fails_the_product_formula():
+    counts = dict(closed_witnesses(3)[0].items())
+    for x in (min(counts), cone_center(3, 0), max(counts)):
+        changed = {**counts, x: counts[x] + 1}
+        assert LaurentPoly(changed) != leading_product(3)
 
 
 def test_depth_six_raw_equals_closed_and_max_index_law():
