@@ -12,8 +12,8 @@ check_positivity_implication reads as False.  Records hold ints; documents
 carry them as decimal strings, as depth 4 values exceed 64-bit range,
 written by the one encoder encode_listing and parsed once by _listing.
 Key order in emitted documents is fixed so that regenerated suites diff
-cleanly, and a document holding any key its to_document does not write
-is rejected.
+cleanly, and a document is read back only if it is exactly what the
+record built from it writes (_as_written).
 """
 
 from __future__ import annotations
@@ -22,18 +22,10 @@ import json
 from typing import Iterable, NamedTuple
 
 from .multiset_cone import ConeDecomposition, ConeMembershipError, decompose_cone
-from .recurrence_engine import _check_indices, closed_element, closed_witnesses, cone_center
+from .recurrence_engine import VALID_I, _check_indices, closed_element, closed_witnesses, cone_center
 from .tilde_ring import fold_L
 
 SCHEMA_VERSION = 1
-
-# the keys each kind's to_document writes, in its order
-DOCUMENT_KEYS = {
-    "positivity": ("schema_version", "kind", "n", "i", "j", "cone_bound", "coefficients",
-                   "all_nonnegative", "max_index", "mass"),
-    "cone": ("schema_version", "kind", "n", "j", "center", "singletons", "radii",
-             "recomposition_ok"),
-}
 
 
 def positivity_cone_bound(n: int, i: int, j: int) -> int:
@@ -56,8 +48,7 @@ def _field(doc: dict, key: str):
 
 def _int_fields(doc: dict, kind: str, *keys: str) -> list[int]:
     """The named fields of a current-schema document of the given kind, each
-    of which must be a plain int; the document may hold no key outside
-    DOCUMENT_KEYS[kind]."""
+    of which must be a plain int.  Other keys are left to _as_written."""
     if type(doc) is not dict:
         raise ValueError(f"a certificate document is a JSON object, got {type(doc).__name__}")
     if doc.get("kind") != kind:
@@ -65,14 +56,26 @@ def _int_fields(doc: dict, kind: str, *keys: str) -> list[int]:
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version!r}")
-    for key in doc:
-        if key not in DOCUMENT_KEYS[kind]:
-            raise ValueError(f"unknown field {key!r} in a {kind} document")
     values = [_field(doc, key) for key in keys]
     for key, value in zip(keys, values):
         if type(value) is not int:
             raise ValueError(f"{key} must be an integer, got {value!r}")
     return values
+
+
+def _as_written(doc: dict, record):
+    """record, if doc is exactly what record.to_document() writes: no key
+    more or less, and every value of the same type and equal.  The error
+    names the key, never its value, which may be a whole listing."""
+    written = record.to_document()
+    for key in doc:
+        if key not in written:
+            raise ValueError(f"unknown field {key!r} in a {written['kind']} document")
+    for key, value in written.items():
+        stated = _field(doc, key)
+        if type(stated) is not type(value) or stated != value:
+            raise ValueError(f"{key} is not what the record read from this document writes")
+    return record
 
 
 def encode_listing(pairs: Iterable[tuple[int, int]]) -> list[list]:
@@ -106,11 +109,11 @@ class PositivityCertificate(NamedTuple):
     and `cone_bound`, the cone center that explains why the verdict had to
     come out non-negative, is positivity_cone_bound(n, i, j).
     from_document rejects a document with a depth, slot or order out of
-    range, a listing that is not canonical, a cone_bound other than
-    positivity_cone_bound(n, i, j), a verdict, mass or max_index that
-    disagrees with its own listing or is not of its type, or a key that
-    to_document does not write.  Every malformed document, a missing
-    field or a non-object included, raises ValueError.
+    range, a listing that is not canonical, or a key or value other than
+    what its record writes, such as a cone_bound, verdict, mass or
+    max_index that disagrees with it or is not of its type.  Every
+    malformed document, a missing field or a non-object included, raises
+    ValueError.
     """
 
     n: int
@@ -152,19 +155,13 @@ class PositivityCertificate(NamedTuple):
     def from_document(cls, doc: dict) -> "PositivityCertificate":
         n, i, j, bound = _int_fields(doc, "positivity", "n", "i", "j", "cone_bound")
         _check_indices(n, i, j)
-        # bits first, so that a document with a huge n never builds 2^(n+1)
-        if bound.bit_length() < n or bound != positivity_cone_bound(n, i, j):
+        # so that a document with a huge n never builds 2^(n+1)
+        if bound.bit_length() < n:
             raise ValueError(f"cone_bound {bound} is not the bound of ({n}, {i}, {j})")
         coefficients = _listing(doc, "coefficients")
         if 0 in dict(coefficients).values() or (coefficients and coefficients[0][0] < 0):
             raise ValueError("coefficients listing holds a zero or a negative index")
-        cert = cls(n, i, j, coefficients)
-        derived = cert.to_document()
-        for key in ("all_nonnegative", "max_index", "mass"):
-            value, stated = derived[key], _field(doc, key)
-            if type(stated) is not type(value) or stated != value:
-                raise ValueError(f"{key} {stated!r} disagrees with the coefficient listing")
-        return cert
+        return _as_written(doc, cls(n, i, j, coefficients))
 
 
 def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
@@ -185,11 +182,11 @@ class ConeCertificate(NamedTuple):
     about its center, which `center` reads; recomposition_ok is True iff
     rebuilding from the parts reproduces the witness multiset exactly.
     It is stored, as the record does not hold the witness it was checked
-    against.  from_document rejects a document with a depth or order out
-    of range, a center other than 2^(n+1) - j, parts that are not
-    canonical or that break the center and radius constraints, a
-    recomposition_ok that is not a bool, or a key that to_document does
-    not write; as for positivity, every malformed document raises
+    against.  to_document refuses a center other than 2^(n+1) - j, so
+    from_document rejects one too, as well as a depth or order out of
+    range, parts that are not canonical or break the center and radius
+    constraints, a recomposition_ok that is not a bool, or a key or value
+    other than what its record writes; every malformed document raises
     ValueError.
     """
 
@@ -203,6 +200,9 @@ class ConeCertificate(NamedTuple):
         return self.decomposition.center
 
     def to_document(self) -> dict:
+        n, j, center = self.n, self.j, self.center
+        if center.bit_length() < n or center != cone_center(n, j):  # a huge n builds no 2^(n+1)
+            raise ValueError(f"center {center} is not 2^{n + 1} - {j}")
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "cone",
@@ -218,9 +218,6 @@ class ConeCertificate(NamedTuple):
     def from_document(cls, doc: dict) -> "ConeCertificate":
         n, j, center = _int_fields(doc, "cone", "n", "j", "center")
         _check_indices(n, 0, j)
-        # bits first, as for cone_bound
-        if center.bit_length() < n or center != cone_center(n, j):
-            raise ValueError(f"center {center} is not 2^{n + 1} - {j}")
         decomposition = ConeDecomposition(
             center=center,
             singletons=_listing(doc, "singletons"),
@@ -229,7 +226,7 @@ class ConeCertificate(NamedTuple):
         ok = _field(doc, "recomposition_ok")
         if type(ok) is not bool:
             raise ValueError(f"recomposition_ok must be a bool, got {ok!r}")
-        return cls(n, j, decomposition, ok)
+        return _as_written(doc, cls(n, j, decomposition, ok))
 
 
 def certify_cone(n: int, j: int) -> ConeCertificate | ConeMembershipError:
@@ -247,7 +244,7 @@ def certify_cone(n: int, j: int) -> ConeCertificate | ConeMembershipError:
 def check_positivity_implication(
     cone_cert: ConeCertificate | ConeMembershipError, pos_certs: list[PositivityCertificate]
 ) -> bool:
-    """A valid cone certificate at center >= 0 forces every positivity verdict.
+    """A valid cone certificate forces the positivity verdicts of its slots.
 
     Let M lie in R(c) with c >= -1, and let i >= 0; the folded
     coefficient at i is m(i) - m(-i-2).  Below c, M has no singleton, and
@@ -258,15 +255,20 @@ def check_positivity_implication(
     points -i-2 and i are mirror images about -1.  Below -1 the lemma
     fails: interval(-3, -1), in R(-2), folds to -h[1].  The other slots
     are M shifted by -1, plus the leading witness shifted by -2 at j = 1,
-    slot -1: both lie in R(c - 1) (positivity_cone_bound), and
-    c - 1 >= -1 as c >= 0.
+    slot -1: both lie in R(c - 1) (positivity_cone_bound), and c - 1 >= 0
+    as c = cone_center(n, j) = 2^(n+1) - j >= 1.
 
-    Returns True iff the cone certificate recomposes at a center >= 0 and
-    every positivity verdict holds.  False means the cone route failed, a
-    violation included, or the two certificate routes disagree.
+    Returns True iff the cone certificate recomposes at cone_center(n, j),
+    the positivity certificates are exactly its slots -1, 0 and 1, and
+    every verdict of theirs holds.  False means the cone route failed, a
+    violation included, the certificates do not belong together, or the
+    two certificate routes disagree.
     """
-    return (isinstance(cone_cert, ConeCertificate) and cone_cert.recomposition_ok
-            and cone_cert.center >= 0 and all(pc.all_nonnegative for pc in pos_certs))
+    if not (isinstance(cone_cert, ConeCertificate) and cone_cert.recomposition_ok):
+        return False
+    n, j = cone_cert.n, cone_cert.j
+    return (cone_cert.center == cone_center(n, j) and all(pc.all_nonnegative for pc in pos_certs)
+            and sorted((pc.n, pc.i, pc.j) for pc in pos_certs) == [(n, i, j) for i in VALID_I])
 
 
 def document_json(doc: dict) -> str:

@@ -71,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_certify = sub.add_parser("certify", help="write certificate documents")
     p_certify.add_argument("--n", type=int, default=3, help=f"maximum depth, 0 to {MAX_DEPTH}")
-    p_certify.add_argument("--format", choices=("json",), default="json",
-                           help="certificate documents are always JSON")
     p_certify.add_argument("--out", default="certificates",
                            help="output directory (default: certificates)")
 

@@ -21,8 +21,8 @@ class IntegerMultiset(SparseVector):
 
     Built from its elements, or by from_counts from checked counts;
     multiplicities are exact ints, never expanded element by element.
-    `+` is the sumset, `|` the union and shift the translation, as on
-    TildeElement; there is no difference or negation.
+    `+` is the sumset, `|` the union and SparseVector's shift the
+    translation; there is no difference or negation.
     """
 
     __slots__ = ()
@@ -42,11 +42,6 @@ class IntegerMultiset(SparseVector):
 
     __or__ = SparseVector.__add__  # the union; + is the sumset
     __sub__ = None  # multiplicities are never negative
-
-    def shift(self, k: int) -> "IntegerMultiset":
-        """Add k to every element."""
-        _int(k)
-        return _wrap(IntegerMultiset, {x + k: c for x, c in self._coeffs.items()})
 
     def __add__(self, other: "IntegerMultiset") -> "IntegerMultiset":
         return msum(self, other)

@@ -94,6 +94,11 @@ class SparseVector:
         """Sum of absolute coefficient values."""
         return sum(abs(c) for c in self._coeffs.values())
 
+    def shift(self, k: int):
+        """Translate every index by k."""
+        _int(k)
+        return _wrap(type(self), {j + k: c for j, c in self._coeffs.items()})
+
     def _combine(self, other, sign: int):
         if type(other) is not type(self):
             return NotImplemented
@@ -141,11 +146,6 @@ class TildeElement(SparseVector):
     __slots__ = ("_kernel",)  # the shift kernel, kept by a left factor once formed
     symbol = "h~"
 
-    def shift(self, k: int) -> "TildeElement":
-        """Translate every basis index by k."""
-        _int(k)
-        return _wrap(TildeElement, {j + k: c for j, c in self._coeffs.items()})
-
     def __rmul__(self, other):
         if isinstance(other, int):
             return TildeElement({j: other * c for j, c in self._coeffs.items()})
@@ -161,6 +161,7 @@ class ChElement(SparseVector):
 
     __slots__ = ()
     symbol = "h"
+    shift = None  # a fold holds no index below 0 to shift to
 
     def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
         if coeffs and min(coeffs) < 0:

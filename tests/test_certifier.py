@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from chebcone import certifier, cli, suites
 from chebcone.certifier import (
-    DOCUMENT_KEYS,
     ConeCertificate,
     PositivityCertificate,
     certify_cone,
@@ -19,8 +18,8 @@ from chebcone.certifier import (
     document_json,
     positivity_cone_bound,
 )
-from chebcone.multiset_cone import ConeMembershipError
-from chebcone.recurrence_engine import VALID_I, VALID_J, raw_element
+from chebcone.multiset_cone import ConeMembershipError, decompose_cone
+from chebcone.recurrence_engine import VALID_I, VALID_J, closed_witnesses, raw_element
 from chebcone.tilde_ring import fold_L
 
 
@@ -150,6 +149,42 @@ def test_implication_verdict_is_false_for_a_broken_listing():
     assert not broken.all_nonnegative
     assert check_positivity_implication(cone_cert, [broken]) is False
     assert check_positivity_implication(cone_cert, pos_certs[1:] + [broken]) is False
+    assert check_positivity_implication(cone_cert, [pos_certs[0], broken, pos_certs[2]]) is False
+
+
+@pytest.mark.parametrize("pos_certs", [
+    [certify_positivity(3, -1, 1)],
+    [],
+    [certify_positivity(1, i, 0) for i in (-1, 0)],
+    [certify_positivity(1, i, 0) for i in (-1, 0, 0, 1)],
+    [certify_positivity(1, i, 1) for i in VALID_I],
+    [certify_positivity(2, i, 0) for i in VALID_I],
+])
+def test_implication_is_false_for_certificates_that_do_not_belong_together(pos_certs):
+    assert all(pc.all_nonnegative for pc in pos_certs)
+    assert check_positivity_implication(certify_cone(1, 0), pos_certs) is False
+    # the three slots of the cone certificate's own (n, j), in any order
+    slots = [certify_positivity(1, i, 0) for i in (1, -1, 0)]
+    assert check_positivity_implication(certify_cone(1, 0), slots) is True
+
+
+def off_center_record():
+    """A depth-2 record over the depth-1 witness's decomposition, centered at 4, not 8."""
+    return ConeCertificate(2, 0, decompose_cone(closed_witnesses(1)[0], 4), True)
+
+
+def test_a_cone_record_off_its_center_is_refused():
+    cc = off_center_record()
+    assert cc.center == 4
+    with pytest.raises(ValueError, match=r"center 4 is not 2\^3 - 0"):
+        cc.to_document()
+    assert check_positivity_implication(cc, [certify_positivity(2, i, 0) for i in VALID_I]) is False
+    # the document such a record would write is refused on the way back too
+    doc = certify_cone(1, 0).to_document()
+    doc["n"] = 2
+    assert doc["center"] == 4
+    with pytest.raises(ValueError, match=r"center 4 is not 2\^3 - 0"):
+        ConeCertificate.from_document(doc)
 
 
 def test_a_witness_outside_its_cone_is_returned_as_its_violation(monkeypatch):
@@ -191,9 +226,8 @@ def test_document_key_order_is_stable():
         "mass",
     ]
     assert document_json(doc) == document_json(certify_positivity(1, 0, 0).to_document())
-    # from_document accepts exactly the keys to_document writes
-    assert tuple(doc) == DOCUMENT_KEYS["positivity"]
-    assert tuple(certify_cone(1, 1).to_document()) == DOCUMENT_KEYS["cone"]
+    assert tuple(certify_cone(1, 1).to_document()) == (
+        "schema_version", "kind", "n", "j", "center", "singletons", "radii", "recomposition_ok")
 
 
 @pytest.mark.parametrize("cls,doc,key", [
@@ -242,6 +276,23 @@ def test_from_document_rejects_mass_disagreeing_with_listing():
     doc["mass"] = "4"
     with pytest.raises(ValueError, match="mass"):
         PositivityCertificate.from_document(doc)
+
+
+def test_from_document_rejects_a_mass_of_another_type_by_name():
+    doc = _positivity_doc()
+    assert doc["mass"] == "3"
+    doc["mass"] = 3
+    with pytest.raises(ValueError, match="^mass ") as info:
+        PositivityCertificate.from_document(doc)
+    assert "3" not in str(info.value)
+
+
+def test_a_mismatch_error_never_prints_the_stated_listing():
+    doc = certify_positivity(4, 0, 0).to_document()
+    doc["max_index"] = doc["coefficients"]
+    with pytest.raises(ValueError, match="max_index") as info:
+        PositivityCertificate.from_document(doc)
+    assert len(str(info.value)) < 80
 
 
 def test_from_document_rejects_max_index_disagreeing_with_listing():
@@ -374,7 +425,7 @@ def test_from_document_rejects_a_huge_depth_without_building_its_power(n):
 
 
 def test_every_certified_document_passes_its_own_checks():
-    for n in range(4):
+    for n in range(5):
         for j in (0, 1):
             cone_cert, pos_certs = certificates(n, j)
             assert ConeCertificate.from_document(cone_cert.to_document()) == cone_cert

@@ -144,6 +144,15 @@ def test_empty_out_is_refused_before_any_work(argv, no_depth_built, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_certify_takes_no_format(no_depth_built, monkeypatch, tmp_path, capsys):
+    # certificate documents are JSON only, so certify has no --format
+    monkeypatch.chdir(tmp_path)
+    out, err = usage_error(capsys, "certify", "--n", "1", "--format", "json")
+    assert out == ""
+    assert "unrecognized arguments: --format json" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stats_accepts_the_depth_bound(monkeypatch, capsys):
     built = []
     monkeypatch.setattr(cli, "growth_stats", lambda n: built.append(n) or [])

@@ -96,6 +96,17 @@ def test_shift_takes_only_an_int_offset(offset):
             value.shift(offset)
 
 
+def test_shift_is_one_method_that_keeps_the_callers_type():
+    assert TildeElement.shift is IntegerMultiset.shift
+    assert type(basis(2).shift(-1)) is TildeElement
+    assert type(IntegerMultiset([2, 2, 5]).shift(-1)) is IntegerMultiset
+    assert IntegerMultiset([2, 2, 5]).shift(-1) == IntegerMultiset([1, 1, 4])
+    # a fold has no shift, so it can never reach an index below 0
+    assert ChElement.shift is None
+    with pytest.raises(TypeError):
+        ChElement({0: 1}).shift(-1)
+
+
 def test_shared_base_keeps_each_type_apart():
     g = TildeElement({0: 1, 2: -3})
     x = ChElement({0: 1, 2: -3})
