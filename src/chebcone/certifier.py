@@ -4,13 +4,16 @@ Two document kinds are produced: a positivity certificate listing every
 folded coefficient of a family element together with a sign verdict,
 and a cone certificate carrying the interval/singleton decomposition of
 a closed-form witness plus a recomposition verdict.  A record stores only
-what it certifies; every value read off that (the verdict, mass, max
-index and cone bound of a listing, the center of a decomposition) is a
-property, so no record can contradict itself.  certify_cone returns a
-witness outside its cone as its ConeMembershipError, a verdict that
-check_positivity_implication reads as False.  Records hold ints; documents
-carry them as decimal strings, as depth 4 values exceed 64-bit range,
-written by the one encoder encode_listing and parsed once by _listing.
+what it certifies, in the kernel's value types: a positivity listing is
+its ChElement fold and the cone parts are IntegerMultisets, which hold no
+listing their reader refuses.  Every value read off that (the verdict,
+mass, max index and cone bound of a listing, the center of a
+decomposition) is a property, so no record can contradict itself.
+certify_cone returns a witness outside its cone as its
+ConeMembershipError, a verdict that check_positivity_implication reads as
+False.  Documents carry ints as decimal strings, as depth 4 values exceed
+64-bit range, written by the one encoder encode_listing and parsed once
+by _listing.
 Key order in emitted documents is fixed so that regenerated suites diff
 cleanly, and a document is read back only if it is exactly what the
 record built from it writes (_as_written).
@@ -19,11 +22,12 @@ record built from it writes (_as_written).
 from __future__ import annotations
 
 import json
+import reprlib
 from typing import Iterable, NamedTuple
 
-from .multiset_cone import ConeDecomposition, ConeMembershipError, decompose_cone
+from .multiset_cone import ConeDecomposition, ConeMembershipError, IntegerMultiset, decompose_cone
 from .recurrence_engine import VALID_I, _check_indices, closed_element, closed_witnesses, cone_center
-from .tilde_ring import fold_L
+from .tilde_ring import ChElement, fold_L
 
 SCHEMA_VERSION = 1
 
@@ -83,34 +87,42 @@ def encode_listing(pairs: Iterable[tuple[int, int]]) -> list[list]:
     return [[idx, str(c)] for idx, c in pairs]
 
 
-def _listing(doc: dict, key: str) -> tuple[tuple[int, int], ...]:
-    """The named listing parsed into (index, int) pairs.  It must be
-    canonical: int indices strictly increasing, and each entry exactly
-    what encode_listing writes for its parsed pair."""
+def _listing(doc: dict, key: str) -> dict[int, int]:
+    """The named listing parsed into {index: int}.  It must be canonical:
+    int indices strictly increasing, and each entry exactly what
+    encode_listing writes for its parsed pair.  A value that int() refuses,
+    as it is no decimal integer or passes the digit limit of int strings,
+    is not canonical either; the error shows the entry, shortened."""
     listing = _field(doc, key)
     if type(listing) is not list:
         raise ValueError(f"{key} must be a list, got {type(listing).__name__}")
-    pairs: list[tuple[int, int]] = []
+    parsed: dict[int, int] = {}
+    last = None  # the index of the last entry
     for entry in listing:
-        if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is int
-                and type(entry[1]) is str and (not pairs or entry[0] > pairs[-1][0])
-                and encode_listing([(entry[0], value := int(entry[1]))]) == [entry]):
-            raise ValueError(f"{key} entry {entry!r} is not canonical")
-        pairs.append((entry[0], value))
-    return tuple(pairs)
+        try:
+            canonical = (type(entry) is list and len(entry) == 2 and type(entry[0]) is int
+                         and type(entry[1]) is str and (last is None or entry[0] > last)
+                         and encode_listing([(entry[0], value := int(entry[1]))]) == [entry])
+        except ValueError:
+            canonical = False
+        if not canonical:
+            raise ValueError(f"{key} entry {reprlib.repr(entry)} is not canonical")
+        parsed[last := entry[0]] = value
+    return parsed
 
 
 class PositivityCertificate(NamedTuple):
     """Folded coefficient listing of the (n, i, j) element.
 
-    `coefficients` holds (index, int) pairs sorted by index, and is all
-    the record stores besides (n, i, j).  The sign verdict, the max index
-    and `mass` (the coefficient sum) are properties read off the listing,
-    and `cone_bound`, the cone center that explains why the verdict had to
-    come out non-negative, is positivity_cone_bound(n, i, j).
-    from_document rejects a document with a depth, slot or order out of
-    range, a listing that is not canonical, or a key or value other than
-    what its record writes, such as a cone_bound, verdict, mass or
+    `coefficients` is the element's ChElement fold, all the record stores
+    besides (n, i, j).  The sign verdict and the max index are the fold's
+    own queries, `mass` its coefficient sum, and `cone_bound`, the cone
+    center that explains why the verdict had to come out non-negative,
+    positivity_cone_bound(n, i, j).  A record over any other listing
+    writes no document.  from_document rejects a document with a depth,
+    slot or order out of range, a listing that is not canonical or that
+    ChElement refuses, or a key or value other than what its record
+    writes, such as a zero coefficient, or a cone_bound, verdict, mass or
     max_index that disagrees with it or is not of its type.  Every
     malformed document, a missing field or a non-object included, raises
     ValueError.
@@ -119,25 +131,27 @@ class PositivityCertificate(NamedTuple):
     n: int
     i: int
     j: int
-    coefficients: tuple[tuple[int, int], ...]
+    coefficients: ChElement
 
     @property
     def all_nonnegative(self) -> bool:
-        return all(c >= 0 for _, c in self.coefficients)
+        return self.coefficients.all_nonnegative()
 
     @property
     def max_index(self) -> int | None:
-        return max((idx for idx, _ in self.coefficients), default=None)
+        return self.coefficients.max_index()
 
     @property
     def mass(self) -> int:
-        return sum(c for _, c in self.coefficients)
+        return sum(c for _, c in self.coefficients.items())
 
     @property
     def cone_bound(self) -> int:
         return positivity_cone_bound(self.n, self.i, self.j)
 
     def to_document(self) -> dict:
+        if type(fold := self.coefficients) is not ChElement:
+            raise TypeError(f"coefficients must be a ChElement, got {type(fold).__name__}")
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "positivity",
@@ -145,7 +159,7 @@ class PositivityCertificate(NamedTuple):
             "i": self.i,
             "j": self.j,
             "cone_bound": self.cone_bound,
-            "coefficients": encode_listing(self.coefficients),
+            "coefficients": encode_listing(fold.terms()),
             "all_nonnegative": self.all_nonnegative,
             "max_index": self.max_index,
             "mass": str(self.mass),
@@ -158,10 +172,7 @@ class PositivityCertificate(NamedTuple):
         # so that a document with a huge n never builds 2^(n+1)
         if bound.bit_length() < n:
             raise ValueError(f"cone_bound {bound} is not the bound of ({n}, {i}, {j})")
-        coefficients = _listing(doc, "coefficients")
-        if 0 in dict(coefficients).values() or (coefficients and coefficients[0][0] < 0):
-            raise ValueError("coefficients listing holds a zero or a negative index")
-        return _as_written(doc, cls(n, i, j, coefficients))
+        return _as_written(doc, cls(n, i, j, ChElement(_listing(doc, "coefficients"))))
 
 
 def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
@@ -172,13 +183,13 @@ def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
     closed/ checks, and slots 1 and -1, which shift_ladder moves the
     witnesses to, by its shift/ checks; nothing here re-checks either.
     """
-    return PositivityCertificate(n, i, j, tuple(fold_L(closed_element(n, i, j)).terms()))
+    return PositivityCertificate(n, i, j, fold_L(closed_element(n, i, j)))
 
 
 class ConeCertificate(NamedTuple):
     """Cone membership certificate for a closed-form witness.
 
-    The decomposition stores (value, count) and (radius, count) pairs
+    The decomposition stores its singletons and radii as IntegerMultisets
     about its center, which `center` reads; recomposition_ok is True iff
     rebuilding from the parts reproduces the witness multiset exactly.
     It is stored, as the record does not hold the witness it was checked
@@ -209,8 +220,8 @@ class ConeCertificate(NamedTuple):
             "n": self.n,
             "j": self.j,
             "center": self.center,
-            "singletons": encode_listing(self.decomposition.singletons),
-            "radii": encode_listing(self.decomposition.radii),
+            "singletons": encode_listing(self.decomposition.singletons.terms()),
+            "radii": encode_listing(self.decomposition.radii.terms()),
             "recomposition_ok": self.recomposition_ok,
         }
 
@@ -220,8 +231,8 @@ class ConeCertificate(NamedTuple):
         _check_indices(n, 0, j)
         decomposition = ConeDecomposition(
             center=center,
-            singletons=_listing(doc, "singletons"),
-            radii=_listing(doc, "radii"),
+            singletons=IntegerMultiset.from_counts(_listing(doc, "singletons")),
+            radii=IntegerMultiset.from_counts(_listing(doc, "radii")),
         )
         ok = _field(doc, "recomposition_ok")
         if type(ok) is not bool:
@@ -260,14 +271,16 @@ def check_positivity_implication(
 
     Returns True iff the cone certificate recomposes at cone_center(n, j),
     the positivity certificates are exactly its slots -1, 0 and 1, and
-    every verdict of theirs holds.  False means the cone route failed, a
-    violation included, the certificates do not belong together, or the
-    two certificate routes disagree.
+    every verdict of theirs, read off a ChElement fold, holds.  False means
+    the cone route failed, a violation included, the certificates do not
+    belong together, a listing is not a fold, or the two certificate
+    routes disagree.
     """
     if not (isinstance(cone_cert, ConeCertificate) and cone_cert.recomposition_ok):
         return False
     n, j = cone_cert.n, cone_cert.j
-    return (cone_cert.center == cone_center(n, j) and all(pc.all_nonnegative for pc in pos_certs)
+    return (cone_cert.center == cone_center(n, j)
+            and all(type(pc.coefficients) is ChElement and pc.all_nonnegative for pc in pos_certs)
             and sorted((pc.n, pc.i, pc.j) for pc in pos_certs) == [(n, i, j) for i in VALID_I])
 
 

@@ -109,34 +109,31 @@ class ConeMembershipError(ValueError):
 
 class _ConeParts(NamedTuple):
     center: int
-    singletons: tuple[tuple[int, int], ...]
-    radii: tuple[tuple[int, int], ...]
+    singletons: IntegerMultiset
+    radii: IntegerMultiset
 
 
 class ConeDecomposition(_ConeParts):
     """Certificate that a multiset lies in the cone centered at `center`.
 
-    Parts are stored with multiplicities since counts can be astronomically
-    large: `singletons` holds (value, count) pairs with value >= center,
-    `radii` holds (radius, count) pairs with radius >= 1.  Recomposition
-    unions count copies of {value} and of [center-radius, center+radius].
-    Every construction checks these constraints, `_replace` included.
+    The parts are IntegerMultisets, as counts can be astronomically large:
+    `singletons` counts values >= center and `radii` radii >= 1.
+    Recomposition unions count copies of {value} and of [center-radius,
+    center+radius].  Every construction checks these constraints,
+    `_replace` included; a part of another type is a TypeError.
     """
 
     __slots__ = ()
 
-    def __new__(cls, center: int, singletons: tuple[tuple[int, int], ...],
-                radii: tuple[tuple[int, int], ...]) -> ConeDecomposition:
-        for v, cnt in singletons:
-            if v < center:
-                raise ValueError(f"singleton {v} below center {center}")
-            if cnt <= 0:
-                raise ValueError(f"non-positive singleton count {cnt}")
-        for r, cnt in radii:
-            if r < 1:
-                raise ValueError(f"interval radius must be >= 1, got {r}")
-            if cnt <= 0:
-                raise ValueError(f"non-positive radius count {cnt}")
+    def __new__(cls, center: int, singletons: IntegerMultiset,
+                radii: IntegerMultiset) -> ConeDecomposition:
+        for part in (singletons, radii):
+            if type(part) is not IntegerMultiset:
+                raise TypeError(f"cone parts are IntegerMultisets, got {type(part).__name__}")
+        if singletons and (v := singletons.min_index()) < center:
+            raise ValueError(f"singleton {v} below center {center}")
+        if radii and (r := radii.min_index()) < 1:
+            raise ValueError(f"interval radius must be >= 1, got {r}")
         return super().__new__(cls, center, singletons, radii)
 
     # the inherited _make, which _replace calls, would bypass __new__
@@ -145,12 +142,10 @@ class ConeDecomposition(_ConeParts):
     def recompose(self) -> IntegerMultiset:
         """Union of the parts.  The intervals of radius >= k cover c - k and
         c + k once each, so coverage is the symmetric runs of the radius
-        counts, one suffix sum per parity, shifted by the center c."""
-        c = self.center
-        acc = {c + k: cnt for k, cnt in _symmetric_runs(self.radii).items()}
-        for v, cnt in self.singletons:
-            acc[v] = acc.get(v, 0) + cnt
-        return IntegerMultiset.from_counts(acc)
+        counts, one suffix sum per parity (positive, as the counts are),
+        shifted to the center c."""
+        runs = _wrap(IntegerMultiset, _symmetric_runs(self.radii.items()))
+        return runs.shift(self.center) | self.singletons
 
 
 def decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
@@ -166,12 +161,12 @@ def decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
     radius-i count is mult(c-i) - mult(c-i-2).  They cover c + i
     mult(c-i) times for i >= 1 and c mult(c-2) times, and what they leave
     is the singleton count.  Values past the sweep are singletons as
-    they stand.
+    they stand.  Both parts keep positive counts only, so wrap unchecked.
     """
     counts = m._coeffs
     mult = counts.get
     top = c - min(counts) if counts else -1
-    radii, singles = [], []
+    radii, singles = {}, {}
     for i in range(top + 1):
         left_outer = mult(c - i - 2, 0)
         left_inner = mult(c - i, 0)
@@ -185,12 +180,12 @@ def decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
             residue = right - left_outer
         else:
             if left_inner > left_outer:
-                radii.append((i, left_inner - left_outer))
+                radii[i] = left_inner - left_outer
             residue = right - left_inner
         if residue:
-            singles.append((c + i, residue))
-    singles.extend((x, cnt) for x, cnt in m.terms() if x > c + top)
-    return ConeDecomposition(center=c, singletons=tuple(singles), radii=tuple(radii))
+            singles[c + i] = residue
+    singles.update((x, cnt) for x, cnt in counts.items() if x > c + top)
+    return ConeDecomposition(c, _wrap(IntegerMultiset, singles), _wrap(IntegerMultiset, radii))
 
 
 def to_tilde(m: IntegerMultiset) -> TildeElement:

@@ -65,20 +65,9 @@ def random_cone_member(rng: random.Random, c: int) -> mc.IntegerMultiset:
     Draws up to 4 values in [c, c+10] and up to 4 radii in [1, 6], then
     recomposes.
     """
-    singles: dict[int, int] = {}
-    for _ in range(rng.randint(0, 4)):
-        v = rng.randint(c, c + 10)
-        singles[v] = singles.get(v, 0) + 1
-    radii: dict[int, int] = {}
-    for _ in range(rng.randint(0, 4)):
-        r = rng.randint(1, 6)
-        radii[r] = radii.get(r, 0) + 1
-    decomp = mc.ConeDecomposition(
-        center=c,
-        singletons=tuple(sorted(singles.items())),
-        radii=tuple(sorted(radii.items())),
-    )
-    return decomp.recompose()
+    singletons = mc.IntegerMultiset(rng.randint(c, c + 10) for _ in range(rng.randint(0, 4)))
+    radii = mc.IntegerMultiset(rng.randint(1, 6) for _ in range(rng.randint(0, 4)))
+    return mc.ConeDecomposition(c, singletons, radii).recompose()
 
 
 def _exhaustive(name: str, failures: list, total: int, scope: str) -> CheckResult:
@@ -315,7 +304,8 @@ def suite_positivity(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
                     CheckResult(
                         f"positivity/nonnegative(n={n},i={pc.i},j={j})",
                         pc.all_nonnegative,
-                        f"{len(pc.coefficients)} coefficients, cone bound {pc.cone_bound}",
+                        f"{pc.coefficients.support_size()} coefficients, "
+                        f"cone bound {pc.cone_bound}",
                     )
                 )
             cone_cert = certify_cone(n, j)

@@ -153,7 +153,7 @@ def test_criterion_07_positivity_certificates():
         negative = [
             (pc.n, pc.i, pc.j)
             for pc in certs
-            if any(int(c) < 0 for _, c in pc.coefficients)
+            if any(c < 0 for _, c in pc.coefficients.items())
         ]
         assert negative == []
 

@@ -18,14 +18,14 @@ from chebcone.certifier import (
     document_json,
     positivity_cone_bound,
 )
-from chebcone.multiset_cone import ConeMembershipError, decompose_cone
+from chebcone.multiset_cone import ConeMembershipError, IntegerMultiset, decompose_cone
 from chebcone.recurrence_engine import VALID_I, VALID_J, closed_witnesses, raw_element
-from chebcone.tilde_ring import fold_L
+from chebcone.tilde_ring import ChElement, fold_L
 
 
 def test_positivity_certificate_basic():
     pc = certify_positivity(1, 0, 0)
-    assert pc.coefficients == ((2, 1), (4, 1), (6, 1))
+    assert pc.coefficients == ChElement({2: 1, 4: 1, 6: 1})
     assert pc.all_nonnegative
     assert pc.max_index == 6
     assert pc.mass == 3
@@ -34,7 +34,7 @@ def test_positivity_certificate_basic():
 
 def test_positivity_certificate_vacuous():
     pc = certify_positivity(0, 0, 1)
-    assert pc.coefficients == ()
+    assert pc.coefficients == ChElement()
     assert pc.all_nonnegative
     assert pc.max_index is None
     assert pc.mass == 0
@@ -42,7 +42,7 @@ def test_positivity_certificate_vacuous():
 
 def test_positivity_certificate_doubled_slot():
     pc = certify_positivity(1, -1, 1)
-    assert pc.coefficients == ((0, 2), (2, 2), (4, 2))
+    assert pc.coefficients == ChElement({0: 2, 2: 2, 4: 2})
     assert pc.all_nonnegative
 
 
@@ -60,13 +60,13 @@ def test_cone_bounds():
 def test_cone_certificate_examples():
     cc = certify_cone(1, 0)
     assert cc.center == 4
-    assert cc.decomposition.radii == ((2, 1),)
-    assert cc.decomposition.singletons == ()
+    assert cc.decomposition.radii == IntegerMultiset([2])
+    assert cc.decomposition.singletons == IntegerMultiset()
     assert cc.recomposition_ok
 
     cc = certify_cone(0, 1)
     assert cc.center == 1
-    assert cc.decomposition.radii == () and cc.decomposition.singletons == ()
+    assert not cc.decomposition.radii and not cc.decomposition.singletons
     assert cc.recomposition_ok
 
     cc = certify_cone(2, 0)
@@ -102,7 +102,7 @@ def test_cone_roundtrip():
 def test_roundtrip_preserves_large_counts():
     # depth-4 certificates have counts far beyond 64-bit range
     cc = certify_cone(4, 0)
-    big = max(cnt for _, cnt in cc.decomposition.radii)
+    big = max(cnt for _, cnt in cc.decomposition.radii.items())
     assert big > 2**64
     restored = ConeCertificate.from_document(json.loads(document_json(cc.to_document())))
     assert restored == cc
@@ -145,7 +145,7 @@ def test_implication_verdict_holds_on_every_certified_pair():
 
 def test_implication_verdict_is_false_for_a_broken_listing():
     cone_cert, pos_certs = certificates(1, 0)
-    broken = PositivityCertificate(1, 0, 0, ((2, -1),))
+    broken = PositivityCertificate(1, 0, 0, ChElement({2: -1}))
     assert not broken.all_nonnegative
     assert check_positivity_implication(cone_cert, [broken]) is False
     assert check_positivity_implication(cone_cert, pos_certs[1:] + [broken]) is False
@@ -358,7 +358,7 @@ def test_from_document_rejects_out_of_range_cone_field(key, value, match):
     ("coefficients", [[2, "1"], [4, "01"], [6, "1"]], "not canonical"),
     ("coefficients", [[4, "1"], [2, "1"], [6, "1"]], "not canonical"),
     ("coefficients", [[2, "1"], [4, "1"], [4, "1"], [6, "1"]], "not canonical"),
-    ("coefficients", [[2, "1"], [3, "0"], [4, "1"], [6, "1"]], "zero"),
+    ("coefficients", [[2, "1"], [3, "0"], [4, "1"], [6, "1"]], "coefficients is not what"),
     ("coefficients", [[-2, "1"], [2, "1"], [4, "1"], [6, "1"]], "negative index"),
     ("coefficients", [[2, "1"], [4, "1", "1"], [6, "1"]], "not canonical"),
     ("all_nonnegative", 1, "all_nonnegative"),
@@ -424,13 +424,38 @@ def test_from_document_rejects_a_huge_depth_without_building_its_power(n):
         ConeCertificate.from_document(cone)
 
 
-def test_every_certified_document_passes_its_own_checks():
+def test_certificate_records_hold_the_kernel_value_types():
     for n in range(5):
-        for j in (0, 1):
+        for j in VALID_J:
             cone_cert, pos_certs = certificates(n, j)
-            assert ConeCertificate.from_document(cone_cert.to_document()) == cone_cert
-            for pc in pos_certs:
-                assert PositivityCertificate.from_document(pc.to_document()) == pc
+            parts = cone_cert.decomposition.singletons, cone_cert.decomposition.radii
+            assert all(type(part) is IntegerMultiset for part in parts)
+            assert all(type(pc.coefficients) is ChElement for pc in pos_certs)
+
+
+def test_every_certified_document_passes_its_own_checks():
+    for n in range(6):
+        for j in VALID_J:
+            cone_cert, pos_certs = certificates(n, j)
+            for record in [cone_cert] + pos_certs:
+                text = document_json(record.to_document())
+                assert type(record).from_document(json.loads(text)) == record
+
+
+@pytest.mark.parametrize("cls,doc,key,entry,shown", [
+    (PositivityCertificate, _positivity_doc(), "coefficients", [2, "1e3"], "[2, '1e3']"),
+    (PositivityCertificate, _positivity_doc(), "coefficients", [2, "7" * 5000], "[2, '777"),
+    (ConeCertificate, certify_cone(2, 1).to_document(), "radii", [2, "x"], "[2, 'x']"),
+])
+def test_a_listing_value_int_refuses_is_named_with_its_key(cls, doc, key, entry, shown):
+    # int() refuses "1e3" and "x", and a string past 4,300 digits; the error
+    # names the key and the entry, shortened, not int()'s own message
+    doc[key][0] = entry
+    with pytest.raises(ValueError, match=f"^{key} entry ") as info:
+        cls.from_document(doc)
+    message = str(info.value)
+    assert message.startswith(f"{key} entry {shown}") and message.endswith("is not canonical")
+    assert len(message) < 100
 
 
 def test_positivity_certificate_is_the_listing_of_the_raw_fold():
@@ -439,8 +464,8 @@ def test_positivity_certificate_is_the_listing_of_the_raw_fold():
     for n in range(6):
         for i in VALID_I:
             for j in VALID_J:
-                listing = tuple(fold_L(raw_element(n, i, j)).terms())
-                assert certify_positivity(n, i, j) == PositivityCertificate(n, i, j, listing)
+                fold = fold_L(raw_element(n, i, j))
+                assert certify_positivity(n, i, j) == PositivityCertificate(n, i, j, fold)
 
 
 def reference_json(doc: dict) -> str:
@@ -459,7 +484,7 @@ def test_document_json_matches_the_reference_on_every_certified_document():
 def test_document_json_matches_the_reference_on_edge_documents():
     vacuous = certify_positivity(0, 0, 1).to_document()
     assert vacuous["coefficients"] == [] and vacuous["max_index"] is None
-    negative = PositivityCertificate(1, 0, 0, ((2, -1), (4, -(2**100)), (6, 3))).to_document()
+    negative = PositivityCertificate(1, 0, 0, ChElement({2: -1, 4: -(2**100), 6: 3})).to_document()
     empty_parts = certify_cone(0, 1).to_document()
     assert empty_parts["singletons"] == [] and empty_parts["radii"] == []
     for doc in (vacuous, negative, empty_parts):
@@ -483,7 +508,7 @@ def test_document_json_matches_the_reference_on_random_documents(doc):
 
 int_listings = st.dictionaries(
     st.integers(0, 2**70), st.integers(-(2**200), 2**200).filter(bool), max_size=6
-).map(lambda terms: tuple(sorted(terms.items())))
+).map(ChElement)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -162,19 +162,19 @@ def test_cone_subset_check():
 
 def test_decompose_cone_examples():
     d = decompose_cone(ms(2, 4, 6), 4)
-    assert d.singletons == () and d.radii == ((2, 1),)
+    assert d.singletons == ms() and d.radii == ms(2)
     d = decompose_cone(ms(7), 7)
-    assert d.singletons == ((7, 1),) and d.radii == ()
+    assert d.singletons == ms(7) and d.radii == ms()
     d = decompose_cone(ms(1, 3, 5), 3)
-    assert d.radii == ((2, 1),) and d.singletons == ()
+    assert d.radii == ms(2) and d.singletons == ms()
 
 
 def test_decompose_cone_mixed():
     m = interval(-1, 3) | (interval(0, 2) | ms(5, 5, 1))
     d = decompose_cone(m, 1)
     assert d.recompose() == m
-    assert d.radii == ((1, 1), (2, 1))
-    assert d.singletons == ((1, 1), (5, 2))
+    assert d.radii == ms(1, 2)
+    assert d.singletons == ms(1, 5, 5)
 
 
 def test_decompose_cone_rejects_nonmembers():
@@ -197,11 +197,11 @@ def test_decompose_recompose_roundtrip():
 
 def test_cone_decomposition_validation():
     with pytest.raises(ValueError):
-        ConeDecomposition(center=3, singletons=((2, 1),), radii=())
+        ConeDecomposition(center=3, singletons=ms(2), radii=ms())
     with pytest.raises(ValueError):
-        ConeDecomposition(center=3, singletons=(), radii=((0, 1),))
-    with pytest.raises(ValueError):
-        ConeDecomposition(center=3, singletons=((3, 0),), radii=())
+        ConeDecomposition(center=3, singletons=ms(), radii=ms(0))
+    with pytest.raises(TypeError):
+        ConeDecomposition(center=3, singletons=((3, 1),), radii=ms())
 
 
 def test_sum_of_cone_members_stays_in_cone():
@@ -258,9 +258,9 @@ def test_to_tilde():
 def ref_recompose(d: ConeDecomposition) -> IntegerMultiset:
     """recompose as it used to be: every interval written out element by element."""
     acc: dict[int, int] = {}
-    for v, cnt in d.singletons:
+    for v, cnt in d.singletons.items():
         acc[v] = acc.get(v, 0) + cnt
-    for r, cnt in d.radii:
+    for r, cnt in d.radii.items():
         for x in range(d.center - r, d.center + r + 1, 2):
             acc[x] = acc.get(x, 0) + cnt
     return IntegerMultiset.from_counts(acc)
@@ -273,23 +273,24 @@ def ref_decompose_cone(m: IntegerMultiset, c: int) -> ConeDecomposition:
     if violation is not None:
         raise ConeMembershipError(c, violation[0], violation[1])
     residue = dict(m.items())
-    radii = []
+    radii = {}
     lo = m.min_index()
     k_max = c - lo if (lo is not None and lo < c) else 0
     for k in range(1, k_max + 1):
         exact = m.coeff(c - k) - m.coeff(c - k - 2)
         if exact:
-            radii.append((k, exact))
+            radii[k] = exact
             for x in range(c - k, c + k + 1, 2):
                 residue[x] = residue.get(x, 0) - exact
-    singles = []
+    singles = {}
     for x in sorted(residue):
         cnt = residue[x]
         if cnt < 0 or (cnt > 0 and x < c):
             raise ConeMembershipError(c, abs(x - c), f"residue {cnt} at {x}")
         if cnt > 0:
-            singles.append((x, cnt))
-    return ConeDecomposition(center=c, singletons=tuple(singles), radii=tuple(radii))
+            singles[x] = cnt
+    return ConeDecomposition(c, IntegerMultiset.from_counts(singles),
+                             IntegerMultiset.from_counts(radii))
 
 
 def cone_violation(m: IntegerMultiset, c: int) -> tuple[int, str] | None:
@@ -308,13 +309,21 @@ CONE_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, data
 counts = st.integers(1, 3) | st.integers(2**64, 2**80)
 
 
+def summed(pairs):
+    """The multiset of (value, count) pairs, the counts of a repeated value summed."""
+    acc = {}
+    for v, cnt in pairs:
+        acc[v] = acc.get(v, 0) + cnt
+    return IntegerMultiset.from_counts(acc)
+
+
 @st.composite
 def decompositions(draw):
-    """Parts with repeated values and radii, as a hand-built certificate may hold."""
+    """Parts drawn with repeated values and radii, whose counts the parts sum."""
     c = draw(st.integers(-8, 8))
     singles = draw(st.lists(st.tuples(st.integers(c, c + 12), counts), max_size=6))
     radii = draw(st.lists(st.tuples(st.integers(1, 12), counts), max_size=6))
-    return ConeDecomposition(center=c, singletons=tuple(singles), radii=tuple(radii))
+    return ConeDecomposition(center=c, singletons=summed(singles), radii=summed(radii))
 
 
 @st.composite

@@ -141,7 +141,8 @@ radius_counts = st.dictionaries(st.integers(1, 12), multiplicities, max_size=5)
 
 
 def cone_member(center, singletons, radii):
-    return ConeDecomposition(center, tuple(singletons.items()), tuple(radii.items())).recompose()
+    parts = map(IntegerMultiset.from_counts, (singletons, radii))
+    return ConeDecomposition(center, *parts).recompose()
 
 
 def palindromes(c):
@@ -246,7 +247,7 @@ def test_leading_witness_laws(n):
     assert {2 * c - x: k for x, k in counts.items()} == counts
     assert sorted(counts) == list(range(2 ** (n + 2) - 2 * 3**n, 2 * 3**n + 1, 2))
     singletons = decompose_cone(m, c).singletons
-    assert [v for v, _ in singletons] == ([] if n == 1 else [c])
+    assert [v for v, _ in singletons.terms()] == ([] if n == 1 else [c])
     # the closed form of closed_witnesses' docstring, and its support and mass
     row = growth_stats(n)[0]
     assert row.support_size == 2 * 3**n - 2 ** (n + 1) + 1
@@ -370,7 +371,7 @@ def test_structural_suites_report_a_decomposition_that_does_not_recompose(monkey
 
     def with_extra_singleton(m, c):
         d = real(m, c)
-        return d._replace(singletons=d.singletons + ((100, 1),)) if c == 8 else d
+        return d._replace(singletons=d.singletons | IntegerMultiset([100])) if c == 8 else d
 
     monkeypatch.setattr(certifier, "decompose_cone", with_extra_singleton)
     assert failed(structure_records(2)) == [
