@@ -193,12 +193,12 @@ class ConeCertificate(NamedTuple):
     about its center, which `center` reads; recomposition_ok is True iff
     rebuilding from the parts reproduces the witness multiset exactly.
     It is stored, as the record does not hold the witness it was checked
-    against.  to_document refuses a center other than 2^(n+1) - j, so
-    from_document rejects one too, as well as a depth or order out of
-    range, parts that are not canonical or break the center and radius
-    constraints, a recomposition_ok that is not a bool, or a key or value
-    other than what its record writes; every malformed document raises
-    ValueError.
+    against.  to_document refuses a center other than 2^(n+1) - j and a
+    recomposition_ok that is not a bool, so from_document rejects them
+    too, as well as a depth or order out of range, parts that are not
+    canonical or break the center and radius constraints, or a key or
+    value other than what its record writes; every malformed document
+    raises ValueError.
     """
 
     n: int
@@ -211,9 +211,11 @@ class ConeCertificate(NamedTuple):
         return self.decomposition.center
 
     def to_document(self) -> dict:
-        n, j, center = self.n, self.j, self.center
+        n, j, center, ok = self.n, self.j, self.center, self.recomposition_ok
         if center.bit_length() < n or center != cone_center(n, j):  # a huge n builds no 2^(n+1)
             raise ValueError(f"center {center} is not 2^{n + 1} - {j}")
+        if type(ok) is not bool:
+            raise ValueError(f"recomposition_ok must be a bool, got {ok!r}")
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "cone",
@@ -222,7 +224,7 @@ class ConeCertificate(NamedTuple):
             "center": self.center,
             "singletons": encode_listing(self.decomposition.singletons.terms()),
             "radii": encode_listing(self.decomposition.radii.terms()),
-            "recomposition_ok": self.recomposition_ok,
+            "recomposition_ok": ok,
         }
 
     @classmethod
@@ -234,10 +236,7 @@ class ConeCertificate(NamedTuple):
             singletons=IntegerMultiset.from_counts(_listing(doc, "singletons")),
             radii=IntegerMultiset.from_counts(_listing(doc, "radii")),
         )
-        ok = _field(doc, "recomposition_ok")
-        if type(ok) is not bool:
-            raise ValueError(f"recomposition_ok must be a bool, got {ok!r}")
-        return _as_written(doc, cls(n, j, decomposition, ok))
+        return _as_written(doc, cls(n, j, decomposition, _field(doc, "recomposition_ok")))
 
 
 def certify_cone(n: int, j: int) -> ConeCertificate | ConeMembershipError:
@@ -269,14 +268,14 @@ def check_positivity_implication(
     slot -1: both lie in R(c - 1) (positivity_cone_bound), and c - 1 >= 0
     as c = cone_center(n, j) = 2^(n+1) - j >= 1.
 
-    Returns True iff the cone certificate recomposes at cone_center(n, j),
-    the positivity certificates are exactly its slots -1, 0 and 1, and
-    every verdict of theirs, read off a ChElement fold, holds.  False means
-    the cone route failed, a violation included, the certificates do not
-    belong together, a listing is not a fold, or the two certificate
-    routes disagree.
+    Returns True iff the cone certificate's recomposition_ok is True at
+    cone_center(n, j), the positivity certificates are exactly its slots
+    -1, 0 and 1, and every verdict of theirs, read off a ChElement fold,
+    holds.  False means the cone route failed, a violation included, the
+    certificates do not belong together, a verdict is not a bool or a
+    listing not a fold, or the two certificate routes disagree.
     """
-    if not (isinstance(cone_cert, ConeCertificate) and cone_cert.recomposition_ok):
+    if not (isinstance(cone_cert, ConeCertificate) and cone_cert.recomposition_ok is True):
         return False
     n, j = cone_cert.n, cone_cert.j
     return (cone_cert.center == cone_center(n, j)

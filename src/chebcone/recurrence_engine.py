@@ -9,9 +9,8 @@ with slot index i in {-1, 0, 1}.  Each family is computed two ways:
   depth n+1, which would not terminate; reading them one level down
   matches the base cases and every downstream identity);
 * closed: an integer multiset witness M(n, j) with to_tilde(M) equal to
-  the i = 0 raw element.  closed_step forms the depth n+1 pair from the
-  depth-n pair alone, by sumsets and unions, and closed_witnesses, the
-  route's one cache, applies it once per depth.
+  the i = 0 raw element, which closed_witnesses expands from the small
+  cores of factored_witnesses and the cofactor both witnesses share.
 
 The structural identities tying the two routes together are checked by
 the shift, cone and multiset suites of `verify`, which read these caches.
@@ -116,57 +115,59 @@ def _multiset_kernel(m: IntegerMultiset) -> IntegerMultiset:
     return IntegerMultiset.from_counts(_symmetric_runs(folded))
 
 
-def closed_step(m0: IntegerMultiset,
-                m1: IntegerMultiset) -> tuple[IntegerMultiset, IntegerMultiset]:
-    """The depth n+1 witness pair from the depth-n pair (m0, m1): m0 acting on
-    g2 = m0 + m0, and the union of that shifted by -1, twice m0 acting on
-    m0 + m1 and m1 acting on g2.  A multiset a acts as its shift kernel, and
+@lru_cache(maxsize=None)
+def factored_witnesses(n: int) -> tuple[IntegerMultiset, IntegerMultiset]:
+    """The cores (V_n, C_n) of the depth-n witnesses, stepped from V_0 = {0}
+    and an empty C_0 without their cofactor; closed_witnesses expands them
+    and proves the step."""
+    _check_indices(n, 0, 0)
+    if n == 0:
+        return IntegerMultiset([0]), IntegerMultiset()
+    v, core = factored_witnesses(n - 1)
+    c = cone_center(n - 1, 0)
+    u = interval(-c, c)
+    uv, uc = u + v, u + core
+    return uv, uv.shift(2 * c - 1) | (uc | uc).shift(c) | _multiset_kernel(core).shift(2 * c)
 
-        K_a = (x*a(x) - a(1/x)/x) / (x - 1/x)  (test_kernel_is_the_evaluation)
-        m0(1/x) = x^(-2c)*m0(x)                 (m0 a palindrome about c), so
-        K_m0 = x^(-c)*U_c*m0 = u + m0           (U_c = x^-c + x^(-c+2) + ... + x^c)
 
-    for u = [-2c, 0]: lead = u + m0 + g2, and twice m0 acting on m0 + m1 is
-    g2 + (uq | uq) for uq = u + m1.  An m0 that is no palindrome about an
-    integer c >= 0 raises ValueError at its lowest value that shows it."""
-    twice = (m0.min_index() or 0) + (m0.max_index() or 0)  # 2c
-    for x, k in m0.terms():
-        if twice % 2 or twice < 0 or m0.coeff(twice - x) != k:
-            raise ValueError(f"not a palindrome about an integer c >= 0: c = {twice / 2:g}, "
-                             f"mult({x}) = {k}, mult({twice - x}) = {m0.coeff(twice - x)}")
-    u, g2 = interval(-twice, 0), m0 + m0
-    lead, uq = u + m0 + g2, u + m1
-    return lead, lead.shift(-1) | g2 + (uq | uq | _multiset_kernel(m1))
+@lru_cache(maxsize=None)
+def _cofactor(n: int) -> IntegerMultiset:
+    """G_n of closed_witnesses, from G_(n-1) and the depth n-1 leading witness."""
+    if n == 0:
+        return IntegerMultiset([0])
+    a = closed_witnesses(n - 1)[0].shift(-cone_center(n - 1, 0))
+    return _cofactor(n - 1) + (a + a)
 
 
 @lru_cache(maxsize=None)
 def closed_witnesses(n: int) -> tuple[IntegerMultiset, IntegerMultiset]:
-    """The depth-n witnesses of the slot-0 elements, indexed by order j:
-    to_tilde of each is that element, and it lies in R(cone_center(n, j)).
+    """The depth-n witnesses (L_n, P_n) of the slot-0 elements, indexed by
+    order j: to_tilde of each is that element, in R(cone_center(n, j)).
 
-    The leading witness L_n has a closed form.  Read a multiset g as
-    g(x) = sum of mult(v)*x^v, and let U_m = x^-m + x^(-m+2) + ... + x^m,
-    the interval [-m, m].
+    Read a multiset as the Laurent polynomial sum of mult(v)*x^v, so a
+    sumset is a product and a union a sum; U_m = x^-m + x^(-m+2) + ... + x^m
+    is interval(-m, m).  For c = 2^(n+1), the cores (V_n, C_n) and G_0 = 1,
+    G_(n+1) = G_n*(G_n*V_n)^2 (_cofactor): L_n = x^c*G_n*V_n, P_n = G_n*C_n.
 
-    1. A palindrome g about c >= 0 has g(1/x) = x^(-2c)*g(x), so its
-       shift kernel K_g = (x*g(x) - g(1/x)/x) / (x - 1/x) is x^(-c)*U_c*g.
-    2. L_0 = x^2 is a palindrome about 2.  If L_n is one about
-       c = 2^(n+1), closed_step gives L_(n+1) = K_(L_n)*L_n^2 =
-       x^(-c)*U_c*L_n^3, a palindrome about 2c = 2^(n+2).  So
-           L_n = x^(2^(n+1)) * prod_(k=1..n) U_(2^k)^(3^(n-k)).
-       Each U_m is dense on one parity with m + 1 terms, so L_n has
-       support 2*3^n - 2^(n+1) + 1 and mass (its value at x = 1)
-       prod_(k=1..n) (2^k + 1)^(3^(n-k)).
-    3. x^(2^(n+1)) is a singleton at the center of R(2^(n+1)), each U_m
-       lies in R(0), and a sumset of members of R(a) and R(b) lies in
-       R(a + b) (the cone-sum lemma, multiset/cone-sum).  So L_n lies in
-       R(cone_center(n, 0)) at every depth, and the leading family folds
-       to non-negative coefficients (check_positivity_implication).
+    1. A multiset a acts as K_a = (x*a(x) - a(1/x)/x) / (x - 1/x), its shift
+       kernel, so K_(x^c) = U_c, and K_(F*A) = F*K_A if F(1/x) = F(x), as
+       for G_n and V_n, products of U's.
+    2. Depth n+1 is L' = K_L*L^2 and P' = L'/x + 2*K_L*L*P + K_P*L^2 at
+       L = L_n, P = P_n, with K_L = U_c*G_n*V_n and K_P = G_n*K_(C_n) by 1.
+       So L' = x^(2c)*G_(n+1)*V_(n+1) for V_(n+1) = U_c*V_n, and P' =
+       G_(n+1)*C_(n+1) for the parts x^(2c-1)*U_c*V_n, 2*x^c*U_c*C_n and
+       x^(2c)*K_(C_n) of C_(n+1).  So L_n = x^c*prod_(k=1..n) U_(2^k)^(3^(n-k)).
+    3. Each U_m lies in R(0), and a sumset of members of R(a) and R(b) lies
+       in R(a + b) (multiset/cone-sum), so G_n and V_n lie in R(0) and L_n
+       in R(c).  C_0 lies in R(1).  If C_n lies in R(c - 1), it folds to
+       non-negative weights (check_positivity_implication), so K_(C_n) is
+       a union of intervals about 0, and the three parts lie in R(2c - 1),
+       R(2c - 1) and R(2c), inside R(2c - 1).  So C_n and P_n lie in
+       R(c - 1) at every depth, and _multiset_kernel never raises for C_n.
     """
     _check_indices(n, 0, 0)
-    if n == 0:
-        return IntegerMultiset([2]), IntegerMultiset()
-    return closed_step(*closed_witnesses(n - 1))
+    g, (v, core) = _cofactor(n), factored_witnesses(n)
+    return (g + v).shift(cone_center(n, 0)), g + core
 
 
 def shift_ladder(pair: tuple[TildeElement, TildeElement], i: int, j: int) -> TildeElement:

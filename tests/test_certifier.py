@@ -187,6 +187,16 @@ def test_a_cone_record_off_its_center_is_refused():
         ConeCertificate.from_document(doc)
 
 
+@pytest.mark.parametrize("ok", [1, "no", None])
+def test_a_cone_record_with_a_verdict_that_is_not_a_bool_is_refused(ok):
+    cc = ConeCertificate(1, 1, certify_cone(1, 1).decomposition, ok)
+    with pytest.raises(ValueError, match=f"recomposition_ok must be a bool, got {ok!r}"):
+        cc.to_document()
+    slots = [certify_positivity(1, i, 1) for i in VALID_I]
+    assert check_positivity_implication(cc, slots) is False
+    assert check_positivity_implication(cc._replace(recomposition_ok=True), slots) is True
+
+
 def test_a_witness_outside_its_cone_is_returned_as_its_violation(monkeypatch):
     # {2, 4, 6} moved to center 5: mult(2) = 1 but mult(8) = 0
     real = certifier.cone_center
@@ -389,6 +399,7 @@ def test_from_document_rejects_a_positivity_document_that_is_not_canonical(key, 
     ("radii", [[2, "25"], [2, "25"]], "not canonical"),
     ("recomposition_ok", "yes", "recomposition_ok must be a bool"),
     ("recomposition_ok", 1, "recomposition_ok must be a bool"),
+    ("recomposition_ok", None, "recomposition_ok must be a bool, got None"),
     ("radii", None, "radii must be a list, got NoneType"),
     ("singletons", "7", "singletons must be a list, got str"),
     ("radii", MISSING, "missing field 'radii'"),

@@ -423,26 +423,29 @@ def test_certify_reports_a_witness_outside_its_cone_and_goes_on(monkeypatch, tmp
 
 
 @pytest.fixture
-def broken_closed_step(monkeypatch):
-    """Shift each new penultimate witness by -8: the depth-1 pair still
-    builds, but its penultimate witness folds to a negative weight, so
-    depth 2 has no witness pair."""
-    real = recurrence_engine.closed_step
+def broken_core_step(monkeypatch):
+    """Shift each new penultimate core by -8: the depth-1 witnesses still
+    build, but the core C_1 folds to a negative weight, so depth 2 has no
+    witness pair."""
+    real = recurrence_engine.factored_witnesses
+    caches = (real, recurrence_engine._cofactor, recurrence_engine.closed_witnesses)
 
-    def step(m0, m1):
-        lead, pen = real(m0, m1)
-        return lead, pen.shift(-8)
+    def step(n):
+        v, core = real(n)
+        return v, core.shift(-8)
 
-    monkeypatch.setattr(recurrence_engine, "closed_step", step)
-    recurrence_engine.closed_witnesses.cache_clear()
+    monkeypatch.setattr(recurrence_engine, "factored_witnesses", step)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    recurrence_engine.closed_witnesses.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 CLOSED_ROUTE_FAULT = "negative folded weight -1 at h[1]: not a multiset"
 
 
-def test_verify_reports_a_closed_route_fault_as_one_check_per_suite(broken_closed_step, capsys):
+def test_verify_reports_a_closed_route_fault_as_one_check_per_suite(broken_core_step, capsys):
     code, out, err = run(capsys, "verify")
     assert (code, err) == (1, "")
     lines = out.splitlines()
@@ -454,7 +457,7 @@ def test_verify_reports_a_closed_route_fault_as_one_check_per_suite(broken_close
                          f"(suites={','.join(cli.SUITE_NAMES)}; n=auto; trials=auto; seed=0)")
 
 
-def test_certify_stops_at_a_depth_it_cannot_build(broken_closed_step, tmp_path, capsys):
+def test_certify_stops_at_a_depth_it_cannot_build(broken_core_step, tmp_path, capsys):
     outdir = tmp_path / "certs"
     code, out, err = run(capsys, "certify", "--n", "3", "--out", str(outdir))
     assert (code, err) == (1, "")
@@ -469,42 +472,9 @@ def test_certify_stops_at_a_depth_it_cannot_build(broken_closed_step, tmp_path, 
 
 @pytest.mark.parametrize("argv", [("compute", "--n", "3", "--mode", "closed"),
                                   ("stats", "--n", "3")])
-def test_compute_and_stats_report_a_closed_route_fault_in_one_line(argv, broken_closed_step,
+def test_compute_and_stats_report_a_closed_route_fault_in_one_line(argv, broken_core_step,
                                                                    capsys):
     assert run(capsys, *argv) == (1, "", f"chebcone: {CLOSED_ROUTE_FAULT}\n")
-
-
-@pytest.fixture
-def lopsided_closed_step(monkeypatch):
-    """Add one more copy of each new leading witness's top value: the
-    depth-1 pair still builds, but its leading witness is no palindrome, so
-    depth 2 has no witness pair."""
-    real = recurrence_engine.closed_step
-
-    def step(m0, m1):
-        lead, pen = real(m0, m1)
-        return lead | multiset_cone.IntegerMultiset([lead.max_index()]), pen
-
-    monkeypatch.setattr(recurrence_engine, "closed_step", step)
-    recurrence_engine.closed_witnesses.cache_clear()
-    yield
-    recurrence_engine.closed_witnesses.cache_clear()
-
-
-PALINDROME_FAULT = "not a palindrome about an integer c >= 0: c = 4, mult(2) = 1, mult(6) = 2"
-
-
-def test_a_leading_witness_off_its_palindrome_is_a_fault_verdict(lopsided_closed_step,
-                                                                 tmp_path, capsys):
-    code, out, err = run(capsys, "verify")
-    assert (code, err) == (1, "")
-    assert [line for line in out.splitlines() if not line.startswith("[PASS] ")][:-1] == [
-        f"[FAIL] {suite}/fault: {PALINDROME_FAULT}"
-        for suite in ("multiset", "cone", "positivity", "oracle")
-    ]
-    code, out, err = run(capsys, "certify", "--n", "3", "--out", str(tmp_path / "certs"))
-    assert (code, err) == (1, "")
-    assert out.splitlines()[-2] == f"INVALID closed route n=2: {PALINDROME_FAULT}"
 
 
 def test_verify_reports_a_generator_fault_as_a_failed_check(monkeypatch, capsys):

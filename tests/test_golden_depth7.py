@@ -4,10 +4,12 @@ takes seconds.
 Every step of the closed route is a handful of multiset sums and unions,
 and from depth 7 on those sums are large packed products with fields far
 wider than 64 bits.  The digests were recorded with the step that formed
-the kernel of the leading witness and expanded three sumsets by it, before
-that kernel was read off the witness's palindrome, so they pin the bytes
-across that change.  Files are digested one by one, then as a sorted
-listing of `name<TAB>sha256` lines, as in `tests/test_golden.py`.
+the kernel of the leading witness and expanded three sumsets by it on the
+full witnesses.  They pin the bytes across the later steps: first that
+kernel read off the witness's palindrome, then the step on the small
+cores, with the witnesses expanded by their shared cofactor.  Files are
+digested one by one, then as a sorted listing of `name<TAB>sha256` lines,
+as in `tests/test_golden.py`.
 """
 
 import hashlib

@@ -257,6 +257,11 @@ def packed_product(operands, width: int, lo: int, step: int) -> dict[int, int]:
     return _unpack(product, lo, step, width, top)
 
 
+def clear_closed_route():
+    for name in ("factored_witnesses", "_cofactor", "closed_witnesses"):
+        getattr(recurrence_engine, name).cache_clear()
+
+
 @contextmanager
 def recorded_routes():
     """Records the route of every product: (step, width) of each packed
@@ -441,7 +446,7 @@ def test_each_packed_product_builds_one_mask(monkeypatch, tmp_path, routes, caps
         return _field_tops(width, slots)
 
     monkeypatch.setattr(tilde_ring, "_field_tops", field_tops)
-    recurrence_engine.closed_witnesses.cache_clear()
+    clear_closed_route()
     assert main(["certify", "--n", "4", "--out", str(tmp_path / "certs")]) == 0
     capsys.readouterr()
     packed = [route for route in routes if route != "loop"]
@@ -650,7 +655,8 @@ def test_threshold_selects_the_packed_path_exactly_at_the_constant(routes):
 def test_default_verify_packs_only_word_fields(capsys):
     # over a thousand products of a default verify are packed, all in
     # 8-byte fields, the sumsets of its closed route among them
-    for name in ("e0_raw", "e1_raw", "_penultimate_first_lines", "closed_witnesses"):
+    for name in ("e0_raw", "e1_raw", "_penultimate_first_lines", "factored_witnesses",
+                 "_cofactor", "closed_witnesses"):
         getattr(recurrence_engine, name).cache_clear()
     with recorded_routes() as calls:
         assert main(["verify", "--seed", "0"]) == 0
@@ -664,7 +670,7 @@ def test_cone_certificates_never_call_mul(monkeypatch, routes):
     # the closed route reaches _product through msum alone
     from chebcone import certifier
 
-    recurrence_engine.closed_witnesses.cache_clear()
+    clear_closed_route()
 
     def forbidden(g1, g2):
         raise AssertionError("mul called")
@@ -674,7 +680,8 @@ def test_cone_certificates_never_call_mul(monkeypatch, routes):
     for n in range(6):
         for j in (0, 1):
             certifier.document_json(certifier.certify_cone(n, j).to_document())
-    assert len([route for route in routes if route != "loop"]) >= 10
+    # 16 of its sumsets through depth 5 are large enough to be packed
+    assert len([route for route in routes if route != "loop"]) == 16
 
 
 def test_one_term_times_many_terms(routes):

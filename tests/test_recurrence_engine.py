@@ -21,13 +21,14 @@ from chebcone.multiset_cone import (
 )
 from chebcone import certifier, multiset_cone, recurrence_engine, suites, tilde_ring
 from chebcone.recurrence_engine import (
+    _cofactor,
     _multiset_kernel,
     closed_element,
-    closed_step,
     closed_witnesses,
     cone_center,
     e0_raw,
     e1_raw,
+    factored_witnesses,
     growth_stats,
     leading_extra_term,
     raw_element,
@@ -132,8 +133,6 @@ def ref_closed(n):
 @pytest.mark.parametrize("n", range(7))
 def test_closed_witnesses_match_the_three_term_expansion(n):
     assert closed_witnesses(n) == ref_closed(n)
-    # the step alone, from the reference's previous depth
-    assert n == 0 or closed_step(*ref_closed(n - 1)) == ref_closed(n)
 
 
 multiplicities = st.integers(1, 3) | st.integers(2**64, 2**66)
@@ -158,35 +157,58 @@ def cone_members(c):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 8).flatmap(lambda c: st.tuples(palindromes(c), cone_members(c - 1))))
-def test_closed_step_matches_the_three_term_expansion(pair):
-    # m0 palindromic in R(c) and m1 in R(c - 1), for c from 0 to 8
-    assert closed_step(*pair) == ref_step(*pair)
+@given(palindromes(0), st.integers(0, 8).flatmap(cone_members))
+def test_kernel_of_a_product_with_a_palindrome_about_zero(f, a):
+    # K(F*A) = F*K(A) for F palindromic about 0 and A in R(c), c >= 0,
+    # which folds to non-negative weights: closed_witnesses' lemma
+    assert _multiset_kernel(f + a) == f + _multiset_kernel(a)
 
 
-@pytest.mark.parametrize("m0, message", [
-    (ms(2, 4, 6, 6), r"c = 4, mult\(2\) = 1, mult\(6\) = 2"),
-    (ms(0, 1), r"c = 0.5, mult\(0\) = 1, mult\(1\) = 1"),
-    (ms(-1), r"c = -1, mult\(-1\) = 1, mult\(-1\) = 1"),
-])
-def test_closed_step_needs_a_palindrome_about_an_integer_center(m0, message):
-    # the kernel of m0 is read off its palindrome, so any other m0 is a fault
-    with pytest.raises(ValueError, match="not a palindrome about an integer c >= 0: " + message):
-        closed_step(m0, IntegerMultiset())
+def test_the_kernel_lemma_needs_a_palindrome_about_zero():
+    # {2} is a palindrome about 2: K({2} + {0}) is U_2, not {2} + K({0})
+    f, a = ms(2), ms(0)
+    assert _multiset_kernel(f + a) == ms(-2, 0, 2) != f + _multiset_kernel(a)
 
 
-def test_empty_leading_witness_steps_to_the_empty_pair():
-    empty = IntegerMultiset()
-    assert closed_step(empty, empty) == closed_step(empty, ms(1, 3)) == (empty, empty)
+def test_depth_zero_cores():
+    assert factored_witnesses(0) == (ms(0), IntegerMultiset())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_core_sizes_span_and_cone(n):
+    # both cores have 2^(n+1) - 1 terms, C_n one on each odd value from 1
+    # to 2^(n+2) - 3, and C_n lies in R(2^(n+1) - 1) = R(cone_center(n, 1))
+    v, core = factored_witnesses(n)
+    assert v.support_size() == core.support_size() == 2 ** (n + 1) - 1
+    assert sorted(x for x, _ in core.items()) == list(range(1, 2 ** (n + 2) - 2, 2))
+    assert in_cone(core, cone_center(n, 1))
+
+
+def test_cores_are_stepped_without_the_cofactor():
+    for fn in (factored_witnesses, _cofactor, closed_witnesses):
+        fn.cache_clear()
+    factored_witnesses(12)
+    assert _cofactor.cache_info().currsize == closed_witnesses.cache_info().currsize == 0
+
+
+def cofactor_product(n):
+    """prod_(k=1..n-1) U_(2^k)^(3^(n-k) - 1), by naive convolution."""
+    factors = [eval_basis(2**k) for k in range(1, n) for _ in range(3 ** (n - k) - 1)]
+    return reduce(lmul, factors, LaurentPoly({0: 1}))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_cofactor_is_a_product_of_intervals(n):
+    assert LaurentPoly(dict(_cofactor(n).items())) == cofactor_product(n)
 
 
 def test_negative_weight_fault_reads_the_same_from_either_build_order():
-    # one penultimate witness, built in two orders, folds to -h[5] - h[3] -
-    # h[1]; the fault names its lowest index, not the first in dict order
+    # one core, built in two orders, folds to -h[5] - h[3] - h[1]; the
+    # fault names its lowest index, not the first in dict order
     messages = set()
     for m1 in (ms(-7, -5, -3), ms(-3, -5, -7)):
         with pytest.raises(ValueError) as info:
-            closed_step(ms(2, 4, 6), m1)
+            _multiset_kernel(m1)
         messages.add(str(info.value))
     assert messages == {"negative folded weight -1 at h[1]: not a multiset"}
 
@@ -208,14 +230,14 @@ def test_step_resumes_from_cone_documents(k, depth_five_cones):
         for j in (0, 1)
     )
     assert (m0, m1) == closed_witnesses(k)
-    assert closed_step(m0, m1) == closed_witnesses(k + 1)
+    assert ref_step(m0, m1) == closed_witnesses(k + 1)
 
 
 def test_closed_route_folds_each_witness_once_per_depth(monkeypatch):
-    # depths 1..6 fold and run one witness each, the penultimate one, as the
-    # leading witness's kernel is read off its palindrome; five products per
-    # depth, all sumsets: m0 + m0, u + m0, that plus m0 + m0, u + m1, and
-    # m0 + m0 plus the union
+    # depths 1..6 fold and run one core each, C_(n-1); every product is a
+    # sumset: u + V_(n-1) and u + C_(n-1) for the cores of depths 1..6,
+    # a + a and G_(n-1) plus that for the cofactors of depths 1..6, and
+    # G_n + V_n and G_n + C_n for the witnesses of depths 0..6
     counts = {"runs": 0, "products": 0}
 
     def counting(name, fn):
@@ -227,9 +249,10 @@ def test_closed_route_folds_each_witness_once_per_depth(monkeypatch):
     monkeypatch.setattr(recurrence_engine, "_symmetric_runs",
                         counting("runs", tilde_ring._symmetric_runs))
     monkeypatch.setattr(multiset_cone, "_product", counting("products", tilde_ring._product))
-    closed_witnesses.cache_clear()
+    for fn in (factored_witnesses, _cofactor, closed_witnesses):
+        fn.cache_clear()
     closed_witnesses(6)
-    assert counts == {"runs": 6, "products": 30}
+    assert counts == {"runs": 6, "products": 38}
 
 
 def leading_product(n):
