@@ -10,7 +10,8 @@ with slot index i in {-1, 0, 1}.  Each family is computed two ways:
   matches the base cases and every downstream identity);
 * closed: an integer multiset witness M(n, j) with to_tilde(M) equal to
   the i = 0 raw element, which closed_witnesses expands from the small
-  cores of factored_witnesses and the cofactor both witnesses share.
+  cores of factored_witnesses and the cofactor both witnesses share, the
+  product of the squared leading witnesses below depth n.
 
 The structural identities tying the two routes together are checked by
 the shift, cone and multiset suites of `verify`, which read these caches.
@@ -131,32 +132,25 @@ def factored_witnesses(n: int) -> tuple[IntegerMultiset, IntegerMultiset]:
 
 
 @lru_cache(maxsize=None)
-def _cofactor(n: int) -> IntegerMultiset:
-    """G_n of closed_witnesses, from G_(n-1) and the depth n-1 leading witness."""
-    if n == 0:
-        return IntegerMultiset([0])
-    a = closed_witnesses(n - 1)[0].shift(-cone_center(n - 1, 0))
-    return _cofactor(n - 1) + (a + a)
-
-
-@lru_cache(maxsize=None)
 def closed_witnesses(n: int) -> tuple[IntegerMultiset, IntegerMultiset]:
     """The depth-n witnesses (L_n, P_n) of the slot-0 elements, indexed by
     order j: to_tilde of each is that element, in R(cone_center(n, j)).
 
     Read a multiset as the Laurent polynomial sum of mult(v)*x^v, so a
     sumset is a product and a union a sum; U_m = x^-m + x^(-m+2) + ... + x^m
-    is interval(-m, m).  For c = 2^(n+1), the cores (V_n, C_n) and G_0 = 1,
-    G_(n+1) = G_n*(G_n*V_n)^2 (_cofactor): L_n = x^c*G_n*V_n, P_n = G_n*C_n.
+    is interval(-m, m).  For c = 2^(n+1), the cores (V_n, C_n) and the
+    cofactor G_n = prod_(k<n) (x^(-2^(k+1))*L_k)^2, formed here from the
+    cached L_k and kept by no cache: L_n = x^c*G_n*V_n, P_n = G_n*C_n.
 
     1. A multiset a acts as K_a = (x*a(x) - a(1/x)/x) / (x - 1/x), its shift
        kernel, so K_(x^c) = U_c, and K_(F*A) = F*K_A if F(1/x) = F(x), as
        for G_n and V_n, products of U's.
     2. Depth n+1 is L' = K_L*L^2 and P' = L'/x + 2*K_L*L*P + K_P*L^2 at
        L = L_n, P = P_n, with K_L = U_c*G_n*V_n and K_P = G_n*K_(C_n) by 1.
-       So L' = x^(2c)*G_(n+1)*V_(n+1) for V_(n+1) = U_c*V_n, and P' =
-       G_(n+1)*C_(n+1) for the parts x^(2c-1)*U_c*V_n, 2*x^c*U_c*C_n and
-       x^(2c)*K_(C_n) of C_(n+1).  So L_n = x^c*prod_(k=1..n) U_(2^k)^(3^(n-k)).
+       So L' = x^(2c)*G_(n+1)*V_(n+1) for G_(n+1) = G_n*(x^-c*L)^2 and
+       V_(n+1) = U_c*V_n, and P' = G_(n+1)*C_(n+1) for the parts
+       x^(2c-1)*U_c*V_n, 2*x^c*U_c*C_n and x^(2c)*K_(C_n) of C_(n+1).
+       So L_n = x^c*prod_(k=1..n) U_(2^k)^(3^(n-k)).
     3. Each U_m lies in R(0), and a sumset of members of R(a) and R(b) lies
        in R(a + b) (multiset/cone-sum), so G_n and V_n lie in R(0) and L_n
        in R(c).  C_0 lies in R(1).  If C_n lies in R(c - 1), it folds to
@@ -166,7 +160,11 @@ def closed_witnesses(n: int) -> tuple[IntegerMultiset, IntegerMultiset]:
        R(c - 1) at every depth, and _multiset_kernel never raises for C_n.
     """
     _check_indices(n, 0, 0)
-    g, (v, core) = _cofactor(n), factored_witnesses(n)
+    g = IntegerMultiset([0])
+    for k in range(n):
+        a = closed_witnesses(k)[0].shift(-cone_center(k, 0))
+        g = g + (a + a)
+    v, core = factored_witnesses(n)
     return (g + v).shift(cone_center(n, 0)), g + core
 
 

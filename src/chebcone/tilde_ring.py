@@ -234,7 +234,7 @@ def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     -2^(w-1) and 2^(w-1) for w = bits_a + bits_b + bit_length(min(len(a),
     len(b))) + 1 bits.  Fields are 8-byte words while w <= 64, else the
     fewest whole bytes that hold w bits.  One field mask, over the slots of
-    the product, packs both operands and unpacks the product.
+    the product, packs both operands, or once if b is a, and unpacks the product.
     """
     ops = len(a) * len(b)
     if ops >= MIN_TERM_OPS:
@@ -247,7 +247,8 @@ def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
             bits += min(len(a), len(b)).bit_length() + 1
             width = 8 if bits <= 64 else (bits + 7) // 8
             top = _field_tops(width, span // step + 1)
-            product = _pack(dense_a, step, width, top) * _pack(dense_b, step, width, top)
+            packed = _pack(dense_a, step, width, top)
+            product = packed * (packed if b is a else _pack(dense_b, step, width, top))
             return _unpack(product, lo_a + lo_b, step, width, top)
     acc: dict[int, int] = {}
     for i, c in a.items():

@@ -428,7 +428,7 @@ def broken_core_step(monkeypatch):
     build, but the core C_1 folds to a negative weight, so depth 2 has no
     witness pair."""
     real = recurrence_engine.factored_witnesses
-    caches = (real, recurrence_engine._cofactor, recurrence_engine.closed_witnesses)
+    caches = (real, recurrence_engine.closed_witnesses)
 
     def step(n):
         v, core = real(n)

@@ -258,7 +258,7 @@ def packed_product(operands, width: int, lo: int, step: int) -> dict[int, int]:
 
 
 def clear_closed_route():
-    for name in ("factored_witnesses", "_cofactor", "closed_witnesses"):
+    for name in ("factored_witnesses", "closed_witnesses"):
         getattr(recurrence_engine, name).cache_clear()
 
 
@@ -362,6 +362,45 @@ def test_packed_route_on_both_sides_of_the_64_bit_bound(n1, lo1, n2, lo2, e1, e2
         assert calls == [(1, width_for(kernel_bits(g1, g2)))]
     else:
         assert calls == ["loop"]
+
+
+SQUARE_MAPS = {
+    "loop": elements.map(lambda g: dict(g.items())),  # at most 8 * 8 term products
+    # slots of at most 21 + 21 + bit_length(80) + 1 = 50 bits
+    "word": large(st.integers(1, 2**20) | st.integers(-(2**20), -1)),
+    "wide": large(st.integers(BIG, BIG**2)),  # counts above 2^64
+}
+
+
+@pytest.mark.parametrize("route", SQUARE_MAPS)
+@PROPERTY
+@given(data=st.data())
+def test_a_square_matches_reference(route, data):
+    a = data.draw(SQUARE_MAPS[route])
+    with recorded_routes() as calls:
+        assert tilde_ring._product(a, a) == ref_product(a.items(), a.items())
+    if route == "loop":
+        assert calls == ["loop"]
+    else:
+        ((step, width),) = calls
+        assert step == (1 if len({k % 2 for k in a}) == 2 else 2)
+        assert (width == 8) == (route == "word")
+
+
+def test_a_square_is_packed_once(monkeypatch):
+    # equal maps that are distinct objects are packed one by one
+    packed = []
+
+    def counting(*args):
+        packed.append(args)
+        return _pack(*args)
+
+    monkeypatch.setattr(tilde_ring, "_pack", counting)
+    a = dict(dense(10, step=2))
+    for b, packs in ((a, 1), (dict(a), 2)):
+        packed.clear()
+        assert _product(a, b) == ref_product(a.items(), a.items())
+        assert len(packed) == packs
 
 
 @pytest.mark.parametrize("values", [
@@ -656,7 +695,7 @@ def test_default_verify_packs_only_word_fields(capsys):
     # over a thousand products of a default verify are packed, all in
     # 8-byte fields, the sumsets of its closed route among them
     for name in ("e0_raw", "e1_raw", "_penultimate_first_lines", "factored_witnesses",
-                 "_cofactor", "closed_witnesses"):
+                 "closed_witnesses"):
         getattr(recurrence_engine, name).cache_clear()
     with recorded_routes() as calls:
         assert main(["verify", "--seed", "0"]) == 0
@@ -680,8 +719,14 @@ def test_cone_certificates_never_call_mul(monkeypatch, routes):
     for n in range(6):
         for j in (0, 1):
             certifier.document_json(certifier.certify_cone(n, j).to_document())
-    # 16 of its sumsets through depth 5 are large enough to be packed
-    assert len([route for route in routes if route != "loop"]) == 16
+    # 22 of its sumsets through depth 5 make at least MIN_TERM_OPS term
+    # products, none too sparse, so they are packed: u + V_(n-1) and
+    # u + C_(n-1) for the cores of depths 4 and 5 (from 17 * 15 terms), 4;
+    # G_n + V_n and G_n + C_n for the witnesses of depths 3 to 5 (from
+    # 25 * 15), 6; and a + a and G + (a + a) for the leading witnesses a of
+    # depths k = 2 to n - 1 as depth n forms G_n (from 11 * 11 and 5 * 21),
+    # 2 + 4 + 6 = 12 for depths 3, 4 and 5
+    assert len([route for route in routes if route != "loop"]) == 22
 
 
 def test_one_term_times_many_terms(routes):

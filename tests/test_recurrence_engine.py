@@ -1,5 +1,6 @@
 """Unit tests for the coefficient-family recurrences and witnesses."""
 
+import gc
 import json
 from functools import lru_cache, reduce
 from math import prod
@@ -21,7 +22,6 @@ from chebcone.multiset_cone import (
 )
 from chebcone import certifier, multiset_cone, recurrence_engine, suites, tilde_ring
 from chebcone.recurrence_engine import (
-    _cofactor,
     _multiset_kernel,
     closed_element,
     closed_witnesses,
@@ -184,11 +184,11 @@ def test_core_sizes_span_and_cone(n):
     assert in_cone(core, cone_center(n, 1))
 
 
-def test_cores_are_stepped_without_the_cofactor():
-    for fn in (factored_witnesses, _cofactor, closed_witnesses):
+def test_cores_are_stepped_without_the_witnesses():
+    for fn in (factored_witnesses, closed_witnesses):
         fn.cache_clear()
     factored_witnesses(12)
-    assert _cofactor.cache_info().currsize == closed_witnesses.cache_info().currsize == 0
+    assert closed_witnesses.cache_info().currsize == 0
 
 
 def cofactor_product(n):
@@ -198,8 +198,20 @@ def cofactor_product(n):
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_cofactor_is_a_product_of_intervals(n):
-    assert LaurentPoly(dict(_cofactor(n).items())) == cofactor_product(n)
+def test_penultimate_witness_is_a_product_of_intervals_times_its_core(n):
+    # P_n = G_n * C_n; leading_product checks L_n = x^(2^(n+1)) * G_n * V_n
+    core = LaurentPoly(dict(factored_witnesses(n)[1].items()))
+    assert LaurentPoly(dict(closed_witnesses(n)[1].items())) == lmul(cofactor_product(n), core)
+
+
+def test_no_product_of_squares_outlives_its_depth():
+    # the cofactor G_5 is formed while depth 5 is expanded, and no cache keeps it
+    target = IntegerMultiset.from_counts(dict(cofactor_product(5).items()))
+    for fn in (factored_witnesses, closed_witnesses):
+        fn.cache_clear()
+    closed_witnesses(5)
+    live = [m for m in gc.get_objects() if type(m) is IntegerMultiset and m is not target]
+    assert target not in live
 
 
 def test_negative_weight_fault_reads_the_same_from_either_build_order():
@@ -235,9 +247,10 @@ def test_step_resumes_from_cone_documents(k, depth_five_cones):
 
 def test_closed_route_folds_each_witness_once_per_depth(monkeypatch):
     # depths 1..6 fold and run one core each, C_(n-1); every product is a
-    # sumset: u + V_(n-1) and u + C_(n-1) for the cores of depths 1..6,
-    # a + a and G_(n-1) plus that for the cofactors of depths 1..6, and
-    # G_n + V_n and G_n + C_n for the witnesses of depths 0..6
+    # sumset: u + V_(n-1) and u + C_(n-1) for the cores of depths 1..6, 12;
+    # a + a and G plus that for each k < n, as depth n forms G_n, 2n for
+    # depth n and 2 * (0 + 1 + ... + 6) = 42 in all; and G_n + V_n and
+    # G_n + C_n for the witnesses of depths 0..6, 14
     counts = {"runs": 0, "products": 0}
 
     def counting(name, fn):
@@ -249,10 +262,10 @@ def test_closed_route_folds_each_witness_once_per_depth(monkeypatch):
     monkeypatch.setattr(recurrence_engine, "_symmetric_runs",
                         counting("runs", tilde_ring._symmetric_runs))
     monkeypatch.setattr(multiset_cone, "_product", counting("products", tilde_ring._product))
-    for fn in (factored_witnesses, _cofactor, closed_witnesses):
+    for fn in (factored_witnesses, closed_witnesses):
         fn.cache_clear()
     closed_witnesses(6)
-    assert counts == {"runs": 6, "products": 38}
+    assert counts == {"runs": 6, "products": 68}
 
 
 def leading_product(n):
