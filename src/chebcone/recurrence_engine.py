@@ -50,24 +50,17 @@ def e0_raw(n: int, i: int) -> TildeElement:
     _check_indices(n, i, 0)
     if n == 0:
         return basis(2) if i == 0 else H1
-    if i == -1:
-        # slot -1 repeats the slot-1 lines plus an extra cubic term that
-        # must come out as zero; it is kept literal rather than dropped
-        return e0_raw(n, 1) + leading_extra_term(n - 1)
     e0 = e0_raw(n - 1, 0)
     e1 = e0_raw(n - 1, 1)
+    if i == -1:
+        # slot 1 plus an extra cubic term, kept literal rather than dropped:
+        # it must be zero, and the shift suite checks slot -1 minus slot 1
+        em1 = e0_raw(n - 1, -1)
+        return e0_raw(n, 1) + mul(em1, mul(em1, em1 - e1))
     if i == 0:
         return mul(e0, mul(e0, e0) - mul(e1, e1))
     e0e1 = mul(e0, e1)
     return mul(e1, mul(e0, e0)) + mul(e0, e0e1) - mul(e1, mul(H1, e0e1))
-
-
-@lru_cache(maxsize=None)
-def leading_extra_term(n: int) -> TildeElement:
-    """The literal extra summand of the slot -1 leading recurrence at depth n."""
-    em1 = e0_raw(n, -1)
-    e1 = e0_raw(n, 1)
-    return mul(em1, mul(em1, em1 - e1))
 
 
 @lru_cache(maxsize=None)

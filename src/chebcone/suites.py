@@ -275,8 +275,8 @@ def suite_cone(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
 def suite_shift(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
     """The shift ladder closed_element applies, checked on both raw families
     at every depth up to `depth`: slots 1 and -1 against the ladder of the
-    slot-0 pair, plus the vanishing of the literal extra term of the slot -1
-    leading recurrence at the depths that feed them."""
+    slot-0 pair, plus the literal extra term of the slot -1 leading
+    recurrence, read as slot -1 minus slot 1, zero at depths 1 and up."""
     results = []
     for n in range(depth + 1):
         pair = (engine.e0_raw(n, 0), engine.e1_raw(n, 0))
@@ -286,7 +286,7 @@ def suite_shift(depth: int = DEFAULT_DEPTH) -> list[CheckResult]:
                                           engine.raw_element(n, i, j),
                                           engine.shift_ladder(pair, i, j)))
         if n < depth:
-            extra = engine.leading_extra_term(n)
+            extra = engine.e0_raw(n + 1, -1) - engine.e0_raw(n + 1, 1)
             results.append(CheckResult(f"shift/extra-term-zero(n={n})", not extra,
                                        f"extra term nonzero: {extra}" if extra else ""))
     return results

@@ -378,7 +378,10 @@ def w1(g1: TildeElement, g2: TildeElement, g3: TildeElement) -> TildeElement:
     The subtracted term carries an extra h~[1] left factor: without it
     the identity w1 = shift(w0, -1) fails already on basis triples.
     Unparenthesised products group right to left.  mul is linear in its
-    right factor and commutes with shifting it, so four products form w1.
+    right factor and commutes with shifting it, and h~[1] acts as the sum
+    of the shifts by -1 and 1, so for g23 = g2*g3 the subtracted term is
+    shift(g1,-1)*(shift(g23,-2) + g23): its second part cancels the first
+    term, and three products form w1.
     """
     g23 = mul(g2, g3)
-    return mul(g1.shift(-1), g23 - mul(H1, g23).shift(-1)) + mul(g1, g23).shift(-1)
+    return (mul(g1, g23) - mul(g1.shift(-1), g23).shift(-1)).shift(-1)

@@ -25,7 +25,6 @@ from chebcone.recurrence_engine import (
     closed_witnesses,
     e0_raw,
     e1_raw,
-    leading_extra_term,
 )
 from chebcone import recurrence_engine, suites
 from chebcone.suites import cross_check, random_cone_member, random_element
@@ -124,7 +123,9 @@ def test_criterion_05_shift_ladder():
             assert e1_raw(n, 1) == e1_raw(n, 0).shift(-1)
             assert e1_raw(n, -1) == e1_raw(n, 0).shift(-1) + e0_raw(n, 0).shift(-2)
         for n in range(4):
-            assert leading_extra_term(n) == TildeElement()
+            # the literal extra summand of the slot -1 leading recurrence at depth n + 1
+            em1, e1 = e0_raw(n, -1), e0_raw(n, 1)
+            assert mul(em1, mul(em1, em1 - e1)) == TildeElement()
 
 
 def test_criterion_06_cone_membership_with_certificates():

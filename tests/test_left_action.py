@@ -588,12 +588,14 @@ def test_one_term_right_factors_take_no_product(routes):
     assert routes == []
 
 
-def test_w1_passes_one_shared_h1(monkeypatch):
+def test_w1_forms_three_products_and_passes_no_h1(monkeypatch):
+    # w1 reads h~[1]'s action as the shifts by -1 and 1
     lefts = []
     monkeypatch.setattr(tilde_ring, "mul", lambda g1, g2: lefts.append(g1) or mul(g1, g2))
     g = basis(4) - basis(-1) + 2 * basis(3)
-    assert tilde_ring.w1(g, g, g) == tilde_ring.w1(g, g, g) == tilde_ring.w0(g, g, g).shift(-1)
-    assert sum(left is H1 for left in lefts) == 2
+    got = tilde_ring.w1(g, g, g)
+    assert len(lefts) == 3 and not any(left == H1 for left in lefts)
+    assert got == tilde_ring.w0(g, g, g).shift(-1)
     assert H1 == basis(1) and recurrence_engine.e0_raw(0, 1) is H1
 
 

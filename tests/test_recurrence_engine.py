@@ -30,11 +30,10 @@ from chebcone.recurrence_engine import (
     e1_raw,
     factored_witnesses,
     growth_stats,
-    leading_extra_term,
     raw_element,
 )
 from chebcone.suites import CheckResult
-from chebcone.tilde_ring import TildeElement, basis, w0, w1
+from chebcone.tilde_ring import TildeElement, basis, mul, w0, w1
 
 
 def ms(*xs):
@@ -314,9 +313,20 @@ def test_shift_ladder(n):
     assert e1_raw(n, -1) == e1_raw(n, 0).shift(-1) + e0_raw(n, 0).shift(-2)
 
 
+def printed_extra_term(n):
+    """The literal extra summand of the slot -1 leading recurrence, formed
+    as printed from the depth-n slots that feed depth n + 1."""
+    em1, e1 = e0_raw(n, -1), e0_raw(n, 1)
+    return mul(em1, mul(em1, em1 - e1))
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_extra_term_vanishes(n):
-    assert leading_extra_term(n) == TildeElement()
+    term = printed_extra_term(n)
+    assert term == TildeElement()
+    if n < 5:
+        # the shift suite reads the same term as slot -1 minus slot 1
+        assert term == e0_raw(n + 1, -1) - e0_raw(n + 1, 1)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -364,13 +374,14 @@ def test_structural_suites_depth_zero():
 
 
 def test_shift_suite_forms_each_extra_term_once():
-    # suite_shift(3) reads leading_extra_term(n) for n < 3, and so does
-    # e0_raw(n + 1, -1): from cleared caches, one miss and one hit per n
-    for fn in (e0_raw, e1_raw, leading_extra_term):
+    # e0_raw(n + 1, -1) forms the extra term, and suite_shift(3) reads it
+    # back as slot -1 minus slot 1, both of which its ladder checks build:
+    # from cleared caches, one miss for each of the 4 depths and 3 slots of
+    # either family
+    for fn in (e0_raw, e1_raw):
         fn.cache_clear()
     assert all(r.passed for r in suites.suite_shift(3))
-    info = leading_extra_term.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+    assert e0_raw.cache_info().misses == e1_raw.cache_info().misses == 12
 
 
 def failed(records):

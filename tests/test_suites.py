@@ -272,7 +272,7 @@ def test_decompose_roundtrip_recomposes_once_per_trial(monkeypatch):
     real = multiset_cone.ConeDecomposition.recompose
 
     def counted(self):
-        # only the suite's own calls: decompose_cone recomposes as well
+        # only the suite's own calls: random_cone_member recomposes as well
         if sys._getframe(1).f_code is suites.suite_multiset.__code__:
             calls.append(self)
         return real(self)
