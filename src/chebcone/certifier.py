@@ -6,9 +6,11 @@ and a cone certificate carrying the interval/singleton decomposition of
 a closed-form witness plus a recomposition verdict.  A record stores only
 what it certifies, in the kernel's value types: a positivity listing is
 its ChElement fold and the cone parts are IntegerMultisets, which hold no
-listing their reader refuses.  Every value read off that (the verdict,
-mass, max index and cone bound of a listing, the center of a
-decomposition) is a property, so no record can contradict itself.
+listing their reader refuses.  A record's constructor, which its _make
+and so _replace call too, refuses whatever its reader refuses, and
+to_document only writes.  Every value read off that (the verdict, mass,
+max index and cone bound of a listing, the center of a decomposition) is
+a property, so no record can contradict itself.
 certify_cone returns a witness outside its cone as its
 ConeMembershipError, a verdict that check_positivity_implication reads as
 False.  Documents carry ints as decimal strings, as depth 4 values exceed
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import json
 import reprlib
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from typing import Iterable
 
 from .multiset_cone import ConeDecomposition, ConeMembershipError, IntegerMultiset, decompose_cone
 from .recurrence_engine import VALID_I, _check_indices, closed_element, closed_witnesses, cone_center
@@ -111,27 +114,31 @@ def _listing(doc: dict, key: str) -> dict[int, int]:
     return parsed
 
 
-class PositivityCertificate(NamedTuple):
+class PositivityCertificate(namedtuple("PositivityCertificate", "n i j coefficients")):
     """Folded coefficient listing of the (n, i, j) element.
 
     `coefficients` is the element's ChElement fold, all the record stores
     besides (n, i, j).  The sign verdict and the max index are the fold's
     own queries, `mass` its coefficient sum, and `cone_bound`, the cone
     center that explains why the verdict had to come out non-negative,
-    positivity_cone_bound(n, i, j).  A record over any other listing
-    writes no document.  from_document rejects a document with a depth,
-    slot or order out of range, a listing that is not canonical or that
-    ChElement refuses, or a key or value other than what its record
-    writes, such as a zero coefficient, or a cone_bound, verdict, mass or
-    max_index that disagrees with it or is not of its type.  Every
-    malformed document, a missing field or a non-object included, raises
-    ValueError.
+    positivity_cone_bound(n, i, j).  The constructor refuses indices that
+    _check_indices refuses and a listing that is no ChElement (TypeError).
+    from_document rejects a document whose record cannot be built, a
+    listing that is not canonical or that ChElement refuses, or a key or
+    value other than what its record writes, such as a zero coefficient,
+    or a cone_bound, verdict, mass or max_index that disagrees with it or
+    is not of its type.  Every malformed document, a missing field or a
+    non-object included, raises ValueError.
     """
 
-    n: int
-    i: int
-    j: int
-    coefficients: ChElement
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def __new__(cls, n: int, i: int, j: int, coefficients: ChElement) -> PositivityCertificate:
+        _check_indices(n, i, j)
+        if type(coefficients) is not ChElement:
+            raise TypeError(f"coefficients must be a ChElement, got {type(coefficients).__name__}")
+        return super().__new__(cls, n, i, j, coefficients)
 
     @property
     def all_nonnegative(self) -> bool:
@@ -150,8 +157,6 @@ class PositivityCertificate(NamedTuple):
         return positivity_cone_bound(self.n, self.i, self.j)
 
     def to_document(self) -> dict:
-        if type(fold := self.coefficients) is not ChElement:
-            raise TypeError(f"coefficients must be a ChElement, got {type(fold).__name__}")
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "positivity",
@@ -159,7 +164,7 @@ class PositivityCertificate(NamedTuple):
             "i": self.i,
             "j": self.j,
             "cone_bound": self.cone_bound,
-            "coefficients": encode_listing(fold.terms()),
+            "coefficients": encode_listing(self.coefficients.terms()),
             "all_nonnegative": self.all_nonnegative,
             "max_index": self.max_index,
             "mass": str(self.mass),
@@ -168,7 +173,6 @@ class PositivityCertificate(NamedTuple):
     @classmethod
     def from_document(cls, doc: dict) -> "PositivityCertificate":
         n, i, j, bound = _int_fields(doc, "positivity", "n", "i", "j", "cone_bound")
-        _check_indices(n, i, j)
         # so that a document with a huge n never builds 2^(n+1)
         if bound.bit_length() < n:
             raise ValueError(f"cone_bound {bound} is not the bound of ({n}, {i}, {j})")
@@ -186,36 +190,42 @@ def certify_positivity(n: int, i: int, j: int) -> PositivityCertificate:
     return PositivityCertificate(n, i, j, fold_L(closed_element(n, i, j)))
 
 
-class ConeCertificate(NamedTuple):
+class ConeCertificate(namedtuple("ConeCertificate", "n j decomposition recomposition_ok")):
     """Cone membership certificate for a closed-form witness.
 
     The decomposition stores its singletons and radii as IntegerMultisets
     about its center, which `center` reads; recomposition_ok is True iff
     rebuilding from the parts reproduces the witness multiset exactly.
     It is stored, as the record does not hold the witness it was checked
-    against.  to_document refuses a center other than 2^(n+1) - j and a
-    recomposition_ok that is not a bool, so from_document rejects them
-    too, as well as a depth or order out of range, parts that are not
+    against.  The constructor refuses a depth or order that _check_indices
+    refuses, a decomposition of another type (TypeError), a center other
+    than 2^(n+1) - j and a recomposition_ok that is not a bool, so
+    from_document rejects them too, as well as parts that are not
     canonical or break the center and radius constraints, or a key or
     value other than what its record writes; every malformed document
     raises ValueError.
     """
 
-    n: int
-    j: int
-    decomposition: ConeDecomposition
-    recomposition_ok: bool
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def __new__(cls, n: int, j: int, decomposition: ConeDecomposition,
+                recomposition_ok: bool) -> ConeCertificate:
+        _check_indices(n, 0, j)
+        if (kind := type(decomposition)) is not ConeDecomposition:
+            raise TypeError(f"decomposition must be a ConeDecomposition, got {kind.__name__}")
+        center = decomposition.center
+        if center.bit_length() < n or center != cone_center(n, j):  # a huge n builds no 2^(n+1)
+            raise ValueError(f"center {center} is not 2^{n + 1} - {j}")
+        if type(recomposition_ok) is not bool:
+            raise ValueError(f"recomposition_ok must be a bool, got {recomposition_ok!r}")
+        return super().__new__(cls, n, j, decomposition, recomposition_ok)
 
     @property
     def center(self) -> int:
         return self.decomposition.center
 
     def to_document(self) -> dict:
-        n, j, center, ok = self.n, self.j, self.center, self.recomposition_ok
-        if center.bit_length() < n or center != cone_center(n, j):  # a huge n builds no 2^(n+1)
-            raise ValueError(f"center {center} is not 2^{n + 1} - {j}")
-        if type(ok) is not bool:
-            raise ValueError(f"recomposition_ok must be a bool, got {ok!r}")
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "cone",
@@ -224,18 +234,14 @@ class ConeCertificate(NamedTuple):
             "center": self.center,
             "singletons": encode_listing(self.decomposition.singletons.terms()),
             "radii": encode_listing(self.decomposition.radii.terms()),
-            "recomposition_ok": ok,
+            "recomposition_ok": self.recomposition_ok,
         }
 
     @classmethod
     def from_document(cls, doc: dict) -> "ConeCertificate":
         n, j, center = _int_fields(doc, "cone", "n", "j", "center")
-        _check_indices(n, 0, j)
-        decomposition = ConeDecomposition(
-            center=center,
-            singletons=IntegerMultiset.from_counts(_listing(doc, "singletons")),
-            radii=IntegerMultiset.from_counts(_listing(doc, "radii")),
-        )
+        parts = [IntegerMultiset.from_counts(_listing(doc, key)) for key in ("singletons", "radii")]
+        decomposition = ConeDecomposition(center, *parts)
         return _as_written(doc, cls(n, j, decomposition, _field(doc, "recomposition_ok")))
 
 
@@ -268,19 +274,18 @@ def check_positivity_implication(
     slot -1: both lie in R(c - 1) (positivity_cone_bound), and c - 1 >= 0
     as c = cone_center(n, j) = 2^(n+1) - j >= 1.
 
-    Returns True iff the cone certificate's recomposition_ok is True at
-    cone_center(n, j), the positivity certificates are exactly its slots
-    -1, 0 and 1, and every verdict of theirs, read off a ChElement fold,
-    holds.  False means the cone route failed, a violation included, the
-    certificates do not belong together, a verdict is not a bool or a
-    listing not a fold, or the two certificate routes disagree.
+    Returns True iff the cone certificate's recomposition_ok is True, the
+    positivity certificates are exactly its slots -1, 0 and 1, and every
+    verdict of theirs holds.  Each record was checked where it was built:
+    its center is cone_center(n, j), its verdict a bool and its listing a
+    ChElement fold.  False means the cone route failed, a violation
+    included, the certificates do not belong together, or the two
+    certificate routes disagree.
     """
-    if not (isinstance(cone_cert, ConeCertificate) and cone_cert.recomposition_ok is True):
-        return False
-    n, j = cone_cert.n, cone_cert.j
-    return (cone_cert.center == cone_center(n, j)
-            and all(type(pc.coefficients) is ChElement and pc.all_nonnegative for pc in pos_certs)
-            and sorted((pc.n, pc.i, pc.j) for pc in pos_certs) == [(n, i, j) for i in VALID_I])
+    return (isinstance(cone_cert, ConeCertificate) and cone_cert.recomposition_ok
+            and all(pc.all_nonnegative for pc in pos_certs)
+            and sorted((pc.n, pc.i, pc.j) for pc in pos_certs)
+            == [(cone_cert.n, i, cone_cert.j) for i in VALID_I])
 
 
 def document_json(doc: dict) -> str:

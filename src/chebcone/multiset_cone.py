@@ -10,8 +10,8 @@ profile condition checked per parity class (see in_cone).
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Mapping, NamedTuple
+from collections import Counter, namedtuple
+from typing import Iterable, Mapping
 
 from .tilde_ring import SparseVector, TildeElement, _int, _product, _symmetric_runs, _wrap
 
@@ -107,26 +107,21 @@ class ConeMembershipError(ValueError):
         self.detail = detail
 
 
-class _ConeParts(NamedTuple):
-    center: int
-    singletons: IntegerMultiset
-    radii: IntegerMultiset
-
-
-class ConeDecomposition(_ConeParts):
+class ConeDecomposition(namedtuple("ConeDecomposition", "center singletons radii")):
     """Certificate that a multiset lies in the cone centered at `center`.
 
     The parts are IntegerMultisets, as counts can be astronomically large:
     `singletons` counts values >= center and `radii` radii >= 1.
     Recomposition unions count copies of {value} and of [center-radius,
     center+radius].  Every construction checks these constraints,
-    `_replace` included; a part of another type is a TypeError.
+    `_replace` included; a center or part of another type is a TypeError.
     """
 
     __slots__ = ()
 
     def __new__(cls, center: int, singletons: IntegerMultiset,
                 radii: IntegerMultiset) -> ConeDecomposition:
+        _int(center)
         for part in (singletons, radii):
             if type(part) is not IntegerMultiset:
                 raise TypeError(f"cone parts are IntegerMultisets, got {type(part).__name__}")

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .multiset_cone import IntegerMultiset, interval, to_tilde
-from .tilde_ring import H1, TildeElement, _symmetric_runs, basis, fold_L, mul, w0, w1
+from .tilde_ring import H1, TildeElement, _int, _symmetric_runs, basis, fold_L, mul, w0, w1
 
 VALID_I = (-1, 0, 1)
 VALID_J = (0, 1)
@@ -35,7 +35,9 @@ def cone_center(n: int, j: int) -> int:
 
 
 def _check_indices(n: int, i: int, j: int) -> None:
-    """Depth n >= 0, slot i in VALID_I and order j in VALID_J, or ValueError."""
+    """Int depth n >= 0, slot i in VALID_I and order j in VALID_J, or TypeError
+    (a float or bool would share its int's cache key), then ValueError."""
+    n, i, j = map(_int, (n, i, j))
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     if j not in VALID_J:

@@ -78,9 +78,6 @@ class SparseVector:
         """Sorted (index, coefficient) pairs."""
         return sorted(self._coeffs.items())
 
-    def coeff(self, j: int) -> int:
-        return self._coeffs.get(j, 0)
-
     def support_size(self) -> int:
         return len(self._coeffs)
 

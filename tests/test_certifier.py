@@ -168,17 +168,13 @@ def test_implication_is_false_for_certificates_that_do_not_belong_together(pos_c
     assert check_positivity_implication(certify_cone(1, 0), slots) is True
 
 
-def off_center_record():
-    """A depth-2 record over the depth-1 witness's decomposition, centered at 4, not 8."""
-    return ConeCertificate(2, 0, decompose_cone(closed_witnesses(1)[0], 4), True)
-
-
 def test_a_cone_record_off_its_center_is_refused():
-    cc = off_center_record()
-    assert cc.center == 4
+    # a depth-2 record over the depth-1 witness's decomposition, centered at 4, not 8
+    decomposition = decompose_cone(closed_witnesses(1)[0], 4)
     with pytest.raises(ValueError, match=r"center 4 is not 2\^3 - 0"):
-        cc.to_document()
-    assert check_positivity_implication(cc, [certify_positivity(2, i, 0) for i in VALID_I]) is False
+        ConeCertificate(2, 0, decomposition, True)
+    with pytest.raises(ValueError, match=r"center 4 is not 2\^3 - 0"):
+        certify_cone(2, 0)._replace(decomposition=decomposition)
     # the document such a record would write is refused on the way back too
     doc = certify_cone(1, 0).to_document()
     doc["n"] = 2
@@ -189,12 +185,14 @@ def test_a_cone_record_off_its_center_is_refused():
 
 @pytest.mark.parametrize("ok", [1, "no", None])
 def test_a_cone_record_with_a_verdict_that_is_not_a_bool_is_refused(ok):
-    cc = ConeCertificate(1, 1, certify_cone(1, 1).decomposition, ok)
+    cc = certify_cone(1, 1)
     with pytest.raises(ValueError, match=f"recomposition_ok must be a bool, got {ok!r}"):
-        cc.to_document()
+        ConeCertificate(1, 1, cc.decomposition, ok)
+    with pytest.raises(ValueError, match=f"recomposition_ok must be a bool, got {ok!r}"):
+        cc._replace(recomposition_ok=ok)
     slots = [certify_positivity(1, i, 1) for i in VALID_I]
-    assert check_positivity_implication(cc, slots) is False
-    assert check_positivity_implication(cc._replace(recomposition_ok=True), slots) is True
+    assert check_positivity_implication(cc, slots) is True
+    assert check_positivity_implication(cc._replace(recomposition_ok=False), slots) is False
 
 
 def test_a_witness_outside_its_cone_is_returned_as_its_violation(monkeypatch):

@@ -452,7 +452,7 @@ def test_slot_sums_on_both_sides_of_the_64_bit_field(sign, routes):
     for right, width in ((2**28 + 3, 8), (2**29 + 3, 9)):
         b = IntegerMultiset.from_counts(dict(dense(15, lo=-7, coeff=lambda k: right)))
         assert msum(a, b) == ref_msum(a, b)
-        assert msum(a, b).coeff(7) == 15 * (2**29 + 1) * right
+        assert dict(msum(a, b).items())[7] == 15 * (2**29 + 1) * right
         g1 = TildeElement(dict(dense(15, coeff=lambda k: sign * (2**29 + 1))))
         p = tilde_ring._product(dict(g1.items()), dict(b.items()))
         assert p == ref_product(g1.items(), b.items())

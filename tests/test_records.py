@@ -4,23 +4,38 @@ value with a fixed repr.
 The pinned repr strings show each record's stored fields, a certificate's
 listings in the kernel's value types; equal records compare and hash
 equal, and no field, nor any value a certificate reads off its fields,
-can be assigned or passed to the constructor.
+can be assigned or passed to the constructor.  A certificate record is
+refused where it is built, by its constructor or _replace, whenever its
+reader would refuse the document it writes.
 """
+
+import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebcone import recurrence_engine
 from chebcone.certifier import (
     ConeCertificate,
     PositivityCertificate,
     certify_cone,
     certify_positivity,
     check_positivity_implication,
+    document_json,
     positivity_cone_bound,
 )
 from chebcone.multiset_cone import ConeDecomposition, IntegerMultiset, decompose_cone
-from chebcone.recurrence_engine import VALID_I, closed_witnesses, growth_stats
+from chebcone.recurrence_engine import (
+    VALID_I,
+    VALID_J,
+    closed_witnesses,
+    cone_center,
+    e0_raw,
+    growth_stats,
+    raw_element,
+)
 from chebcone.suites import CheckResult
 from chebcone.tilde_ring import ChElement
 
@@ -126,18 +141,20 @@ TUPLE_LISTINGS = (((2, 0),), ((4, 1), (2, 1)), ((-2, 1),))
 
 
 @pytest.mark.parametrize("listing", TUPLE_LISTINGS)
-def test_a_positivity_record_over_a_tuple_writes_no_document(listing):
+def test_a_positivity_record_over_a_tuple_is_refused_where_built(listing):
     with pytest.raises(TypeError, match="coefficients must be a ChElement, got tuple"):
-        PositivityCertificate(1, 0, 0, listing).to_document()
+        PositivityCertificate(1, 0, 0, listing)
+    with pytest.raises(TypeError, match="coefficients must be a ChElement, got tuple"):
+        certify_positivity(1, 0, 0)._replace(coefficients=listing)
 
 
 def test_the_implication_reads_no_verdict_off_a_tuple_listing():
-    cone_cert = certify_cone(1, 0)
-    slots = [PositivityCertificate(1, i, 0, listing) for i, listing in zip(VALID_I, TUPLE_LISTINGS)]
-    assert check_positivity_implication(cone_cert, slots) is False
-    for listing in TUPLE_LISTINGS:
-        slots = [PositivityCertificate(1, i, 0, listing) for i in VALID_I]
-        assert check_positivity_implication(cone_cert, slots) is False
+    # no slot record over a tuple listing can be built to be read
+    assert check_positivity_implication(
+        certify_cone(1, 0), [certify_positivity(1, i, 0) for i in VALID_I]) is True
+    for i, listing in zip(VALID_I, TUPLE_LISTINGS):
+        with pytest.raises(TypeError, match="coefficients must be a ChElement, got tuple"):
+            PositivityCertificate(1, i, 0, listing)
     with pytest.raises(ValueError, match="negative index -2"):
         ChElement({-2: 1})
 
@@ -198,3 +215,128 @@ def test_cone_document_with_bad_parts_is_rejected(case):
     doc["radii"] = [[r, str(cnt)] for r, cnt in radii.items()]
     with pytest.raises(ValueError, match=case):
         ConeCertificate.from_document(doc)
+
+
+def round_trips(record):
+    """Whether record reads back, field types included, from the bytes it writes."""
+    back = type(record).from_document(json.loads(document_json(record.to_document())))
+    return back == record and list(map(type, back)) == list(map(type, record))
+
+
+def built(make):
+    """make(), or None if the record is refused where it is built."""
+    try:
+        return make()
+    except (TypeError, ValueError):
+        return None
+
+
+# ints in range and out, bools and floats, drawn for any index
+others = st.integers(-3, 5) | st.booleans() | st.sampled_from((0.0, 1.0, 2.0, -1.0, 0.5))
+
+
+def index(valid):
+    """A value in valid three times in four, so that most records of three
+    drawn indices build; else one of the others."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(valid) if k else others)
+
+
+depths, slots, orders = index(range(6)), index(VALID_I), index(VALID_J)
+listings = st.dictionaries(
+    st.integers(0, 12), st.integers(-9, 9).filter(bool), max_size=4
+).map(ChElement) | st.sampled_from(TUPLE_LISTINGS)
+verdicts = st.integers(0, 3).flatmap(
+    lambda k: st.booleans() if k else st.sampled_from((0, 1, 1.0, None, "no")))
+
+
+@st.composite
+def decompositions(draw, n, j):
+    """Parts about a center on cone_center(n, j), off it, a bool or a float;
+    a center that ConeDecomposition refuses gives None."""
+    center = cone_center(n, j)
+    if not draw(st.integers(0, 3)):
+        center = draw(st.sampled_from(
+            (center + draw(st.sampled_from((-2, -1, 1, 2))), draw(st.booleans()), float(center))))
+    singletons = IntegerMultiset([math.ceil(center) + k for k in draw(st.lists(st.integers(0, 6), max_size=3))])
+    radii = IntegerMultiset(draw(st.lists(st.integers(1, 4), max_size=3)))
+    return built(lambda: ConeDecomposition(center, singletons, radii))
+
+
+@st.composite
+def records(draw):
+    """A certificate record over drawn fields, or None if it is refused."""
+    n, j = draw(depths), draw(orders)
+    if draw(st.booleans()):
+        i, listing = draw(slots), draw(listings)
+        return built(lambda: PositivityCertificate(n, i, j, listing))
+    decomposition, ok = draw(decompositions(n, j)), draw(verdicts)
+    return built(lambda: ConeCertificate(n, j, decomposition, ok))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(records(), st.data())
+def test_every_record_that_builds_writes_a_document_its_reader_takes_back(record, data):
+    if record is None:
+        return
+    assert round_trips(record)
+    field = data.draw(st.sampled_from(record._fields))
+    value = data.draw({
+        "n": depths, "i": slots, "j": orders, "coefficients": listings,
+        "decomposition": decompositions(record.n, record.j), "recomposition_ok": verdicts,
+    }[field])
+    replaced = built(lambda: record._replace(**{field: value}))
+    assert replaced is None or round_trips(replaced)
+
+
+EMPTY = IntegerMultiset()
+
+# case -> (record maker, error, message): each record writes a document its
+# reader refuses, so it is refused where it is built
+REFUSED = {
+    "depth -2, whose cone_bound is 0.5": (
+        lambda: PositivityCertificate(-2, 0, 0, ChElement({2: 1})),
+        ValueError, "depth must be >= 0, got -2"),
+    "slot 7": (
+        lambda: PositivityCertificate(1, 7, 0, ChElement({2: 1})),
+        ValueError, "slot must be -1, 0 or 1, got 7"),
+    "a bool depth": (
+        lambda: PositivityCertificate(True, 0, 0, ChElement({2: 1})),
+        TypeError, "expected an int, got True"),
+    "a center of True": (
+        lambda: ConeCertificate(0, 1, ConeDecomposition(True, EMPTY, EMPTY), True),
+        TypeError, "expected an int, got True"),
+    "a center of 4.0": (
+        lambda: ConeCertificate(1, 0, ConeDecomposition(4.0, EMPTY, EMPTY), True),
+        TypeError, "expected an int, got 4.0"),
+    "a float order": (
+        lambda: ConeCertificate(1, 0.0, ConeDecomposition(4, EMPTY, EMPTY), True),
+        TypeError, "expected an int, got 0.0"),
+    "a decomposition that is a tuple": (
+        lambda: ConeCertificate(1, 0, (4, EMPTY, EMPTY), True),
+        TypeError, "decomposition must be a ConeDecomposition, got tuple"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_a_record_its_reader_would_refuse_is_refused_where_built(case):
+    make, error, message = REFUSED[case]
+    with pytest.raises(error, match=message):
+        make()
+
+
+def clear_engine_caches():
+    for fn in vars(recurrence_engine).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+@pytest.mark.parametrize("fn,args,message", [
+    (e0_raw, (2.0, 0), "expected an int, got 2.0"),
+    (closed_witnesses, (True,), "expected an int, got True"),
+    (raw_element, (1, 0.0, 0), "expected an int, got 0.0"),
+    (closed_witnesses, (2.0,), "expected an int, got 2.0"),
+])
+def test_engine_entry_points_refuse_a_non_int_index_from_cold_caches(fn, args, message):
+    clear_engine_caches()
+    with pytest.raises(TypeError, match=message):
+        fn(*args)
